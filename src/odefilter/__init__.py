@@ -35,8 +35,6 @@ from .solver import (
     IVProblem,
     StateSpaceModel,
     Trajectory,
-    TrajectoryRecord,
-    evaluate_measurement,
     fourier_state_space,
     solve,
     taylor_state_space,
@@ -76,8 +74,6 @@ __all__ = [
     "IVProblem",
     "StateSpaceModel",
     "Trajectory",
-    "TrajectoryRecord",
-    "evaluate_measurement",
     "fourier_state_space",
     "solve",
     "taylor_state_space",

@@ -6,8 +6,7 @@ the Runge-Kutta reference. All defaults reproduce the benchmark oscillator
 runs, so ``odefilter solve --problem vdp --method hybrid`` works as-is.
 
 Everything here is deterministic: identical inputs give byte-identical
-outputs. The environment variable ODEFILTER_SEEDLESS is reserved; no
-computation in this package uses randomness.
+outputs; no computation in this package uses randomness.
 
 CSV schema: header ``t,mean_0,...,mean_{d-1},std_0,...,std_{d-1},phase``
 with floats printed to 17 significant digits, comma separated, newline
@@ -33,72 +32,19 @@ from .taylor import TaylorParams
 EXACT_ORDER_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a solve run needs, assembled from CLI flags."""
-
-    problem: str
-    method: str
-    h: float
-    T: float | None
-    T_p: float | None
-    q: int
-    sigma2_taylor: float
-    J: int
-    w0: float
-    l: float
-    sigma2_fourier: float
-    R: float
-    train_policy: TrainPolicy
-    train_noise: TrainNoise
-    output: str | None
-    mu: float
-    fhn_I: float
-    fhn_a: float
-    fhn_b: float
-    fhn_tau: float
-    fhn_standard: bool
-    reference: bool
-    h_ref: float | None
-
-
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _build_problem(cfg: RunConfig):
+def _build_problem(args: argparse.Namespace):
     params = {}
-    if cfg.problem == "vdp":
-        params["mu"] = cfg.mu
-    elif cfg.problem == "fhn":
+    if args.problem == "vdp":
+        params["mu"] = args.mu
+    elif args.problem == "fhn":
         params.update(
-            I=cfg.fhn_I, a=cfg.fhn_a, b=cfg.fhn_b, tau=cfg.fhn_tau, standard=cfg.fhn_standard
+            I=args.fhn_I, a=args.fhn_a, b=args.fhn_b, tau=args.fhn_tau, standard=args.fhn_standard
         )
-    return problems.by_name(cfg.problem, T=cfg.T, **params)
-
-
-def run_solve(cfg: RunConfig) -> tuple[Trajectory, Trajectory | None]:
-    """Execute the configured solve; returns (trajectory, optional reference)."""
-    ivp = _build_problem(cfg)
-    if cfg.method == "taylor":
-        traj = solve(taylor_state_space(TaylorParams(cfg.q, cfg.sigma2_taylor)), ivp, cfg.h, cfg.R)
-    else:
-        t_p = cfg.T_p if cfg.T_p is not None else 0.75 * ivp.T
-        config = HybridConfig(
-            taylor=TaylorParams(cfg.q, cfg.sigma2_taylor),
-            fourier=FourierParams(cfg.J, cfg.w0, cfg.l, cfg.sigma2_fourier),
-            T_p=t_p,
-            h=cfg.h,
-            R=cfg.R,
-            train_policy=cfg.train_policy,
-            train_noise=cfg.train_noise,
-        )
-        traj = hybrid_solve(config, ivp)
-    reference = None
-    if cfg.reference:
-        h_ref = cfg.h_ref if cfg.h_ref is not None else cfg.h / 10.0
-        reference = problems.rk4_reference(ivp, h_ref, h_out=cfg.h)
-    return traj, reference
+    return problems.by_name(args.problem, T=args.T, **params)
 
 
 def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
@@ -118,13 +64,13 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
     means = traj.value_means()
     stds = traj.value_stds()
     lines = [",".join(header)]
-    for k, rec in enumerate(traj.records):
-        cells = [_fmt(rec.t)]
+    for k, (t, phase) in enumerate(zip(traj.times(), traj.phases())):
+        cells = [_fmt(t)]
         cells += [_fmt(v) for v in means[k]]
         cells += [_fmt(v) for v in stds[k]]
         if ref_values is not None:
             cells += [_fmt(v) for v in ref_values[k]]
-        cells.append(rec.phase)
+        cells.append(phase)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -391,33 +337,28 @@ def _cmd_solve(args, parser) -> int:
         t_p = args.Tp if args.Tp is not None else 0.75 * horizon
         if not 0 < t_p < horizon:
             parser.error(f"--Tp must lie strictly inside (0, T={horizon:g}), got {t_p:g}")
-    cfg = RunConfig(
-        problem=args.problem,
-        method=args.method,
-        h=args.h,
-        T=args.T,
-        T_p=args.Tp,
-        q=args.q,
-        sigma2_taylor=args.sigma2_taylor,
-        J=args.J,
-        w0=args.w0,
-        l=args.l,
-        sigma2_fourier=args.sigma2_fourier,
-        R=args.R,
-        train_policy=TrainPolicy(args.train_policy, args.train_stride),
-        train_noise=TrainNoise(args.train_noise, args.train_jitter),
-        output=args.output,
-        mu=args.mu,
-        fhn_I=args.fhn_I,
-        fhn_a=args.fhn_a,
-        fhn_b=args.fhn_b,
-        fhn_tau=args.fhn_tau,
-        fhn_standard=args.fhn_standard,
-        reference=args.reference,
-        h_ref=args.h_ref,
-    )
-    traj, reference = run_solve(cfg)
-    out = cfg.output or f"{cfg.problem}_{cfg.method}.csv"
+    train_policy = TrainPolicy(args.train_policy, args.train_stride)
+    train_noise = TrainNoise(args.train_noise, args.train_jitter)
+    ivp = _build_problem(args)
+    taylor = TaylorParams(args.q, args.sigma2_taylor)
+    if args.method == "taylor":
+        traj = solve(taylor_state_space(taylor), ivp, args.h, args.R)
+    else:
+        config = HybridConfig(
+            taylor=taylor,
+            fourier=FourierParams(args.J, args.w0, args.l, args.sigma2_fourier),
+            T_p=t_p,
+            h=args.h,
+            R=args.R,
+            train_policy=train_policy,
+            train_noise=train_noise,
+        )
+        traj = hybrid_solve(config, ivp)
+    reference = None
+    if args.reference:
+        h_ref = args.h_ref if args.h_ref is not None else args.h / 10.0
+        reference = problems.rk4_reference(ivp, h_ref, h_out=args.h)
+    out = args.output or f"{args.problem}_{args.method}.csv"
     with open(out, "w", newline="") as fh:
         fh.write(trajectory_csv(traj, reference))
     print(f"wrote {out} ({len(traj)} rows)")

@@ -4,6 +4,12 @@ Every state space model in this package drives the same two operations:
 ``predict`` pushes a Gaussian belief through a linear transition with
 additive noise, ``update`` conditions it on a scalar measurement. Both are
 pure functions; beliefs are never mutated in place.
+
+The maths lives once, in the array kernels ``_predict`` and ``_update``.
+They take means with a leading coordinate axis, ``(d, D)``, next to one
+covariance ``(D, D)`` shared by all coordinates, and also accept a single
+mean ``(D,)``. Each coordinate's mean is multiplied on its own, as a lone
+vector would be, so batching changes no bits.
 """
 
 from __future__ import annotations
@@ -21,6 +27,38 @@ ZERO_INNOVATION_TOL = 1e-12
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v @ m`` for every vector m along M's last axis, summed as a lone dot would be."""
+    return (M[..., None, :] @ v)[..., 0]
+
+
+def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
+    """Means ``A m`` per coordinate and the shared covariance ``A P A^T + Q``."""
+    return (A @ M[..., None])[..., 0], _symmetrize(A @ P @ A.T + Q)
+
+
+def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):
+    """Joseph-form update of every mean in M on its own scalar ``z ~ N(h x, R)``.
+
+    The gain depends only on the shared covariance, so it is computed once.
+    A vanishing innovation variance passes only if every innovation vanishes.
+    """
+    Ph = P @ h
+    S = float(h @ Ph) + R
+    innovation = z - _dot(M, h)
+    if S <= 0.0:
+        worst = float(np.max(np.abs(innovation)))
+        if worst <= ZERO_INNOVATION_TOL:
+            return M, P
+        raise SingularUpdateError(
+            f"singular update: innovation variance S={S:g} with innovation {worst:g}"
+        )
+    K = Ph / S
+    IKH = np.eye(P.shape[0]) - np.outer(K, h)
+    cov = IKH @ P @ IKH.T + R * np.outer(K, K)
+    return M + np.multiply.outer(innovation, K), _symmetrize(cov)
 
 
 @dataclass(frozen=True)
@@ -114,9 +152,7 @@ def predict(belief: GaussianBelief, trans: TransitionModel) -> GaussianBelief:
         raise ContractViolation(
             f"transition dimension {trans.dim} does not match belief dimension {belief.dim}"
         )
-    mean = trans.A @ belief.mean
-    cov = _symmetrize(trans.A @ belief.cov @ trans.A.T + trans.Q)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(*_predict(belief.mean, belief.cov, trans.A, trans.Q))
 
 
 def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> GaussianBelief:
@@ -132,18 +168,5 @@ def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> Gaussian
         raise ContractViolation(
             f"measurement dimension {meas.H.size} does not match belief dimension {belief.dim}"
         )
-    h = meas.H
-    Ph = belief.cov @ h
-    S = float(h @ Ph) + meas.R
-    innovation = float(z) - float(h @ belief.mean)
-    if S <= 0.0:
-        if abs(innovation) <= ZERO_INNOVATION_TOL:
-            return belief
-        raise SingularUpdateError(
-            f"singular update: innovation variance S={S:g} with innovation {innovation:g}"
-        )
-    K = Ph / S
-    mean = belief.mean + K * innovation
-    IKH = np.eye(belief.dim) - np.outer(K, h)
-    cov = IKH @ belief.cov @ IKH.T + meas.R * np.outer(K, K)
-    return GaussianBelief(mean, _symmetrize(cov))
+    mean, cov = _update(belief.mean, belief.cov, meas.H, meas.R, float(z))
+    return belief if cov is belief.cov else GaussianBelief(mean, cov)

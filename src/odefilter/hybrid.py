@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .filtering import GaussianBelief, MeasurementModel, predict, update
+from .filtering import GaussianBelief, _predict, _update
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
-from .solver import (
-    IVProblem,
-    Trajectory,
-    TrajectoryRecord,
-    _n_steps,
-    solve,
-    taylor_state_space,
-)
+from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve, taylor_state_space
 from .taylor import TaylorParams
 
 POLICY_KINDS = ("values_all", "values_stride", "values_and_derivatives")
@@ -118,6 +111,8 @@ def train_fourier(
     the Fourier derivative row). Returns the belief at the trajectory's
     final time.
     """
+    if prior.dim != params.dim:
+        raise ContractViolation(f"prior dimension {prior.dim} != Fourier dimension {params.dim}")
     policy = policy or TrainPolicy()
     noise = noise or TrainNoise()
     n = len(taylor_traj) - 1
@@ -127,27 +122,26 @@ def train_fourier(
     trans = fourier_transition(taylor_traj.h, params) if n > 0 else None
     proj_four = fourier_projections(params)
 
-    belief = prior
-    for k, rec in enumerate(taylor_traj.records):
-        if k > 0:
-            belief = predict(belief, trans)
-        if k not in selected:
-            continue
-        proj_tay = taylor_traj.projections[rec.phase]
-        b_tay = rec.beliefs[coordinate]
-        z = float(proj_tay.H0 @ b_tay.mean)
-        r = _train_noise_variance(noise, b_tay, proj_tay.H0)
-        belief = update(belief, MeasurementModel(proj_four.H0, r), z)
-        if with_derivatives:
-            dz = float(proj_tay.H @ b_tay.mean)
-            dr = _train_noise_variance(noise, b_tay, proj_tay.H)
-            belief = update(belief, MeasurementModel(proj_four.H, dr), dz)
-    return belief
+    m, P = prior.mean, prior.cov
+    k = 0
+    for seg in taylor_traj.segments:
+        proj_tay = seg.projections
+        for mean, cov in zip(seg.means[:, coordinate], seg.covs):
+            if k > 0:
+                m, P = _predict(m, P, trans.A, trans.Q)
+            if k in selected:
+                r = _train_noise_variance(noise, cov, proj_tay.H0)
+                m, P = _update(m, P, proj_four.H0, r, float(proj_tay.H0 @ mean))
+                if with_derivatives:
+                    dr = _train_noise_variance(noise, cov, proj_tay.H)
+                    m, P = _update(m, P, proj_four.H, dr, float(proj_tay.H @ mean))
+            k += 1
+    return GaussianBelief(m, P)
 
 
-def _train_noise_variance(noise: TrainNoise, b_tay: GaussianBelief, row: np.ndarray) -> float:
+def _train_noise_variance(noise: TrainNoise, cov: np.ndarray, row: np.ndarray) -> float:
     if noise.kind == "taylor_variance":
-        return max(float(row @ b_tay.cov @ row), 0.0)
+        return max(float(row @ cov @ row), 0.0)
     return noise.jitter
 
 
@@ -164,22 +158,25 @@ def predict_forward(
     dynamics are a rotation with zero diffusion, so covariance eigenvalues
     are invariant along the segment.
     """
+    if belief.dim != params.dim:
+        raise ContractViolation(f"belief dimension {belief.dim} != Fourier dimension {params.dim}")
     if t_end <= t_p:
         raise ContractViolation(f"t_end={t_end} must exceed t_p={t_p}")
     n = _n_steps(t_end - t_p, h)
     trans = fourier_transition(h, params)
+    mean, cov = belief.mean, belief.cov
     out = []
     for m in range(1, n + 1):
-        belief = predict(belief, trans)
-        out.append((t_p + m * h, belief))
+        mean, cov = _predict(mean, cov, trans.A, trans.Q)
+        out.append((t_p + m * h, GaussianBelief(mean, cov)))
     return out
 
 
 def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
     """Taylor-filter on [0, T_p], train the Fourier belief, predict to T.
 
-    The returned trajectory concatenates the Taylor records (phase
-    ``taylor``) with the Fourier prediction records on (T_p, T] (phase
+    The returned trajectory concatenates the Taylor segment (phase
+    ``taylor``) with the Fourier prediction segment on (T_p, T] (phase
     ``fourier``). The vector field is evaluated only during the Taylor
     phase: once at t = 0 for initialization and once per Taylor step.
     """
@@ -199,21 +196,17 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
         for i in range(ivp.dim)
     ]
 
-    segments = [
+    # The trained covariances are equal across coordinates: the training
+    # noise depends only on the shared Taylor covariance.
+    forward = [
         predict_forward(trained[i], config.fourier, config.h, config.T_p, ivp.T)
         for i in range(ivp.dim)
     ]
-    tail = [
-        TrajectoryRecord(segments[0][m][0], tuple(seg[m][1] for seg in segments), "fourier")
-        for m in range(len(segments[0]))
-    ]
-
-    return Trajectory(
-        records=taylor_traj.records + tuple(tail),
-        h=config.h,
-        problem=ivp.name,
-        projections={
-            "taylor": taylor_traj.projections["taylor"],
-            "fourier": fourier_projections(config.fourier),
-        },
+    tail = PhaseSegment(
+        "fourier",
+        fourier_projections(config.fourier),
+        np.array([t for t, _ in forward[0]]),
+        np.array([[b.mean for _, b in seg] for seg in forward]).transpose(1, 0, 2),
+        np.array([b.cov for _, b in forward[0]]),
     )
+    return Trajectory(taylor_traj.segments + (tail,), h=config.h, problem=ivp.name)

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError
-from .filtering import GaussianBelief, ProjectionPair
-from .solver import IVProblem, Trajectory, TrajectoryRecord, _n_steps
+from .filtering import ProjectionPair
+from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps
 
 REFERENCE_PHASE = "reference"
 
@@ -139,20 +139,16 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     n_out = _n_steps(ivp.T, h_out)
 
     f = ivp.field
-    d = ivp.dim
-    zero_cov = np.zeros((2, 2))
+    means = np.empty((n_out + 1, ivp.dim, 2))
 
-    def make_record(t: float, x: np.ndarray) -> TrajectoryRecord:
+    def record(k: int, t: float, x: np.ndarray):
         if not np.all(np.isfinite(x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-        dx = f(x, t)
-        beliefs = tuple(
-            GaussianBelief(np.array([x[i], dx[i]]), zero_cov) for i in range(d)
-        )
-        return TrajectoryRecord(t, beliefs, REFERENCE_PHASE)
+        means[k, :, 0] = x
+        means[k, :, 1] = f(x, t)
 
     x = ivp.x0.copy()
-    records = [make_record(0.0, x)]
+    record(0, 0.0, x)
     half = 0.5 * h_ref
     sixth = h_ref / 6.0
     for k in range(1, n_out + 1):
@@ -164,12 +160,14 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
             k3 = f(x + half * k2, t + half)
             k4 = f(x + h_ref * k3, t + h_ref)
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        records.append(make_record(k * h_out, x))
+        record(k, k * h_out, x)
 
     projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return Trajectory(
-        records=tuple(records),
-        h=h_out,
-        problem=ivp.name,
-        projections={REFERENCE_PHASE: projections},
+    segment = PhaseSegment(
+        REFERENCE_PHASE,
+        projections,
+        np.arange(n_out + 1) * h_out,
+        means,
+        np.zeros((n_out + 1, 2, 2)),
     )
+    return Trajectory((segment,), h=h_out, problem=ivp.name)

@@ -2,29 +2,24 @@
 
 Treats an IVP as a state estimation problem: at every grid point the state
 is predicted along the prior dynamics, the vector field is evaluated once at
-the assembled predicted mean, and each coordinate's belief is updated with
-its component of that evaluation as a derivative measurement.
+the assembled predicted mean, and each coordinate's mean is updated with its
+component of that evaluation as a derivative measurement.
 
-Multivariate ODEs run one independent scalar-measurement filter per
-coordinate; only the vector-field evaluation couples them.
+Every coordinate shares the prior dynamics, the measurement row and the
+initial covariance, so the covariance and gain recursion does not depend on
+the data: one covariance per step serves all coordinates, next to one mean
+per coordinate. Only the vector-field evaluation couples the means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError, SingularUpdateError
-from .filtering import (
-    GaussianBelief,
-    MeasurementModel,
-    ProjectionPair,
-    TransitionModel,
-    predict,
-    update,
-)
+from .filtering import GaussianBelief, ProjectionPair, TransitionModel, _dot, _predict, _update
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
 from .taylor import TaylorParams, ibm_transition, taylor_init, taylor_projections
 
@@ -84,62 +79,79 @@ class IVProblem:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """One grid point: time, per-coordinate beliefs, and the phase that produced it."""
+class PhaseSegment:
+    """Consecutive grid points produced by one phase of a solve.
 
-    t: float
-    beliefs: tuple[GaussianBelief, ...]
+    ``t`` has shape (k,), ``means`` (k, d, D) with one state mean per
+    coordinate, and ``covs`` (k, D, D) with the one covariance all
+    coordinates share at each grid point. ``projections`` turns states of
+    this phase back into values of x.
+    """
+
     phase: str
+    projections: ProjectionPair
+    t: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __post_init__(self):
+        k, D = len(self.t), self.projections.dim
+        if self.means.ndim != 3 or self.means.shape[0] != k or self.means.shape[2] != D:
+            raise ContractViolation(f"means shape {self.means.shape} is not ({k}, d, {D})")
+        if self.covs.shape != (k, D, D):
+            raise ContractViolation(f"covs shape {self.covs.shape} is not ({k}, {D}, {D})")
+
+    def value_means(self) -> np.ndarray:
+        return _dot(self.means, self.projections.H0)
+
+    def value_stds(self) -> np.ndarray:
+        # One `H0 @ cov @ H0` per grid point: a batched product over all
+        # covariances sums in another order and can change the last bit.
+        H0 = self.projections.H0
+        stds = [np.sqrt(max(float(H0 @ cov @ H0), 0.0)) for cov in self.covs]
+        return np.repeat(np.array(stds)[:, None], self.means.shape[1], axis=1)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered solver output on a uniform grid of step h.
 
-    ``projections`` maps each phase label occurring in the records to the
-    projection pair of the state space model that produced those records,
-    which is what turns state beliefs back into values of x.
+    The grid points are stored as a sequence of phase segments; the
+    accessors below concatenate them.
     """
 
-    records: tuple[TrajectoryRecord, ...]
+    segments: tuple[PhaseSegment, ...]
     h: float
     problem: str
-    projections: Mapping[str, ProjectionPair]
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        ts = np.array([r.t for r in self.records])
+        object.__setattr__(self, "segments", tuple(self.segments))
+        if len({s.means.shape[1] for s in self.segments}) != 1:
+            raise ContractViolation("segments must share one coordinate count")
+        ts = self.times()
         if len(ts) > 1 and not np.all(np.abs(np.diff(ts) - self.h) <= 1e-9):
             raise ContractViolation("record times must increase uniformly by h")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(len(s.t) for s in self.segments)
 
     @property
     def dim(self) -> int:
-        return len(self.records[0].beliefs)
+        return self.segments[0].means.shape[1]
 
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return np.concatenate([s.t for s in self.segments])
 
     def phases(self) -> list[str]:
-        return [r.phase for r in self.records]
+        return [s.phase for s in self.segments for _ in range(len(s.t))]
 
     def value_means(self) -> np.ndarray:
         """H0-projected means, shape (n_records, dim)."""
-        out = np.empty((len(self.records), self.dim))
-        for k, rec in enumerate(self.records):
-            H0 = self.projections[rec.phase].H0
-            out[k] = [float(H0 @ b.mean) for b in rec.beliefs]
-        return out
+        return np.concatenate([s.value_means() for s in self.segments])
 
     def value_stds(self) -> np.ndarray:
         """sqrt(H0 P H0^T) per coordinate, shape (n_records, dim)."""
-        out = np.empty((len(self.records), self.dim))
-        for k, rec in enumerate(self.records):
-            H0 = self.projections[rec.phase].H0
-            out[k] = [np.sqrt(max(float(H0 @ b.cov @ H0), 0.0)) for b in rec.beliefs]
-        return out
+        return np.concatenate([s.value_stds() for s in self.segments])
 
 
 def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
@@ -151,20 +163,6 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     return z
-
-
-def evaluate_measurement(
-    beliefs: Sequence[GaussianBelief],
-    field: VectorField,
-    H0: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Evaluate the vector field at the assembled projected means.
-
-    Raises DivergedSolveError if the field output is not finite.
-    """
-    m = np.array([float(H0 @ b.mean) for b in beliefs])
-    return _field_at(field, m, t)
 
 
 def _n_steps(t_end: float, h: float) -> int:
@@ -201,26 +199,32 @@ def solve(
     n = _n_steps(t_end, h)
 
     trans = ssm.transition_builder(h)
-    meas = MeasurementModel(ssm.projections.H, R)
-    H0 = ssm.projections.H0
+    proj = ssm.projections
 
     dx0 = _field_at(ivp.field, ivp.x0, 0.0)
-    beliefs = tuple(ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim))
-    records = [TrajectoryRecord(0.0, beliefs, ssm.label)]
+    inits = [ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim)]
+    P = inits[0].cov
+    if any(not np.array_equal(b.cov, P) for b in inits[1:]):
+        raise ContractViolation("init_builder must return one covariance for every coordinate")
+    if not trans.dim == proj.dim == P.shape[0]:
+        raise ContractViolation(
+            f"transition dimension {trans.dim}, projection dimension {proj.dim} and "
+            f"belief dimension {P.shape[0]} differ"
+        )
+    M = np.array([b.mean for b in inits])
+    means = np.empty((n + 1,) + M.shape)
+    covs = np.empty((n + 1,) + P.shape)
+    means[0], covs[0] = M, P
 
     for k in range(1, n + 1):
         t = k * h
-        predicted = tuple(predict(b, trans) for b in beliefs)
-        z = evaluate_measurement(predicted, ivp.field, H0, t)
+        M, P = _predict(M, P, trans.A, trans.Q)
+        z = _field_at(ivp.field, _dot(M, proj.H0), t)
         try:
-            beliefs = tuple(update(predicted[i], meas, z[i]) for i in range(ivp.dim))
+            M, P = _update(M, P, proj.H, R, z)
         except SingularUpdateError as err:
             raise SingularUpdateError(f"{err} at step {k} (t={t:g})", step=k, t=t) from err
-        records.append(TrajectoryRecord(t, beliefs, ssm.label))
+        means[k], covs[k] = M, P
 
-    return Trajectory(
-        records=tuple(records),
-        h=h,
-        problem=ivp.name,
-        projections={ssm.label: ssm.projections},
-    )
+    segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
+    return Trajectory((segment,), h=h, problem=ivp.name)

@@ -9,23 +9,33 @@ import math
 
 import numpy as np
 
-from odefilter import GaussianBelief, ProjectionPair, Trajectory, TrajectoryRecord
+from odefilter import GaussianBelief, ProjectionPair, Trajectory
+from odefilter.solver import PhaseSegment
 
 PSD_RELATIVE_TOL = 1e-10
 
 
-def assert_belief_hygiene(belief: GaussianBelief):
+def assert_covariance_hygiene(cov: np.ndarray):
     """Exact covariance symmetry plus eigenvalues >= -1e-10 * largest magnitude."""
-    assert np.array_equal(belief.cov, belief.cov.T), "covariance not exactly symmetric"
-    eig = np.linalg.eigvalsh(belief.cov)
+    assert np.array_equal(cov, cov.T), "covariance not exactly symmetric"
+    eig = np.linalg.eigvalsh(cov)
     largest = float(np.max(np.abs(eig)))
     assert eig.min() >= -PSD_RELATIVE_TOL * largest, f"covariance not PSD: {eig}"
 
 
-def assert_trajectory_hygiene(traj: Trajectory):
-    for rec in traj.records:
-        for belief in rec.beliefs:
-            assert_belief_hygiene(belief)
+def assert_belief_hygiene(belief: GaussianBelief):
+    assert_covariance_hygiene(belief.cov)
+
+
+def assert_trajectory_hygiene(traj: Trajectory) -> int:
+    """Checks every stored covariance (one per grid point, shared by all
+    coordinates); returns how many were checked."""
+    checked = 0
+    for seg in traj.segments:
+        for cov in seg.covs:
+            assert_covariance_hygiene(cov)
+        checked += len(seg.covs)
+    return checked
 
 
 def batch_gaussian_posterior(m0, P0, rows, zs, rvars):
@@ -59,12 +69,10 @@ def random_spd(rng, d: int, boost: float = 0.5) -> np.ndarray:
 
 
 def synthetic_taylor_trajectory(fun, dfun, h: float, n: int, var: float = 0.0) -> Trajectory:
-    """Trajectory whose records carry [fun(t), dfun(t)] means, for training tests."""
-    cov = var * np.eye(2)
-    records = []
-    for k in range(n + 1):
-        t = k * h
-        belief = GaussianBelief(np.array([fun(t), dfun(t)]), cov)
-        records.append(TrajectoryRecord(t, (belief,), "taylor"))
+    """One-coordinate trajectory whose means are [fun(t), dfun(t)], for training tests."""
+    ts = [k * h for k in range(n + 1)]
+    means = np.array([[[fun(t), dfun(t)]] for t in ts])
+    covs = np.repeat(var * np.eye(2)[None], n + 1, axis=0)
     projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return Trajectory(tuple(records), h, "synthetic", {"taylor": projections})
+    segment = PhaseSegment("taylor", projections, np.array(ts), means, covs)
+    return Trajectory((segment,), h, "synthetic")

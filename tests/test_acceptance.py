@@ -247,7 +247,7 @@ def test_criterion_5_filtering_equals_batch_regression(request):
 
 def test_criterion_6_fourier_coefficient_recovery(request):
     data = request.getfixturevalue("cosine_training")
-    t_p = data["traj"].records[-1].t
+    t_p = data["traj"].times()[-1]
     coeffs = rotation_matrix(FOURIER_51.J, FOURIER_51.w0, t_p).T @ data["trained"].mean
     gap_a1 = abs(coeffs[2] - 1.0)
     gap_b1 = abs(coeffs[3])
@@ -287,7 +287,7 @@ def test_criterion_8_end_to_end_benchmark_runs(request, tmp_path):
         phases = traj.phases()
         if phases[3750] != "taylor" or phases[3751] != "fourier":
             failures.append(f"{name}: phase does not flip at t=37.5")
-        if traj.records[3750].t != 37.5:
+        if traj.times()[3750] != 37.5:
             failures.append(f"{name}: taylor phase does not end at 37.5")
         counter = run["counter"]
         if counter.calls != 3751:
@@ -320,14 +320,12 @@ def test_criterion_9_covariance_hygiene(
 ):
     checked = 0
     for traj in linear_solves.values():
-        assert_trajectory_hygiene(traj)
-        checked += sum(len(r.beliefs) for r in traj.records)
+        checked += assert_trajectory_hygiene(traj)
     for belief in batch_filter_run["beliefs"]:
         assert_belief_hygiene(belief)
         checked += 1
     assert_belief_hygiene(cosine_training["trained"])
     checked += 1
     for traj in (cosine_hybrid["traj"], vdp_run["traj"], fhn_run["traj"]):
-        assert_trajectory_hygiene(traj)
-        checked += sum(len(r.beliefs) for r in traj.records)
-    _report(9, True, f"({checked} beliefs symmetric and PSD within 1e-10 relative)")
+        checked += assert_trajectory_hygiene(traj)
+    _report(9, True, f"({checked} covariances symmetric and PSD within 1e-10 relative)")

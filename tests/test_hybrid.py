@@ -1,6 +1,7 @@
 """Hybrid Taylor-Fourier solver: training, prediction, budget, batch equivalence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from odefilter import (
     FourierParams,
     HybridConfig,
     TaylorParams,
+    Trajectory,
     TrainNoise,
     TrainPolicy,
     cosine,
@@ -20,6 +22,8 @@ from odefilter import (
     hybrid_solve,
     predict,
     predict_forward,
+    solve,
+    taylor_state_space,
     train_fourier,
     vdp,
 )
@@ -53,7 +57,8 @@ def batch_trained_belief(params, traj, policy=None, noise=None):
     """Independent oracle: dense batch regression over X(0), rotated to T_p."""
     policy = policy or TrainPolicy()
     noise = noise or TrainNoise()
-    proj_tay = traj.projections["taylor"]
+    (seg,) = traj.segments
+    proj_tay = seg.projections
     proj_four = fourier_projections(params)
     n = len(traj) - 1
     if policy.kind == "values_stride":
@@ -63,28 +68,27 @@ def batch_trained_belief(params, traj, policy=None, noise=None):
 
     rows, zs, rvars = [], [], []
     for k in selected:
-        rec = traj.records[k]
-        rot = rotation_matrix(params.J, params.w0, rec.t)
-        belief = rec.beliefs[0]
+        rot = rotation_matrix(params.J, params.w0, seg.t[k])
+        mean, cov = seg.means[k, 0], seg.covs[k]
         rows.append(proj_four.H0 @ rot)
-        zs.append(float(proj_tay.H0 @ belief.mean))
+        zs.append(float(proj_tay.H0 @ mean))
         rvars.append(
-            float(proj_tay.H0 @ belief.cov @ proj_tay.H0)
+            float(proj_tay.H0 @ cov @ proj_tay.H0)
             if noise.kind == "taylor_variance"
             else noise.jitter
         )
         if policy.kind == "values_and_derivatives":
             rows.append(proj_four.H @ rot)
-            zs.append(float(proj_tay.H @ belief.mean))
+            zs.append(float(proj_tay.H @ mean))
             rvars.append(
-                float(proj_tay.H @ belief.cov @ proj_tay.H)
+                float(proj_tay.H @ cov @ proj_tay.H)
                 if noise.kind == "taylor_variance"
                 else noise.jitter
             )
 
     prior = fourier_init(params)
     m0, P0 = batch_gaussian_posterior(prior.mean, prior.cov, rows, zs, rvars)
-    t_p = traj.records[-1].t
+    t_p = seg.t[-1]
     A_end = rotation_matrix(params.J, params.w0, t_p)
     return A_end @ m0, A_end @ P0 @ A_end.T
 
@@ -112,7 +116,7 @@ def test_cosine_training_recovers_fourier_coefficients():
     params = FourierParams(3, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 125)
     trained = train_fourier(fourier_init(params), traj, 0, params)
-    coeffs = rotation_matrix(params.J, params.w0, traj.records[-1].t).T @ trained.mean
+    coeffs = rotation_matrix(params.J, params.w0, traj.times()[-1]).T @ trained.mean
     assert abs(coeffs[2] - 1.0) <= 5e-2
     assert abs(coeffs[3]) <= 5e-2
     others = np.concatenate([coeffs[:2], coeffs[4:]])
@@ -178,8 +182,6 @@ def test_predict_forward_grid():
 
 def test_hybrid_structure_and_budget():
     counting = CountingField(vdp().field)
-    from dataclasses import replace
-
     ivp = replace(vdp(), field=counting, T=5.0)
     config = HybridConfig(T_p=2.5, h=0.01, R=0.0, **PARAMS_51)
     traj = hybrid_solve(config, ivp)
@@ -188,12 +190,12 @@ def test_hybrid_structure_and_budget():
     phases = traj.phases()
     assert phases[:251] == ["taylor"] * 251
     assert phases[251:] == ["fourier"] * 250
-    assert traj.records[250].t == pytest.approx(2.5)
+    assert traj.times()[250] == pytest.approx(2.5)
     # one evaluation at t=0 for initialization plus one per Taylor step,
     # none at all in the prediction phase
     assert counting.calls == 251
     assert counting.max_t <= 2.5
-    assert set(traj.projections) == {"taylor", "fourier"}
+    assert [seg.phase for seg in traj.segments] == ["taylor", "fourier"]
 
 
 def test_hybrid_boundary_belief_is_trained_belief():
@@ -201,28 +203,48 @@ def test_hybrid_boundary_belief_is_trained_belief():
     ivp = cosine(T=5.0)
     traj = hybrid_solve(config, ivp)
 
-    taylor_part = [r for r in traj.records if r.phase == "taylor"]
-    sub = traj.__class__(
-        records=tuple(taylor_part),
-        h=traj.h,
-        problem=traj.problem,
-        projections={"taylor": traj.projections["taylor"]},
-    )
+    taylor_part, fourier_part = traj.segments
+    sub = Trajectory((taylor_part,), h=traj.h, problem=traj.problem)
     trained = train_fourier(
         fourier_init(config.fourier), sub, 0, config.fourier, config.train_policy, config.train_noise
     )
-    first_fourier = next(r for r in traj.records if r.phase == "fourier")
     expected = predict(trained, fourier_transition(config.h, config.fourier))
-    assert np.array_equal(first_fourier.beliefs[0].mean, expected.mean)
-    assert np.array_equal(first_fourier.beliefs[0].cov, expected.cov)
+    assert np.array_equal(fourier_part.means[0, 0], expected.mean)
+    assert np.array_equal(fourier_part.covs[0], expected.cov)
+
+
+def test_hybrid_values_equal_the_public_pieces_bitwise():
+    # hybrid_solve must equal its composition from the public pieces, bit
+    # for bit, with the Fourier values projected per grid point and
+    # coordinate from the beliefs predict_forward returns
+    config = HybridConfig(T_p=3.75, h=0.01, R=0.0, **PARAMS_51)
+    ivp = replace(vdp(), T=5.0)
+    traj = hybrid_solve(config, ivp)
+
+    taylor = solve(taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p)
+    prior = fourier_init(config.fourier)
+    trained = [
+        train_fourier(prior, taylor, i, config.fourier, config.train_policy, config.train_noise)
+        for i in range(ivp.dim)
+    ]
+    late = [
+        [b for _, b in predict_forward(b0, config.fourier, config.h, config.T_p, ivp.T)]
+        for b0 in trained
+    ]
+    H0 = fourier_projections(config.fourier).H0
+    steps = range(len(late[0]))
+    late_means = np.array([[float(H0 @ col[m].mean) for col in late] for m in steps])
+    late_stds = np.array(
+        [[np.sqrt(max(float(H0 @ col[m].cov @ H0), 0.0)) for col in late] for m in steps]
+    )
+    assert np.array_equal(traj.value_means(), np.vstack((taylor.value_means(), late_means)))
+    assert np.array_equal(traj.value_stds(), np.vstack((taylor.value_stds(), late_stds)))
 
 
 def test_hybrid_covariance_trace_constant_in_prediction_phase():
     config = HybridConfig(T_p=2.5, h=0.05, R=0.0, **PARAMS_51)
     traj = hybrid_solve(config, cosine(T=5.0))
-    traces = [
-        float(np.trace(r.beliefs[0].cov)) for r in traj.records if r.phase == "fourier"
-    ]
+    traces = [float(np.trace(cov)) for cov in traj.segments[1].covs]
     assert np.max(np.abs(np.array(traces) - traces[0])) <= 1e-9
 
 
@@ -242,14 +264,12 @@ def test_hybrid_cosine_extrapolation_accuracy():
 
 
 def test_hybrid_fhn_shape_contract():
-    from dataclasses import replace
-
     config = HybridConfig(T_p=3.0, h=0.05, R=0.0, **PARAMS_51)
     traj = hybrid_solve(config, replace(fhn(), T=4.0))
     assert len(traj) == 81
     assert traj.dim == 2
     flip = traj.phases().index("fourier")
-    assert traj.records[flip - 1].t == pytest.approx(3.0)
+    assert traj.times()[flip - 1] == pytest.approx(3.0)
 
 
 def test_hybrid_config_validation():

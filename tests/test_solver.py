@@ -1,6 +1,7 @@
 """The filter loop: measurement assembly, grid handling, convergence, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,29 @@ from odefilter import (
     ContractViolation,
     DivergedSolveError,
     FourierParams,
+    GaussianBelief,
     IVProblem,
+    MeasurementModel,
     SingularUpdateError,
     TaylorParams,
     constant,
-    evaluate_measurement,
+    cosine,
+    fhn,
+    fourier_projections,
     fourier_state_space,
+    ibm_transition,
     linear,
+    predict,
     solve,
     taylor_init,
     taylor_projections,
     taylor_state_space,
+    update,
     vdp,
 )
+from odefilter.solver import PhaseSegment
+
+from conftest import random_spd
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -31,10 +42,9 @@ TAYLOR_Q1 = taylor_state_space(TaylorParams(1, 1.0))
 def test_constant_problem_stays_put():
     traj = solve(TAYLOR_Q1, constant(c=4.0, T=2.0), 0.25, 0.0)
     assert len(traj) == 9
-    for rec in traj.records:
-        belief = rec.beliefs[0]
-        assert abs(belief.mean[0] - 4.0) <= 1e-9
-        assert abs(belief.mean[1]) <= 1e-9
+    for mean in traj.segments[0].means[:, 0]:
+        assert abs(mean[0] - 4.0) <= 1e-9
+        assert abs(mean[1]) <= 1e-9
 
 
 def test_linear_decay_tracks_exponential():
@@ -52,32 +62,61 @@ def test_vdp_benchmark_run_is_finite():
     assert np.all(np.isfinite(traj.value_stds()))
 
 
-def test_evaluate_measurement_assembles_projected_means():
-    pair = taylor_projections(1)
-    beliefs = (taylor_init(1.0, 0.0, 1), taylor_init(-1.0, 0.0, 1))
+class RecordingField:
+    def __init__(self, field):
+        self.field = field
+        self.calls = []
 
-    z = evaluate_measurement(beliefs, lambda x, t: np.zeros(2), pair.H0, 0.0)
-    assert np.array_equal(z, np.zeros(2))
-
-    z = evaluate_measurement(beliefs, vdp(mu=5.0).field, pair.H0, 0.0)
-    assert np.allclose(z, [25.0 / 3.0, 0.2], rtol=1e-12)
-
-
-def test_evaluate_measurement_fhn_values():
-    from odefilter import fhn
-
-    beliefs = (taylor_init(1.0, 0.0, 1), taylor_init(0.1, 0.0, 1))
-    pair = taylor_projections(1)
-    z = evaluate_measurement(beliefs, fhn().field, pair.H0, 0.0)
-    expected = np.array([1.0 - 1.0 / 3.0 - 0.1 + 0.5, (1.0 + 0.7 - 0.1) / 10.0])
-    assert np.allclose(z, expected, rtol=1e-12)
+    def __call__(self, x, t):
+        self.calls.append((t, np.array(x)))
+        return self.field(x, t)
 
 
-def test_evaluate_measurement_rejects_nonfinite_field():
-    beliefs = (taylor_init(1.0, 0.0, 1),)
-    pair = taylor_projections(1)
+def _second_evaluation(field, x0, h=0.1):
+    """Solve one step; return the trajectory, the state the field saw at t=h,
+    and that state rebuilt from the public predict on the initial beliefs."""
+    recorder = RecordingField(field)
+    traj = solve(TAYLOR_Q1, IVProblem(recorder, np.array(x0), h, "probe"), h, 0.0)
+    dx0 = field(np.array(x0), 0.0)
+    trans = ibm_transition(h, TaylorParams(1, 1.0))
+    H0 = taylor_projections(1).H0
+    expected = [float(H0 @ predict(taylor_init(x, dx, 1), trans).mean) for x, dx in zip(x0, dx0)]
+    assert [t for t, _ in recorder.calls] == [0.0, h]
+    return traj, recorder.calls[1][1], np.array(expected)
+
+
+def test_field_measurement_assembles_projected_means():
+    traj, seen, expected = _second_evaluation(lambda x, t: np.zeros(2), [1.0, -1.0])
+    assert np.array_equal(seen, expected)
+    assert np.array_equal(traj.segments[0].means[:, :, 1], np.zeros((2, 2)))
+
+    field = vdp(mu=5.0).field
+    assert np.allclose(field(np.array([1.0, -1.0]), 0.0), [25.0 / 3.0, 0.2], rtol=1e-12)
+    traj, seen, expected = _second_evaluation(field, [1.0, -1.0])
+    assert np.array_equal(seen, expected)
+    # R = 0: the update puts the field value at the assembled means into
+    # the derivative slot
+    assert np.allclose(traj.segments[0].means[1, :, 1], field(seen, 0.1), rtol=1e-12)
+
+
+def test_field_measurement_fhn_values():
+    expected_dx0 = np.array([1.0 - 1.0 / 3.0 - 0.1 + 0.5, (1.0 + 0.7 - 0.1) / 10.0])
+    traj, seen, expected = _second_evaluation(fhn().field, [1.0, 0.1])
+    assert np.allclose(traj.segments[0].means[0, :, 1], expected_dx0, rtol=1e-12)
+    assert np.array_equal(seen, expected)
+
+
+def test_field_measurement_rejects_nonfinite_field():
+    ivp = IVProblem(lambda x, t: np.array([np.inf]), np.array([1.0]), 1.0, "inf")
     with pytest.raises(DivergedSolveError) as exc:
-        evaluate_measurement(beliefs, lambda x, t: np.array([np.inf]), pair.H0, 0.75)
+        solve(TAYLOR_Q1, ivp, 0.25, 0.0)
+    assert exc.value.t == 0.0
+
+    def late(x, t):
+        return np.array([np.inf]) if t > 0.5 else -x
+
+    with pytest.raises(DivergedSolveError) as exc:
+        solve(TAYLOR_Q1, IVProblem(late, np.array([1.0]), 1.0, "late"), 0.25, 0.0)
     assert exc.value.t == 0.75
 
 
@@ -120,8 +159,8 @@ def test_record_count_matches_grid():
     for h, t_end in ((0.1, 1.0), (0.05, 0.5), (0.2, 2.0)):
         traj = solve(TAYLOR_Q1, linear(T=2.0), h, 0.0, t_end=t_end)
         assert len(traj) == round(t_end / h) + 1
-        assert traj.records[0].t == 0.0
-        assert traj.records[-1].t == pytest.approx(t_end, abs=1e-12)
+        assert traj.times()[0] == 0.0
+        assert traj.times()[-1] == pytest.approx(t_end, abs=1e-12)
 
 
 def test_fourier_prior_is_exact_on_zero_field():
@@ -134,11 +173,11 @@ def test_fourier_prior_is_exact_on_zero_field():
 def test_determinism_bitwise():
     a = solve(TAYLOR_Q1, vdp(), 0.01, 0.0, t_end=2.0)
     b = solve(TAYLOR_Q1, vdp(), 0.01, 0.0, t_end=2.0)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.t == rb.t
-        for ba, bb in zip(ra.beliefs, rb.beliefs):
-            assert np.array_equal(ba.mean, bb.mean)
-            assert np.array_equal(ba.cov, bb.cov)
+    assert len(a.segments) == len(b.segments)
+    for sa, sb in zip(a.segments, b.segments):
+        assert np.array_equal(sa.t, sb.t)
+        assert np.array_equal(sa.means, sb.means)
+        assert np.array_equal(sa.covs, sb.covs)
 
 
 def test_global_convergence_order():
@@ -159,3 +198,108 @@ def test_time_dependent_field_is_supported():
     )
     traj = solve(TAYLOR_Q1, ivp, 0.05, 0.0)
     assert abs(traj.value_means()[-1, 0] - math.cos(1.0)) <= 1e-3
+
+
+def reference_solve(ssm, ivp, h, R):
+    """Per-coordinate loop of the public predict/update over [0, T].
+
+    Returns per-record lists of per-coordinate beliefs.
+    """
+    trans = ssm.transition_builder(h)
+    meas = MeasurementModel(ssm.projections.H, R)
+    H0 = ssm.projections.H0
+    dx0 = ivp.field(ivp.x0, 0.0)
+    beliefs = [ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim)]
+    records = [beliefs]
+    for k in range(1, round(ivp.T / h) + 1):
+        predicted = [predict(b, trans) for b in beliefs]
+        z = ivp.field(np.array([float(H0 @ b.mean) for b in predicted]), k * h)
+        beliefs = [update(b, meas, z[i]) for i, b in enumerate(predicted)]
+        records.append(beliefs)
+    return records
+
+
+def coupled_linear(T=2.0):
+    """3-dim linear system with coupled, damped rotation."""
+    B = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.5], [0.0, -0.5, -0.2]])
+    return IVProblem(lambda x, t: B @ x, np.array([1.0, 0.0, -0.5]), T, "coupled")
+
+
+@pytest.mark.parametrize(
+    "ivp,q,h,bitwise",
+    [
+        (linear(T=1.0), 1, 0.01, True),
+        (linear(T=1.0), 3, 0.01, True),
+        (cosine(T=2.0), 2, 0.02, True),
+        (replace(vdp(), T=2.0), 1, 0.01, False),
+        (coupled_linear(), 2, 0.01, False),
+    ],
+    ids=["linear-q1", "linear-q3", "cosine-q2", "vdp-q1", "coupled3-q2"],
+)
+def test_shared_covariance_loop_matches_per_coordinate_reference(ivp, q, h, bitwise):
+    ssm = taylor_state_space(TaylorParams(q, 1.0))
+    (seg,) = solve(ssm, ivp, h, 0.0).segments
+    ref = reference_solve(ssm, ivp, h, 0.0)
+    ref_means = np.array([[b.mean for b in rec] for rec in ref])
+    assert seg.means.shape == ref_means.shape
+    if bitwise:
+        assert np.array_equal(seg.means, ref_means)
+    else:
+        scale = np.max(np.abs(ref_means), axis=(0, 2), keepdims=True)
+        assert np.max(np.abs(seg.means - ref_means) / scale) <= 1e-12
+    for cov, rec in zip(seg.covs, ref):
+        for b in rec:
+            if bitwise:
+                assert np.array_equal(cov, b.cov)
+            else:
+                assert np.max(np.abs(cov - b.cov)) <= 1e-12 * np.max(np.abs(b.cov))
+
+
+# J=0 Fourier state: the derivative row is zero, so with R=0 the innovation
+# variance S vanishes and every innovation equals the field value.
+SINGULAR_SSM = fourier_state_space(FourierParams(0, 1.0, 3.0, 1.0))
+
+
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_singular_update_checks_every_coordinate(coordinate):
+    value = np.zeros(2)
+    value[coordinate] = 1e-6
+    ivp = IVProblem(lambda x, t: value, np.zeros(2), 1.0, "one-sided")
+    with pytest.raises(SingularUpdateError) as exc:
+        solve(SINGULAR_SSM, ivp, 0.5, 0.0)
+    assert exc.value.step == 1
+    assert exc.value.t == 0.5
+
+
+def test_singular_update_passes_when_every_innovation_vanishes():
+    ivp = IVProblem(lambda x, t: np.zeros(2), np.zeros(2), 1.0, "flat")
+    traj = solve(SINGULAR_SSM, ivp, 0.5, 0.0)
+    assert len(traj) == 3
+    assert np.array_equal(traj.value_means(), np.zeros((3, 2)))
+
+
+def test_coordinate_dependent_init_covariance_is_rejected():
+    def init(x0, dx0):
+        return GaussianBelief(np.array([x0, dx0]), (2.0 + x0) * np.eye(2))
+
+    ssm = replace(TAYLOR_Q1, init_builder=init)
+    with pytest.raises(ContractViolation):
+        solve(ssm, replace(vdp(), T=1.0), 0.1, 0.0)
+    # equal covariances pass
+    solve(ssm, IVProblem(lambda x, t: -x, np.array([0.5, 0.5]), 1.0, "twins"), 0.1, 0.0)
+
+
+def test_segment_projections_equal_per_vector_expressions_bitwise():
+    # The projections must sum like a lone `H0 @ mean`; a batched `means @ H0`
+    # sums in another order and differs in the last bit on such data.
+    rng = np.random.default_rng(0)
+    params = FourierParams(3, 1.0, 3.0, 1.0)
+    proj = fourier_projections(params)
+    means = rng.normal(size=(50, 3, 8)) * 10 ** rng.uniform(-3, 3, size=(50, 3, 8))
+    covs = np.array([random_spd(rng, 8) for _ in range(50)])
+    seg = PhaseSegment("fourier", proj, np.arange(50) * 0.1, means, covs)
+    H0 = proj.H0
+    expected_means = [[float(H0 @ m) for m in rec] for rec in means]
+    expected_stds = [[np.sqrt(max(float(H0 @ cov @ H0), 0.0))] * 3 for cov in covs]
+    assert np.array_equal(seg.value_means(), expected_means)
+    assert np.array_equal(seg.value_stds(), expected_stds)
