@@ -25,7 +25,7 @@ import numpy as np
 from . import problems
 from .errors import ContractViolation, CsvFormatError, DivergedSolveError, SingularUpdateError
 from .fourier import FourierParams
-from .hybrid import HybridConfig, TrainNoise, TrainPolicy, hybrid_solve
+from .hybrid import NOISE_KINDS, POLICY_KINDS, HybridConfig, TrainNoise, TrainPolicy, hybrid_solve
 from .solver import Trajectory, solve, taylor_state_space
 from .taylor import TaylorParams
 
@@ -281,15 +281,9 @@ def _add_solve_args(p: argparse.ArgumentParser):
     p.add_argument("--l", type=float, default=3.0, help="periodic-kernel lengthscale (default 3)")
     p.add_argument("--sigma2-fourier", type=float, default=1.0)
     p.add_argument("--R", type=float, default=0.0, help="measurement noise (default 0)")
-    p.add_argument(
-        "--train-policy",
-        choices=["values_all", "values_stride", "values_and_derivatives"],
-        default="values_all",
-    )
+    p.add_argument("--train-policy", choices=POLICY_KINDS, default="values_all")
     p.add_argument("--train-stride", type=int, default=1)
-    p.add_argument(
-        "--train-noise", choices=["fixed_jitter", "taylor_variance"], default="fixed_jitter"
-    )
+    p.add_argument("--train-noise", choices=NOISE_KINDS, default="fixed_jitter")
     p.add_argument("--train-jitter", type=float, default=1e-10)
     p.add_argument("--mu", type=float, default=5.0, help="vdp parameter")
     p.add_argument("--fhn-I", type=float, default=0.5)

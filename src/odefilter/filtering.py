@@ -26,7 +26,7 @@ ZERO_INNOVATION_TOL = 1e-12
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -35,8 +35,11 @@ def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
-    """Means ``A m`` per coordinate and the shared covariance ``A P A^T + Q``."""
-    return (A @ M[..., None])[..., 0], _symmetrize(A @ P @ A.T + Q)
+    """Means ``A m`` per coordinate and the shared covariance ``A P A^T + Q``.
+
+    A may also be a stack of transitions, giving one result per transition.
+    """
+    return (A @ M[..., None])[..., 0], _symmetrize(A @ P @ A.swapaxes(-1, -2) + Q)
 
 
 def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):

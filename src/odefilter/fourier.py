@@ -80,24 +80,26 @@ def fourier_weights(params: FourierParams) -> np.ndarray:
     """
     z = params.l**-2
     scale = params.sigma2 / math.exp(z)
-    weights = np.empty(params.J + 1)
-    weights[0] = scale * bessel_i(0, z)
-    for j in range(1, params.J + 1):
-        weights[j] = scale * 2.0 * bessel_i(j, z)
-    return weights
+    return scale * np.array([(2.0 if j else 1.0) * bessel_i(j, z) for j in range(params.J + 1)])
+
+
+def _rotation(params: FourierParams, t) -> np.ndarray:
+    """Block-diagonal rotations A(t), block j turning by w0*j*t; shape t.shape + (D, D)."""
+    theta = np.multiply.outer(t, params.w0 * np.arange(params.J + 1))
+    x = 2 * np.arange(params.J + 1)
+    A = np.zeros(theta.shape[:-1] + (params.dim, params.dim))
+    A[..., x, x] = A[..., x + 1, x + 1] = np.cos(theta)
+    A[..., x + 1, x] = np.sin(theta)
+    A[..., x, x + 1] = -A[..., x + 1, x]
+    return A
 
 
 def fourier_transition(h: float, params: FourierParams) -> TransitionModel:
     """Block-diagonal rotation over step h: block j turns by w0*j*h. Zero diffusion."""
     if h <= 0:
         raise ContractViolation(f"step size h must be > 0, got {h}")
-    D = params.dim
-    A = np.zeros((D, D))
-    for j in range(params.J + 1):
-        theta = params.w0 * j * h
-        c, s = math.cos(theta), math.sin(theta)
-        A[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
-    return TransitionModel(A, np.zeros((D, D)))
+    A = _rotation(params, h)
+    return TransitionModel(A, np.zeros_like(A))
 
 
 def fourier_projections(params: FourierParams) -> ProjectionPair:
@@ -111,8 +113,7 @@ def fourier_projections(params: FourierParams) -> ProjectionPair:
     H0 = np.zeros(D)
     H0[0::2] = 1.0
     H = np.zeros(D)
-    for j in range(1, params.J + 1):
-        H[2 * j + 1] = -j * params.w0
+    H[3::2] = -np.arange(1, params.J + 1) * params.w0
     return ProjectionPair(H0, H)
 
 

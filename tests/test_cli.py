@@ -223,6 +223,17 @@ def test_invalid_grid_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_zero_train_jitter_exit_code(tmp_path):
+    # a zero training variance is rejected before any file is written
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        "solve", "--problem", "vdp", "--method", "hybrid", "--train-jitter", "0", "-o", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "jitter" in err
+    assert not out.exists()
+
+
 def test_diverging_solve_exit_code(tmp_path):
     # a too-large step on the stiff oscillator blows the filter up
     out = tmp_path / "div.csv"

@@ -9,6 +9,7 @@ import pytest
 from odefilter import (
     ContractViolation,
     FourierParams,
+    GaussianBelief,
     HybridConfig,
     TaylorParams,
     Trajectory,
@@ -31,6 +32,7 @@ from odefilter import (
 from conftest import (
     assert_trajectory_hygiene,
     batch_gaussian_posterior,
+    random_spd,
     rotation_matrix,
     synthetic_taylor_trajectory,
 )
@@ -53,10 +55,11 @@ class CountingField:
         return self.field(x, t)
 
 
-def batch_trained_belief(params, traj, policy=None, noise=None):
+def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coordinate=0):
     """Independent oracle: dense batch regression over X(0), rotated to T_p."""
     policy = policy or TrainPolicy()
     noise = noise or TrainNoise()
+    prior = prior or fourier_init(params)
     (seg,) = traj.segments
     proj_tay = seg.projections
     proj_four = fourier_projections(params)
@@ -69,7 +72,7 @@ def batch_trained_belief(params, traj, policy=None, noise=None):
     rows, zs, rvars = [], [], []
     for k in selected:
         rot = rotation_matrix(params.J, params.w0, seg.t[k])
-        mean, cov = seg.means[k, 0], seg.covs[k]
+        mean, cov = seg.means[k, coordinate], seg.covs[k]
         rows.append(proj_four.H0 @ rot)
         zs.append(float(proj_tay.H0 @ mean))
         rvars.append(
@@ -86,7 +89,6 @@ def batch_trained_belief(params, traj, policy=None, noise=None):
                 else noise.jitter
             )
 
-    prior = fourier_init(params)
     m0, P0 = batch_gaussian_posterior(prior.mean, prior.cov, rows, zs, rvars)
     t_p = seg.t[-1]
     A_end = rotation_matrix(params.J, params.w0, t_p)
@@ -123,16 +125,30 @@ def test_cosine_training_recovers_fourier_coefficients():
     assert np.max(np.abs(others)) <= 5e-2
 
 
+def random_prior(params):
+    # a full, rotation-sensitive prior: unlike fourier_init's isotropic
+    # blocks it tells a prior placed at t_0 from one placed at T_p
+    rng = np.random.default_rng(7)
+    return GaussianBelief(rng.normal(size=params.dim), random_spd(rng, params.dim))
+
+
+TRAIN_OPTIONS = [
+    (TrainPolicy(), TrainNoise()),
+    (TrainPolicy("values_stride", stride=3), TrainNoise()),
+    (TrainPolicy("values_and_derivatives"), TrainNoise()),
+    (TrainPolicy(), TrainNoise("taylor_variance")),
+]
+
+
 @pytest.mark.parametrize(
-    "policy,noise",
+    "policy,noise,make_prior",
     [
-        (TrainPolicy(), TrainNoise()),
-        (TrainPolicy("values_stride", stride=3), TrainNoise()),
-        (TrainPolicy("values_and_derivatives"), TrainNoise()),
-        (TrainPolicy(), TrainNoise("taylor_variance")),
+        pytest.param(policy, noise, make_prior, id=f"policy{i}-noise{i}{suffix}")
+        for make_prior, suffix in ((fourier_init, ""), (random_prior, "-random_prior"))
+        for i, (policy, noise) in enumerate(TRAIN_OPTIONS)
     ],
 )
-def test_training_matches_batch_regression(policy, noise):
+def test_training_matches_batch_regression(policy, noise, make_prior):
     params = FourierParams(2, 1.1, 2.0, 1.0)
     traj = synthetic_taylor_trajectory(
         lambda t: math.cos(1.1 * t) + 0.3 * math.sin(2.2 * t),
@@ -141,10 +157,63 @@ def test_training_matches_batch_regression(policy, noise):
         60,
         var=1e-6,
     )
-    trained = train_fourier(fourier_init(params), traj, 0, params, policy, noise)
-    ref_mean, ref_cov = batch_trained_belief(params, traj, policy, noise)
+    prior = make_prior(params)
+    trained = train_fourier(prior, traj, 0, params, policy, noise)
+    ref_mean, ref_cov = batch_trained_belief(params, traj, policy, noise, prior)
     assert np.linalg.norm(trained.mean - ref_mean) <= 1e-6 * max(np.linalg.norm(ref_mean), 1e-12)
     assert np.linalg.norm(trained.cov - ref_cov) <= 1e-6 * np.linalg.norm(ref_cov)
+
+
+@pytest.mark.parametrize("problem", [vdp, fhn])
+def test_training_exact_on_benchmark_runs(problem):
+    # the benchmark config: q=1, J=3, h=0.01, T_p=37.5, jitter 1e-10; the
+    # trained belief must be the exact Gaussian posterior, not a recursion
+    # that drifts from it under the tiny training noise
+    config = HybridConfig(T_p=37.5, h=0.01, R=0.0, **PARAMS_51)
+    ivp = problem()
+    taylor = solve(taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p)
+    prior = fourier_init(config.fourier)
+    H0 = fourier_projections(config.fourier).H0
+    for i in range(ivp.dim):
+        trained = train_fourier(prior, taylor, i, config.fourier)
+        ref_mean, ref_cov = batch_trained_belief(config.fourier, taylor, coordinate=i)
+        assert np.linalg.norm(trained.mean - ref_mean) <= 1e-9 * np.linalg.norm(ref_mean)
+        assert np.linalg.norm(trained.cov - ref_cov) <= 1e-9 * np.linalg.norm(ref_cov)
+        # the never-observed y_0 slot keeps its prior variance and dominates
+        # the norm above; the value variance is what the CSV std reports
+        value_var = float(H0 @ ref_cov @ H0)
+        assert abs(float(H0 @ trained.cov @ H0) - value_var) <= 1e-9 * value_var
+
+
+def test_training_accepts_a_singular_prior():
+    # a zero-variance block keeps its prior mean; the free block is the
+    # batch regression on what the pinned block leaves of the signal
+    params = FourierParams(1, 1.0, 3.0, 1.0)
+    traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 40, var=1e-6)
+    prior = GaussianBelief(np.array([0.5, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]))
+    trained = train_fourier(prior, traj, 0, params)
+    assert np.array_equal(trained.mean[:2], [0.5, 0.0])
+    assert np.array_equal(trained.cov[:2], np.zeros((2, 4)))
+
+    ts = traj.times()
+    rows = [rotation_matrix(1, 1.0, t)[2, 2:] for t in ts]  # H0 on the free block
+    m1, P1 = batch_gaussian_posterior(
+        np.zeros(2), np.eye(2), rows, np.cos(ts) - 0.5, np.full(len(ts), 1e-10)
+    )
+    rot = rotation_matrix(1, 1.0, ts[-1])[2:, 2:]
+    assert np.linalg.norm(trained.mean[2:] - rot @ m1) <= 1e-9 * np.linalg.norm(m1)
+    assert np.linalg.norm(trained.cov[2:, 2:] - rot @ P1 @ rot.T) <= 1e-9 * np.linalg.norm(P1)
+
+
+def test_taylor_variance_rejects_a_zero_variance_row():
+    params = FourierParams(2, 1.0, 3.0, 1.0)
+    traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 20, var=1e-6)
+    traj.segments[0].covs[7] = 0.0
+    with pytest.raises(ContractViolation, match=r"t=0\.7"):
+        train_fourier(fourier_init(params), traj, 0, params, noise=TrainNoise("taylor_variance"))
+    # a row the policy does not select is never whitened
+    policy = TrainPolicy("values_stride", stride=2)
+    train_fourier(fourier_init(params), traj, 0, params, policy, TrainNoise("taylor_variance"))
 
 
 def test_predict_forward_zero_mean_stays_zero():
@@ -156,8 +225,6 @@ def test_predict_forward_zero_mean_stays_zero():
 
 
 def test_predict_forward_emits_cosine():
-    from odefilter import GaussianBelief
-
     params = FourierParams(1, 1.0, 3.0, 1.0)
     t_p = 4.0
     # belief at t_p encoding the oscillator state of cos(t) trained from t=0
@@ -166,6 +233,19 @@ def test_predict_forward_emits_cosine():
     H0 = fourier_projections(params).H0
     for t, predicted in predict_forward(belief, params, 0.25, t_p, 8.0):
         assert abs(float(H0 @ predicted.mean) - math.cos(t)) <= 1e-9
+
+
+def test_predict_forward_matches_repeated_predict():
+    # the direct rotation by m*h against m steps of the public predict
+    params = FourierParams(3, 0.7, 3.0, 1.0)
+    rng = np.random.default_rng(11)
+    belief = GaussianBelief(rng.normal(size=params.dim), random_spd(rng, params.dim))
+    trans = fourier_transition(0.05, params)
+    stepped = belief
+    for _, direct in predict_forward(belief, params, 0.05, 1.0, 11.0):
+        stepped = predict(stepped, trans)
+        assert np.linalg.norm(direct.mean - stepped.mean) <= 1e-12 * np.linalg.norm(stepped.mean)
+        assert np.linalg.norm(direct.cov - stepped.cov) <= 1e-12 * np.linalg.norm(stepped.cov)
 
 
 def test_predict_forward_grid():
@@ -213,11 +293,19 @@ def test_hybrid_boundary_belief_is_trained_belief():
     assert np.array_equal(fourier_part.covs[0], expected.cov)
 
 
-def test_hybrid_values_equal_the_public_pieces_bitwise():
+@pytest.mark.parametrize(
+    "policy,noise",
+    TRAIN_OPTIONS,
+    ids=["defaults", "values_stride", "values_and_derivatives", "taylor_variance"],
+)
+def test_hybrid_values_equal_the_public_pieces_bitwise(policy, noise):
     # hybrid_solve must equal its composition from the public pieces, bit
     # for bit, with the Fourier values projected per grid point and
-    # coordinate from the beliefs predict_forward returns
-    config = HybridConfig(T_p=3.75, h=0.01, R=0.0, **PARAMS_51)
+    # coordinate from the beliefs predict_forward returns, under every
+    # training option
+    config = HybridConfig(
+        T_p=3.75, h=0.01, R=0.0, train_policy=policy, train_noise=noise, **PARAMS_51
+    )
     ivp = replace(vdp(), T=5.0)
     traj = hybrid_solve(config, ivp)
 
@@ -285,6 +373,11 @@ def test_hybrid_config_validation():
         TrainPolicy("bogus")
     with pytest.raises(ContractViolation):
         TrainNoise("bogus")
+    # a zero-variance observation cannot be whitened
+    with pytest.raises(ContractViolation):
+        TrainNoise(jitter=0.0)
+    with pytest.raises(ContractViolation):
+        TrainNoise("taylor_variance", jitter=-1e-10)
     with pytest.raises(ContractViolation):
         TrainPolicy("values_stride", stride=0)
     config = HybridConfig(T_p=2.0, h=0.1, **PARAMS_51)
