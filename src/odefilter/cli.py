@@ -238,7 +238,7 @@ def render_svg(data: CsvData) -> str:
 
 
 def run_converge(
-    problem: str, q: float, hs: list[float], T: float | None, sigma2: float
+    problem: str, q: int, hs: list[float], T: float | None, sigma2: float
 ) -> tuple[str, list[float], float | str]:
     """Step-size study of the Taylor filter against the RK4 reference.
 
@@ -246,7 +246,7 @@ def run_converge(
     (least-squares slope in log-log, or "exact" when errors vanish).
     """
     ivp = problems.by_name(problem, T=T)
-    params = TaylorParams(int(q), sigma2)
+    params = TaylorParams(q, sigma2)
     errors = []
     for h in hs:
         traj = solve(taylor_state_space(params), ivp, h, R=0.0)

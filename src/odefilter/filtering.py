@@ -15,6 +15,7 @@ vector would be, so batching changes no bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,6 +24,14 @@ from .errors import ContractViolation, SingularUpdateError
 # Innovations at or below this magnitude are treated as exactly zero when the
 # innovation variance vanishes (deterministic perfect measurement).
 ZERO_INNOVATION_TOL = 1e-12
+
+
+@cache
+def _identity(D: int) -> np.ndarray:
+    """The D x D identity, built once per size and read-only."""
+    eye = np.eye(D)
+    eye.flags.writeable = False
+    return eye
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -59,8 +68,9 @@ def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):
             f"singular update: innovation variance S={S:g} with innovation {worst:g}"
         )
     K = Ph / S
-    IKH = np.eye(P.shape[0]) - np.outer(K, h)
-    cov = IKH @ P @ IKH.T + R * np.outer(K, K)
+    col = K[:, None]  # col * row is np.outer's product, without its call overhead
+    IKH = _identity(P.shape[0]) - col * h
+    cov = IKH @ P @ IKH.T + R * (col * K)
     return M + np.multiply.outer(innovation, K), _symmetrize(cov)
 
 

@@ -105,11 +105,14 @@ class PhaseSegment:
         return _dot(self.means, self.projections.H0)
 
     def value_stds(self) -> np.ndarray:
-        # One `H0 @ cov @ H0` per grid point: a batched product over all
-        # covariances sums in another order and can change the last bit.
+        # `H0 @ covs` multiplies each covariance as a lone `H0 @ cov` would and
+        # `_dot` sums like a lone dot, so these are the bits of
+        # `sqrt(max(float(H0 @ cov @ H0), 0.0))`: the sums start from +0.0,
+        # so no -0.0 reaches the clamp, and NaN passes both clamps.
         H0 = self.projections.H0
-        stds = [np.sqrt(max(float(H0 @ cov @ H0), 0.0)) for cov in self.covs]
-        return np.repeat(np.array(stds)[:, None], self.means.shape[1], axis=1)
+        var = _dot(H0 @ self.covs, H0)
+        stds = np.sqrt(np.maximum(var, 0.0))
+        return np.repeat(stds[:, None], self.means.shape[1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
         raise ContractViolation(
             f"vector field returned {z.size} components for a {m.size}-dimensional state"
         )
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     return z
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from odefilter.cli import main, parse_trajectory_csv, render_svg
+from odefilter import ContractViolation
+from odefilter.cli import main, parse_trajectory_csv, render_svg, run_converge
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -190,6 +191,12 @@ def test_converge_vdp_order():
     assert code == 0
     order_line = stdout.strip().split("\n")[-1]
     assert float(order_line.split(":")[1]) >= 0.8
+
+
+def test_run_converge_rejects_a_fractional_q():
+    # q is passed to TaylorParams as given: 1.5 must not run as q=1
+    with pytest.raises(ContractViolation, match="q must be an integer"):
+        run_converge("linear", 1.5, [0.1, 0.05, 0.025], None, 1.0)
 
 
 def test_usage_errors_exit_nonzero(capsys):

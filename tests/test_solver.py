@@ -1,6 +1,8 @@
 """The filter loop: measurement assembly, grid handling, convergence, determinism."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from odefilter import (
     DivergedSolveError,
     FourierParams,
     GaussianBelief,
+    HybridConfig,
     IVProblem,
     MeasurementModel,
     SingularUpdateError,
@@ -20,6 +23,7 @@ from odefilter import (
     fhn,
     fourier_projections,
     fourier_state_space,
+    hybrid_solve,
     ibm_transition,
     linear,
     predict,
@@ -303,3 +307,55 @@ def test_segment_projections_equal_per_vector_expressions_bitwise():
     expected_stds = [[np.sqrt(max(float(H0 @ cov @ H0), 0.0))] * 3 for cov in covs]
     assert np.array_equal(seg.value_means(), expected_means)
     assert np.array_equal(seg.value_stds(), expected_stds)
+
+
+def test_returned_covariances_belong_to_the_trajectory_alone():
+    ivp = replace(vdp(), T=2.0)
+    first = solve(TAYLOR_Q1, ivp, 0.01, 0.0)
+    kept = first.segments[0].covs.copy()
+    first.segments[0].covs[:] = 0.0  # trajectories are writable, like any array
+    assert np.array_equal(solve(TAYLOR_Q1, ivp, 0.01, 0.0).segments[0].covs, kept)
+    # nothing outside the trajectory keeps its covariance stack alive
+    stack = weakref.ref(first.segments[0].covs)
+    del first
+    gc.collect()
+    assert stack() is None
+
+
+def _per_covariance_stds(seg):
+    H0 = seg.projections.H0
+    stds = [np.sqrt(max(float(H0 @ cov @ H0), 0.0)) for cov in seg.covs]
+    return np.repeat(np.array(stds)[:, None], seg.means.shape[1], axis=1)
+
+
+def _segment(prior, order):
+    if prior == "taylor":
+        ssm = taylor_state_space(TaylorParams(order, 1.0))
+        return solve(ssm, replace(fhn(), T=2.0), 0.01, 0.0).segments[0]
+    config = HybridConfig(
+        taylor=TaylorParams(1, 1.0), fourier=FourierParams(order, 1.0, 3.0, 1.0), T_p=1.5, h=0.01
+    )
+    return hybrid_solve(config, replace(vdp(), T=3.0)).segments[1]
+
+
+@pytest.mark.parametrize(
+    "prior,order",
+    [("taylor", 1), ("taylor", 2), ("taylor", 3), ("taylor", 4), ("fourier", 3), ("fourier", 5)],
+    ids=["taylor-q1", "taylor-q2", "taylor-q3", "taylor-q4", "fourier-J3", "fourier-J5"],
+)
+def test_batched_value_stds_equal_the_per_covariance_loop(prior, order):
+    seg = _segment(prior, order)
+    assert np.array_equal(seg.value_stds(), _per_covariance_stds(seg))
+    # H0 reads slot 0 in both priors: negative variances (clamped to +0.0),
+    # an all -0.0 covariance and a NaN variance. The products sum from +0.0,
+    # so the -0.0 covariance yields a +0.0 variance on both sides; the sign
+    # of every zero is compared anyway.
+    covs = seg.covs.copy()
+    covs[:4] = 0.0
+    covs[4] = -0.0
+    covs[:4, 0, 0] = -1e-3, -np.inf, np.nan, -0.0
+    odd = PhaseSegment(seg.phase, seg.projections, seg.t, seg.means, covs)
+    got, expected = odd.value_stds(), _per_covariance_stds(odd)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.array_equal(got[[0, 1, 3, 4], 0], np.zeros(4)) and np.isnan(got[2, 0])
