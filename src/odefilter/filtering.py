@@ -51,19 +51,24 @@ def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
     return (A @ M[..., None])[..., 0], _symmetrize(A @ P @ A.swapaxes(-1, -2) + Q)
 
 
+def _gain_update(M: np.ndarray, h: np.ndarray, z, K: np.ndarray) -> np.ndarray:
+    """Means ``m + (z - h m) K``: the mean half of ``_update`` for a known gain."""
+    return M + np.multiply.outer(z - _dot(M, h), K)
+
+
 def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):
     """Joseph-form update of every mean in M on its own scalar ``z ~ N(h x, R)``.
 
-    The gain depends only on the shared covariance, so it is computed once.
-    A vanishing innovation variance passes only if every innovation vanishes.
+    Returns the means, the covariance and the gain. The gain depends only on
+    the shared covariance, so it is computed once. A vanishing innovation
+    variance passes only if every innovation vanishes; the gain is then None.
     """
     Ph = P @ h
     S = float(h @ Ph) + R
-    innovation = z - _dot(M, h)
     if S <= 0.0:
-        worst = float(np.max(np.abs(innovation)))
+        worst = float(np.max(np.abs(z - _dot(M, h))))
         if worst <= ZERO_INNOVATION_TOL:
-            return M, P
+            return M, P, None
         raise SingularUpdateError(
             f"singular update: innovation variance S={S:g} with innovation {worst:g}"
         )
@@ -71,7 +76,7 @@ def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):
     col = K[:, None]  # col * row is np.outer's product, without its call overhead
     IKH = _identity(P.shape[0]) - col * h
     cov = IKH @ P @ IKH.T + R * (col * K)
-    return M + np.multiply.outer(innovation, K), _symmetrize(cov)
+    return _gain_update(M, h, z, K), _symmetrize(cov), K
 
 
 @dataclass(frozen=True)
@@ -181,5 +186,5 @@ def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> Gaussian
         raise ContractViolation(
             f"measurement dimension {meas.H.size} does not match belief dimension {belief.dim}"
         )
-    mean, cov = _update(belief.mean, belief.cov, meas.H, meas.R, float(z))
+    mean, cov, _ = _update(belief.mean, belief.cov, meas.H, meas.R, float(z))
     return belief if cov is belief.cov else GaussianBelief(mean, cov)

@@ -161,6 +161,10 @@ def train_fourier(
     derivative row). The result is the ``coordinate`` row of the one
     least-squares solve that ``hybrid_solve`` makes for all coordinates.
     """
+    if not 0 <= coordinate < taylor_traj.dim:
+        raise ContractViolation(
+            f"coordinate {coordinate} outside the trajectory's {taylor_traj.dim} coordinates"
+        )
     M, P = _train(prior, taylor_traj, params, policy or TrainPolicy(), noise or TrainNoise())
     return GaussianBelief(M[coordinate], P)
 

@@ -52,6 +52,38 @@ def batch_gaussian_posterior(m0, P0, rows, zs, rvars):
     return cov @ eta, cov
 
 
+def extended_precision_ibm_filter(q: int, h: float, R: float, field, x0, n: int, jitter: float):
+    """State means (n+1, d, q+1) of the IBM (sigma2 = 1) filter on derivative
+    measurements, run in np.longdouble from the closed-form A and Q.
+
+    Measures how far float64 rounding alone moves a filter's means; the
+    initial covariance is jitter * I, as in taylor_init.
+    """
+    ld = np.longdouble
+    D = q + 1
+    A = np.zeros((D, D), ld)
+    Q = np.zeros((D, D), ld)
+    for i in range(D):
+        for j in range(i, D):
+            A[i, j] = ld(h) ** (j - i) / math.factorial(j - i)
+            p = 2 * q + 1 - i - j
+            Q[i, j] = Q[j, i] = ld(h) ** p / (p * math.factorial(q - i) * math.factorial(q - j))
+    x0 = np.asarray(x0, ld)
+    M = np.zeros((x0.size, D), ld)
+    M[:, 0], M[:, 1] = x0, field(x0, 0.0)
+    P = ld(jitter) * np.eye(D, dtype=ld)
+    means = [M]
+    for k in range(1, n + 1):
+        M, P = M @ A.T, A @ P @ A.T + Q
+        K = P[:, 1] / (P[1, 1] + ld(R))
+        M = M + np.outer(field(M[:, 0], k * h) - M[:, 1], K)
+        IKH = np.eye(D, dtype=ld)
+        IKH[:, 1] -= K
+        P = IKH @ P @ IKH.T + ld(R) * np.outer(K, K)
+        means.append(M)
+    return np.array(means)
+
+
 def rotation_matrix(J: int, w0: float, t: float) -> np.ndarray:
     """Block-diagonal oscillator rotation at time t, built with plain trig."""
     D = 2 * (J + 1)

@@ -216,6 +216,17 @@ def test_taylor_variance_rejects_a_zero_variance_row():
     train_fourier(fourier_init(params), traj, 0, params, policy, TrainNoise("taylor_variance"))
 
 
+@pytest.mark.parametrize("coordinate", [-1, 2, 5])
+def test_train_fourier_rejects_a_coordinate_outside_the_trajectory(coordinate):
+    # a negative index used to read the last coordinate from the end, and
+    # d or more used to fail with a bare IndexError
+    params = FourierParams(1, 1.0, 3.0, 1.0)
+    taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), replace(vdp(), T=1.0), 0.1, 0.0)
+    with pytest.raises(ContractViolation, match="coordinate"):
+        train_fourier(fourier_init(params), taylor, coordinate, params)
+    assert train_fourier(fourier_init(params), taylor, 1, params).dim == params.dim
+
+
 def test_predict_forward_zero_mean_stays_zero():
     params = FourierParams(2, 1.0, 3.0, 1.0)
     segment = predict_forward(fourier_init(params), params, 0.1, 1.0, 2.0)
