@@ -37,14 +37,13 @@ def _fmt(x: float) -> str:
 
 
 def _build_problem(args: argparse.Namespace):
-    params = {}
-    if args.problem == "vdp":
-        params["mu"] = args.mu
-    elif args.problem == "fhn":
-        params.update(
-            I=args.fhn_I, a=args.fhn_a, b=args.fhn_b, tau=args.fhn_tau, standard=args.fhn_standard
-        )
-    return problems.by_name(args.problem, T=args.T, **params)
+    """The problem with the parameters given on the command line; its factory has the defaults."""
+    flags = {
+        "mu": args.mu, "I": args.fhn_I, "a": args.fhn_a, "b": args.fhn_b, "tau": args.fhn_tau,
+        "standard": args.fhn_standard,
+    }
+    given = {name: value for name, value in flags.items() if value is not None}
+    return problems.by_name(args.problem, T=args.T, **given)
 
 
 def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
@@ -126,6 +125,11 @@ def parse_trajectory_csv(text: str) -> CsvData:
         phases.append(cells[-1])
 
     data = np.array(rows) if rows else np.empty((0, n_cols - 1))
+    plotted = [i for i, name in enumerate(header[:-1]) if not name.startswith("std_")]
+    bad = np.argwhere(~np.isfinite(data[:, plotted]))
+    if bad.size:
+        row, col = bad[0]
+        raise CsvFormatError(f"non-finite {header[plotted[col]]} value", line=row + 2)
     return CsvData(
         t=data[:, 0],
         means=data[:, 1 : 1 + d],
@@ -285,14 +289,15 @@ def _add_solve_args(p: argparse.ArgumentParser):
     p.add_argument("--train-stride", type=int, default=1)
     p.add_argument("--train-noise", choices=NOISE_KINDS, default="fixed_jitter")
     p.add_argument("--train-jitter", type=float, default=1e-10)
-    p.add_argument("--mu", type=float, default=5.0, help="vdp parameter")
-    p.add_argument("--fhn-I", type=float, default=0.5)
-    p.add_argument("--fhn-a", type=float, default=0.7)
-    p.add_argument("--fhn-b", type=float, default=0.8)
-    p.add_argument("--fhn-tau", type=float, default=10.0)
+    p.add_argument("--mu", type=float, default=None, help="vdp parameter")
+    p.add_argument("--fhn-I", type=float, default=None)
+    p.add_argument("--fhn-a", type=float, default=None)
+    p.add_argument("--fhn-b", type=float, default=None)
+    p.add_argument("--fhn-tau", type=float, default=None)
     p.add_argument(
         "--fhn-standard",
         action="store_true",
+        default=None,
         help="use the recovery form with the b*x2 term",
     )
     p.add_argument("--reference", action="store_true", help="add RK4 reference columns")

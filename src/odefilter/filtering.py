@@ -5,11 +5,13 @@ Every state space model in this package drives the same two operations:
 additive noise, ``update`` conditions it on a scalar measurement. Both are
 pure functions; beliefs are never mutated in place.
 
-The maths lives once, in the array kernels ``_predict`` and ``_update``.
-They take means with a leading coordinate axis, ``(d, D)``, next to one
-covariance ``(D, D)`` shared by all coordinates, and also accept a single
-mean ``(D,)``. Each coordinate's mean is multiplied on its own, as a lone
-vector would be, so batching changes no bits.
+The maths lives once, in array kernels. ``_predict`` takes means with a
+leading coordinate axis, ``(d, D)``, next to one covariance ``(D, D)``
+shared by all coordinates, and also accepts a single mean ``(D,)``. The
+update is split in two: ``_joseph`` conditions the covariance alone and
+yields the gain, which never depends on the data; ``_gain_update`` moves the
+means with that gain. Each coordinate's mean is multiplied on its own, as a
+lone vector would be, so batching changes no bits.
 """
 
 from __future__ import annotations
@@ -52,31 +54,38 @@ def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
 
 
 def _gain_update(M: np.ndarray, h: np.ndarray, z, K: np.ndarray) -> np.ndarray:
-    """Means ``m + (z - h m) K``: the mean half of ``_update`` for a known gain."""
+    """Means ``m + (z - h m) K`` per coordinate, for the gain K of ``_joseph``."""
     return M + np.multiply.outer(z - _dot(M, h), K)
 
 
-def _update(M: np.ndarray, P: np.ndarray, h: np.ndarray, R: float, z):
-    """Joseph-form update of every mean in M on its own scalar ``z ~ N(h x, R)``.
+def _joseph(P: np.ndarray, h: np.ndarray, R: float):
+    """Joseph-form update of the covariance P on a scalar ``z ~ N(h x, R)``.
 
-    Returns the means, the covariance and the gain. The gain depends only on
-    the shared covariance, so it is computed once. A vanishing innovation
-    variance passes only if every innovation vanishes; the gain is then None.
+    Returns the covariance, the gain and the innovation variance S. An S
+    that is not a finite positive number (zero or below, or NaN or inf from
+    a covariance beyond float range) is a passthrough: P stays as it is and
+    the gain is None, so no gain returned holds a NaN.
     """
     Ph = P @ h
     S = float(h @ Ph) + R
-    if S <= 0.0:
-        worst = float(np.max(np.abs(z - _dot(M, h))))
-        if worst <= ZERO_INNOVATION_TOL:
-            return M, P, None
-        raise SingularUpdateError(
-            f"singular update: innovation variance S={S:g} with innovation {worst:g}"
-        )
+    if not 0.0 < S < np.inf:
+        return P, None, S
     K = Ph / S
     col = K[:, None]  # col * row is np.outer's product, without its call overhead
-    IKH = _identity(P.shape[0]) - col * h
-    cov = IKH @ P @ IKH.T + R * (col * K)
-    return _gain_update(M, h, z, K), _symmetrize(cov), K
+    IKH = _identity(len(K)) - col * h
+    return _symmetrize(IKH @ P @ IKH.T + R * (col * K)), K, S
+
+
+def _passthrough(M: np.ndarray, h: np.ndarray, z, S: float, step=None, t=None) -> None:
+    """A passthrough (see ``_joseph``) accepts only innovations ``z - h m`` that all vanish.
+
+    A solve passes the step and its time t, which the error then carries.
+    """
+    worst = float(np.max(np.abs(z - _dot(M, h))))
+    if worst > ZERO_INNOVATION_TOL:
+        where = "" if step is None else f" at step {step} (t={t:g})"
+        msg = f"singular update: innovation variance S={S:g} with innovation {worst:g}{where}"
+        raise SingularUpdateError(msg, step=step, t=t)
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,8 @@ class MeasurementModel:
         H = np.asarray(self.H, dtype=float).reshape(-1)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "R", float(self.R))
-        if self.R < 0:
-            raise ContractViolation(f"measurement noise R must be >= 0, got {self.R}")
+        if not 0 <= self.R < np.inf:
+            raise ContractViolation(f"measurement noise R must be finite and >= 0, got {self.R}")
 
 
 @dataclass(frozen=True)
@@ -180,11 +189,16 @@ def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> Gaussian
     positive semidefiniteness. A vanishing innovation variance is accepted
     only when the innovation itself vanishes (deterministic perfect
     measurement, gain 0 by the pseudo-inverse convention); otherwise a
-    ``SingularUpdateError`` is raised.
+    ``SingularUpdateError`` is raised. A NaN or infinite innovation
+    variance, which only a covariance beyond float range yields, is treated
+    the same way.
     """
     if meas.H.size != belief.dim:
         raise ContractViolation(
             f"measurement dimension {meas.H.size} does not match belief dimension {belief.dim}"
         )
-    mean, cov, _ = _update(belief.mean, belief.cov, meas.H, meas.R, float(z))
-    return belief if cov is belief.cov else GaussianBelief(mean, cov)
+    cov, K, S = _joseph(belief.cov, meas.H, meas.R)
+    if K is None:
+        _passthrough(belief.mean, meas.H, float(z), S)
+        return belief
+    return GaussianBelief(_gain_update(belief.mean, meas.H, float(z), K), cov)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ContractViolation
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
 
-BESSEL_MAX_TERMS = 64
 BESSEL_RELATIVE_TOL = 1e-16
 
 
@@ -33,12 +32,12 @@ class FourierParams:
     def __post_init__(self):
         if int(self.J) != self.J or self.J < 0:
             raise ContractViolation(f"J must be an integer >= 0, got {self.J}")
-        if self.w0 <= 0:
-            raise ContractViolation(f"w0 must be > 0, got {self.w0}")
-        if self.l <= 0:
-            raise ContractViolation(f"l must be > 0, got {self.l}")
-        if self.sigma2 <= 0:
-            raise ContractViolation(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0 < self.w0 < math.inf:
+            raise ContractViolation(f"w0 must be finite and > 0, got {self.w0}")
+        if not 0 < self.l < math.inf:
+            raise ContractViolation(f"l must be finite and > 0, got {self.l}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ContractViolation(f"sigma2 must be finite and > 0, got {self.sigma2}")
         object.__setattr__(self, "J", int(self.J))
         object.__setattr__(self, "w0", float(self.w0))
         object.__setattr__(self, "l", float(self.l))
@@ -53,22 +52,25 @@ def bessel_i(j: int, z: float) -> float:
     """Modified Bessel function of the first kind I_j(z), by power series.
 
     Sums (z/2)^(2k+j) / (k! (k+j)!) until a term drops below
-    BESSEL_RELATIVE_TOL of the running sum or BESSEL_MAX_TERMS is hit. The
-    arguments used by the periodic kernel are z = l^-2 = O(1), where the
-    series converges in well under 20 terms.
+    BESSEL_RELATIVE_TOL of the running sum. The terms grow until k is about
+    z/2, so the series takes a few terms at the periodic kernel's default
+    z = l^-2 = 1/9 and a few hundred at z = 400 (l = 0.05). A value beyond
+    float range comes out as inf, one below it as 0.
     """
     if j < 0 or int(j) != j:
         raise ContractViolation(f"order j must be an integer >= 0, got {j}")
-    if z < 0:
-        raise ContractViolation(f"argument z must be >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise ContractViolation(f"argument z must be finite and >= 0, got {z}")
     half = 0.5 * z
-    term = half**j / math.factorial(j)
-    total = term
-    for k in range(1, BESSEL_MAX_TERMS):
+    try:
+        term = half**j / math.factorial(j)
+    except OverflowError:  # half**j or j! is beyond float range; their ratio need not be
+        term = math.prod(half / i for i in range(1, j + 1))
+    total, k = term, 0
+    while term > BESSEL_RELATIVE_TOL * total:
+        k += 1
         term *= half * half / (k * (k + j))
         total += term
-        if term < BESSEL_RELATIVE_TOL * total:
-            break
     return total
 
 
@@ -77,10 +79,20 @@ def fourier_weights(params: FourierParams) -> np.ndarray:
 
     q_j^2 = sigma2 * 2 I_j(l^-2) / exp(l^-2) for j >= 1; the j = 0 block
     carries no factor 2, following the canonical periodic-kernel expansion.
+    Raises ContractViolation when a weight, or exp(l^-2), leaves float range.
     """
     z = params.l**-2
-    scale = params.sigma2 / math.exp(z)
-    return scale * np.array([(2.0 if j else 1.0) * bessel_i(j, z) for j in range(params.J + 1)])
+    try:
+        scale = params.sigma2 / math.exp(z)
+    except OverflowError:
+        scale = math.inf
+    w = scale * np.array([(2.0 if j else 1.0) * bessel_i(j, z) for j in range(params.J + 1)])
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        raise ContractViolation(
+            f"Fourier weight q_{bad[0]}^2 leaves float range at l={params.l:g}, J={params.J}"
+        )
+    return w
 
 
 def _rotation(params: FourierParams, t) -> np.ndarray:
@@ -96,8 +108,8 @@ def _rotation(params: FourierParams, t) -> np.ndarray:
 
 def fourier_transition(h: float, params: FourierParams) -> TransitionModel:
     """Block-diagonal rotation over step h: block j turns by w0*j*h. Zero diffusion."""
-    if h <= 0:
-        raise ContractViolation(f"step size h must be > 0, got {h}")
+    if not 0 < h < math.inf:
+        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
     A = _rotation(params, h)
     return TransitionModel(A, np.zeros_like(A))
 

@@ -65,8 +65,8 @@ class TrainNoise:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown train noise {self.kind!r}")
-        if not self.jitter > 0:
-            raise ContractViolation(f"jitter must be > 0, got {self.jitter}")
+        if not 0 < self.jitter < np.inf:
+            raise ContractViolation(f"jitter must be finite and > 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ class HybridConfig:
     train_noise: TrainNoise = field(default_factory=TrainNoise)
 
     def __post_init__(self):
-        if self.T_p <= 0:
-            raise ContractViolation(f"prediction time T_p must be > 0, got {self.T_p}")
-        if self.h <= 0:
-            raise ContractViolation(f"step size h must be > 0, got {self.h}")
-        if self.R < 0:
-            raise ContractViolation(f"measurement noise R must be >= 0, got {self.R}")
+        if not 0 < self.T_p < np.inf:
+            raise ContractViolation(f"prediction time T_p must be finite and > 0, got {self.T_p}")
+        if not 0 < self.h < np.inf:
+            raise ContractViolation(f"step size h must be finite and > 0, got {self.h}")
+        if not 0 <= self.R < np.inf:
+            raise ContractViolation(f"measurement noise R must be finite and >= 0, got {self.R}")
         _n_steps(self.T_p, self.h)
 
 

@@ -10,21 +10,24 @@ initial covariance, so the covariance and gain recursion does not depend on
 the data: one covariance per step serves all coordinates, next to one mean
 per coordinate. Only the vector-field evaluation couples the means.
 
-That recursion settles: under the Taylor prior the gain stops moving within
-a few dozen steps. Once it has, the gain is frozen, the remaining steps
-update the means alone, and the remaining covariances follow the constant
-affine map ``P <- F P F^T + G`` of the Joseph update with that gain, which
-``_affine_scan`` fills in batched products instead of a per-step loop.
+A solve is therefore two recursions. ``_covariance_schedule`` takes no
+field: it runs predict and Joseph update on the covariance alone until the
+gain settles, which under the Taylor prior takes a few dozen steps, and
+``_affine_scan`` fills the remaining covariances, which follow the constant
+affine map ``P <- F P F^T + G`` of the Joseph update with the frozen gain.
+Then one mean loop, the only code that calls the field, runs
+``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, DivergedSolveError, SingularUpdateError
+from .errors import ContractViolation, DivergedSolveError
 from .filtering import (
     GaussianBelief,
     ProjectionPair,
@@ -32,9 +35,9 @@ from .filtering import (
     _dot,
     _gain_update,
     _identity,
-    _predict,
+    _joseph,
+    _passthrough,
     _symmetrize,
-    _update,
 )
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
 from .taylor import TaylorParams, ibm_transition, taylor_init, taylor_projections
@@ -91,8 +94,8 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
-        if self.T <= 0:
-            raise ContractViolation(f"time horizon T must be > 0, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ContractViolation(f"time horizon T must be finite and > 0, got {self.T}")
 
     @property
     def dim(self) -> int:
@@ -191,7 +194,7 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
 
 def _n_steps(t_end: float, h: float) -> int:
     n = t_end / h
-    n_round = round(n)
+    n_round = round(n) if np.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > GRID_TOL * max(1.0, abs(n)):
         raise ContractViolation(f"t_end/h = {n!r} is not an integer number of steps")
     return n_round
@@ -212,28 +215,22 @@ def solve(
     derivative row H with measurement noise R. Returns all round(t_end/h)+1
     records, including t = 0.
 
-    Each step runs the full predict and Joseph update until two consecutive
-    gains agree entry by entry to GAIN_SETTLED_RTOL; a passthrough update
-    (S = 0) has no gain and never counts. From then on the gain K is
-    frozen: a step is ``m <- A m``, one field evaluation z, and
-    ``m <- m + (z - H m) K``, and the covariances past the freeze are the
-    Joseph recursion with K, ``P <- F P F^T + G`` with ``F = (I - K H) A``
-    and ``G = (I - K H) Q (I - K H)^T + R K K^T``, filled by ``_affine_scan``.
-    A gain that never settles keeps the full update on every step.
+    The covariances and gains come from ``_covariance_schedule`` before any
+    mean moves; the loop that follows evaluates the field and updates the
+    means with those gains. A passthrough step (no finite S > 0, see
+    ``filtering._joseph``) moves no mean and raises SingularUpdateError,
+    with the step and t, unless every innovation vanishes.
     """
-    if h <= 0:
-        raise ContractViolation(f"step size h must be > 0, got {h}")
-    if R < 0:
-        raise ContractViolation(f"measurement noise R must be >= 0, got {R}")
-    if t_end is None:
-        t_end = ivp.T
+    if not 0 < h < np.inf:
+        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
+    if not 0 <= R < np.inf:
+        raise ContractViolation(f"measurement noise R must be finite and >= 0, got {R}")
+    t_end = ivp.T if t_end is None else t_end
     if t_end > ivp.T + GRID_TOL:
         raise ContractViolation(f"t_end={t_end} exceeds problem horizon T={ivp.T}")
     n = _n_steps(t_end, h)
 
-    trans = ssm.transition_builder(h)
-    proj = ssm.projections
-
+    trans, proj = ssm.transition_builder(h), ssm.projections
     dx0 = _field_at(ivp.field, ivp.x0, 0.0)
     inits = [ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim)]
     P = inits[0].cov
@@ -244,45 +241,54 @@ def solve(
             f"transition dimension {trans.dim}, projection dimension {proj.dim} and "
             f"belief dimension {P.shape[0]} differ"
         )
-    M = np.array([b.mean for b in inits])
-    means = np.empty((n + 1,) + M.shape)
-    covs = np.empty((n + 1,) + P.shape)
-    means[0], covs[0] = M, P
-
     A, H0, H = trans.A, proj.H0, proj.H
-    settled, K_prev = n, None
-    for k in range(1, n + 1):
-        t = k * h
-        M, P = _predict(M, P, A, trans.Q)
-        z = _field_at(ivp.field, _dot(M, H0), t)
-        try:
-            M, P, K = _update(M, P, H, R, z)
-        except SingularUpdateError as err:
-            raise SingularUpdateError(f"{err} at step {k} (t={t:g})", step=k, t=t) from err
-        means[k], covs[k] = M, P
-        if _gain_settled(K, K_prev):
-            settled = k
-            break
-        K_prev = K
+    covs, gains = _covariance_schedule(P, A, trans.Q, H, R, n)
 
-    for k in range(settled + 1, n + 1):
+    means = np.empty((n + 1, ivp.dim, P.shape[0]))
+    means[0] = M = np.array([b.mean for b in inits])
+    # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
+    Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
+    for k, K in enumerate(Ks, 1):
+        t = k * h
         M = (A @ M[..., None])[..., 0]  # the mean half of _predict
-        M = _gain_update(M, H, _field_at(ivp.field, _dot(M, H0), k * h), K)
+        z = _field_at(ivp.field, _dot(M, H0), t)
+        if K is None:  # covs[k] is then the predicted covariance, so this is its S
+            _passthrough(M, H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
+        else:
+            M = _gain_update(M, H, z, K)
         means[k] = M
-    if settled < n:
-        IKH = _identity(A.shape[0]) - K[:, None] * H
-        G = _symmetrize(IKH @ trans.Q @ IKH.T + R * (K[:, None] * K))
-        _affine_scan(covs[settled:], IKH @ A, G)
 
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
     return Trajectory((segment,), h=h, problem=ivp.name)
 
 
-def _gain_settled(K: np.ndarray | None, K_prev: np.ndarray | None) -> bool:
-    """Whether two consecutive real gains agree entry by entry to GAIN_SETTLED_RTOL."""
-    if K is None or K_prev is None:
-        return False
-    return bool(np.all(np.abs(K - K_prev) <= GAIN_SETTLED_RTOL * np.abs(K)))
+def _covariance_schedule(P0, A, Q, H, R, n):
+    """Covariances (n+1, D, D) and gains (s, D) of an n-step solve from P0.
+
+    Runs predict and Joseph update on the covariance alone, which never sees
+    the data, until two consecutive gains agree entry by entry to
+    GAIN_SETTLED_RTOL at step s. A passthrough (see ``_joseph``) has no gain,
+    never counts, and leaves a NaN row; no real gain holds a NaN. Step
+    k <= s uses gains[k-1]; the last gain holds for every later step, whose
+    covariances are the Joseph recursion with it, ``P <- F P F^T + G`` with
+    ``F = (I - K H) A`` and ``G = (I - K H) Q (I - K H)^T + R K K^T``,
+    filled by ``_affine_scan``. A gain that never settles gives s = n.
+    """
+    covs = np.empty((n + 1,) + P0.shape)
+    gains = np.full((n, len(H)), np.nan)
+    covs[0] = P = P0
+    for k in range(1, n + 1):
+        P, K, _ = _joseph(_symmetrize(A @ P @ A.T + Q), H, R)  # the covariance half of _predict
+        covs[k] = P
+        if K is None:
+            continue
+        gains[k - 1] = K
+        # the NaN row of a passthrough agrees with no gain, so it never counts
+        if k > 1 and np.all(np.abs(K - gains[k - 2]) <= GAIN_SETTLED_RTOL * np.abs(K)):
+            IKH = _identity(len(K)) - K[:, None] * H
+            _affine_scan(covs[k:], IKH @ A, _symmetrize(IKH @ Q @ IKH.T + R * (K[:, None] * K)))
+            return covs, gains[:k].copy()
+    return covs, gains
 
 
 def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:

@@ -30,8 +30,8 @@ class TaylorParams:
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 1:
             raise ContractViolation(f"q must be an integer >= 1, got {self.q}")
-        if self.sigma2 <= 0:
-            raise ContractViolation(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ContractViolation(f"sigma2 must be finite and > 0, got {self.sigma2}")
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
@@ -44,8 +44,8 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
         A[i, j] = h^(j-i) / (j-i)!          for i <= j, else 0
         Q[i, j] = sigma2 * h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!)
     """
-    if h <= 0:
-        raise ContractViolation(f"step size h must be > 0, got {h}")
+    if not 0 < h < math.inf:
+        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
     q = params.q
     D = q + 1
     A = np.zeros((D, D))

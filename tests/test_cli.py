@@ -1,12 +1,13 @@
 """CLI surface: solve/plot/converge, CSV schema, SVG output, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odefilter import ContractViolation
-from odefilter.cli import main, parse_trajectory_csv, render_svg, run_converge
+from odefilter import ContractViolation, TaylorParams, fhn, solve, taylor_state_space, vdp
+from odefilter.cli import main, parse_trajectory_csv, render_svg, run_converge, trajectory_csv
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -160,6 +161,31 @@ def test_plot_malformed_csv_reports_line(tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("column", ["t", "mean_0", "ref_1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_non_finite_cell_reports_line(tmp_path, column, value):
+    header = "t,mean_0,mean_1,std_0,std_1,ref_0,ref_1,phase"
+    rows = ["0,1,2,0,0,1,2,taylor", "0.1,1,2,0,0,1,2,taylor", "0.2,1,2,0,0,1,2,taylor"]
+    cells = rows[2].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[2] = ",".join(cells)
+    csv = tmp_path / "bad.csv"
+    csv.write_text("\n".join([header] + rows) + "\n")
+    code, _, err = run("plot", str(csv))
+    assert code == 2
+    assert err.startswith("error: line 4") and column in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_plot_accepts_non_finite_stds(tmp_path):
+    # stds are not drawn, and a NaN std is what a NaN covariance projects to
+    csv = tmp_path / "stds.csv"
+    csv.write_text("t,mean_0,std_0,phase\n0,1,nan,taylor\n0.1,1,inf,taylor\n")
+    code, _, _ = run("plot", str(csv))
+    assert code == 0
+    assert "nan" not in (tmp_path / "stds.svg").read_text()
+
+
 def test_converge_linear_order():
     code, stdout, _ = run(
         "converge", "--problem", "linear", "--q", "1",
@@ -238,6 +264,65 @@ def test_zero_train_jitter_exit_code(tmp_path):
     )
     assert code == 2
     assert err.startswith("error:") and "jitter" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "hybrid --w0 nan",
+        "hybrid --w0 inf",
+        "hybrid --h nan",
+        "taylor --h nan",
+        "taylor --T inf",
+        "taylor --T nan",
+        "hybrid --R nan",
+        "taylor --R inf",
+        "taylor --sigma2-taylor nan",
+        "taylor --sigma2-taylor inf",
+        "hybrid --l nan",
+        "hybrid --l inf",
+        "hybrid --sigma2-fourier inf",
+        "hybrid --train-jitter inf",
+        "taylor --reference --h-ref nan",
+    ],
+)
+def test_non_finite_parameters_exit_code(tmp_path, flags):
+    # rejected as contract violations before any file is written
+    method, *flags = flags.split()
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        "solve", "--problem", "linear", "--method", method, "--h", "0.1", *flags, "-o", str(out)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem,flags,expected",
+    [
+        ("vdp", [], vdp()),
+        ("vdp", ["--mu", "2"], vdp(mu=2.0)),
+        ("fhn", ["--fhn-I", "0.3", "--fhn-standard"], fhn(I=0.3, standard=True)),
+    ],
+)
+def test_problem_flags_reach_the_factory(tmp_path, problem, flags, expected):
+    out = tmp_path / "x.csv"
+    code, _, _ = run("solve", "--problem", problem, "--method", "taylor", "--T", "1", *flags,
+                     "-o", str(out))
+    assert code == 0
+    ssm = taylor_state_space(TaylorParams(1, 1.0))
+    traj = solve(ssm, replace(expected, T=1.0), 0.01, 0.0)
+    assert out.read_text() == trajectory_csv(traj)
+
+
+def test_flag_of_another_problem_is_rejected(tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run("solve", "--problem", "fhn", "--method", "taylor", "--mu", "2",
+                       "-o", str(out))
+    assert code == 2
+    assert "does not accept ['mu']" in err
     assert not out.exists()
 
 

@@ -15,6 +15,8 @@ from odefilter import (
     update,
 )
 
+from odefilter.filtering import _gain_update, _joseph
+
 from conftest import assert_belief_hygiene, batch_gaussian_posterior, random_spd
 
 
@@ -94,6 +96,25 @@ def test_update_singular_with_nonzero_innovation_raises():
     belief = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
     with pytest.raises(SingularUpdateError):
         update(belief, MeasurementModel(np.array([1.0, 0.0]), 0.0), 1.0)
+
+
+def test_update_composes_the_covariance_and_mean_kernels():
+    # the covariance and gain come from the covariance alone; z moves only the mean
+    rng = np.random.default_rng(7)
+    mean, cov, h = rng.normal(size=4), random_spd(rng, 4), rng.normal(size=4)
+    P, K, S = _joseph(cov, h, 0.2)
+    assert S == float(h @ (cov @ h)) + 0.2
+    assert np.array_equal(K, cov @ h / S)
+    for z in (-3.0, 0.0, 11.0):
+        out = update(GaussianBelief(mean, cov), MeasurementModel(h, 0.2), z)
+        assert np.array_equal(out.cov, P)
+        assert np.array_equal(out.mean, _gain_update(mean, h, z, K))
+
+
+def test_joseph_passthrough_has_no_gain():
+    P0 = np.diag([0.0, 2.0])
+    P, K, S = _joseph(P0, np.array([1.0, 0.0]), 0.0)
+    assert P is P0 and K is None and S == 0.0
 
 
 def test_update_dimension_mismatch():

@@ -56,6 +56,34 @@ def test_bessel_invalid_arguments():
         bessel_i(0, -0.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_bessel_non_finite_argument_rejected(z):
+    with pytest.raises(ContractViolation, match="finite"):
+        bessel_i(0, z)
+
+
+def test_bessel_matches_scaled_scipy_at_short_lengthscales():
+    # z = l^-2 up to 625: the terms grow until k ~ z/2, far past a fixed cap
+    for l in np.geomspace(0.04, 10.0, 61):
+        z = float(l) ** -2
+        for j in range(21):
+            ref = scipy.special.ive(j, z)
+            assert abs(bessel_i(j, z) / math.exp(z) - ref) <= 1e-12 * ref, (l, j)
+
+
+@pytest.mark.parametrize("l", [0.1, 0.05])
+def test_weights_at_short_lengthscales(l):
+    w = fourier_weights(FourierParams(3, 1.0, l, 1.0))
+    ref = scipy.special.ive(np.arange(4), l**-2) * np.array([1.0, 2.0, 2.0, 2.0])
+    assert np.allclose(w, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("J,l", [(3, 0.03), (2000, 3.0)], ids=["exp-overflow", "underflow"])
+def test_weights_beyond_float_range_rejected(J, l):
+    with pytest.raises(ContractViolation, match="float range"):
+        fourier_weights(FourierParams(J, 1.0, l, 1.0))
+
+
 def test_weights_reference_value():
     w = fourier_weights(FourierParams(3, 1.0, 3.0, 1.0))
     assert w[1] == pytest.approx(Q1SQ_L3, rel=1e-12)

@@ -18,15 +18,18 @@ from odefilter import (
     MeasurementModel,
     SingularUpdateError,
     TaylorParams,
+    TrainNoise,
     constant,
     cosine,
     fhn,
     fourier_projections,
     fourier_state_space,
+    fourier_transition,
     hybrid_solve,
     ibm_transition,
     linear,
     predict,
+    rk4_reference,
     solve,
     taylor_init,
     taylor_projections,
@@ -35,7 +38,14 @@ from odefilter import (
     vdp,
 )
 from odefilter import solver
-from odefilter.filtering import TransitionModel, _dot, _predict, _update
+from odefilter.filtering import (
+    TransitionModel,
+    _dot,
+    _gain_update,
+    _joseph,
+    _passthrough,
+    _predict,
+)
 from odefilter.solver import PhaseSegment
 from odefilter.taylor import INIT_JITTER
 
@@ -162,6 +172,43 @@ def test_grid_preconditions():
         solve(TAYLOR_Q1, ivp, 0.1, 0.0, t_end=2.0)  # beyond T
 
 
+NAN, INF = math.nan, math.inf
+FOURIER = FourierParams(3, 1.0, 3.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IVProblem(lambda x, t: -x, np.ones(1), NAN, "p"),
+        lambda: IVProblem(lambda x, t: -x, np.ones(1), INF, "p"),
+        lambda: solve(TAYLOR_Q1, linear(), NAN, 0.0),
+        lambda: solve(TAYLOR_Q1, linear(), INF, 0.0),
+        lambda: solve(TAYLOR_Q1, linear(), 0.1, NAN),
+        lambda: solve(TAYLOR_Q1, linear(), 0.1, INF),
+        lambda: solve(TAYLOR_Q1, linear(), 0.1, 0.0, t_end=NAN),
+        lambda: TaylorParams(1, NAN),
+        lambda: TaylorParams(1, INF),
+        lambda: FourierParams(3, NAN, 3.0, 1.0),
+        lambda: FourierParams(3, INF, 3.0, 1.0),
+        lambda: FourierParams(3, 1.0, NAN, 1.0),
+        lambda: FourierParams(3, 1.0, INF, 1.0),
+        lambda: FourierParams(3, 1.0, 3.0, NAN),
+        lambda: HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=NAN, h=0.01),
+        lambda: HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=1.0, h=NAN),
+        lambda: HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=1.0, h=0.01, R=NAN),
+        lambda: TrainNoise(jitter=INF),
+        lambda: MeasurementModel(np.ones(2), NAN),
+        lambda: ibm_transition(NAN, TaylorParams(1, 1.0)),
+        lambda: fourier_transition(INF, FOURIER),
+        lambda: rk4_reference(linear(), NAN),
+        lambda: rk4_reference(linear(), 0.01, h_out=NAN),
+    ],
+)
+def test_non_finite_parameters_are_contract_violations(build):
+    with pytest.raises(ContractViolation):
+        build()
+
+
 def test_record_count_matches_grid():
     for h, t_end in ((0.1, 1.0), (0.05, 0.5), (0.2, 2.0)):
         traj = solve(TAYLOR_Q1, linear(T=2.0), h, 0.0, t_end=t_end)
@@ -232,19 +279,16 @@ def coupled_linear(T=2.0):
     return IVProblem(lambda x, t: B @ x, np.array([1.0, 0.0, -0.5]), T, "coupled")
 
 
-@pytest.fixture
-def settled_step(monkeypatch):
-    """Spies on solve's affine scan; ``settled_step(n)`` is the step at which
-    the last n-step solve froze its gain, or n when it never scanned."""
-    starts = []
-    scan = solver._affine_scan
+def schedule(ssm, h, R, n):
+    """The covariances and gains of an n-step solve under ssm; they never see the field."""
+    trans, proj = ssm.transition_builder(h), ssm.projections
+    P0 = ssm.init_builder(0.0, 0.0).cov
+    return solver._covariance_schedule(P0, trans.A, trans.Q, proj.H, R, n)
 
-    def spy(covs, F, G):
-        starts.append(len(covs))
-        scan(covs, F, G)
 
-    monkeypatch.setattr(solver, "_affine_scan", spy)
-    return lambda n: n + 1 - starts.pop() if starts else n
+def settled_step(ssm, h, R, n):
+    """The step at which an n-step solve freezes its gain, or n when it never does."""
+    return len(schedule(ssm, h, R, n)[1])
 
 
 @pytest.mark.parametrize(
@@ -258,17 +302,15 @@ def settled_step(monkeypatch):
     ],
     ids=["linear-q1", "linear-q3", "cosine-q2", "vdp-q1", "coupled3-q2"],
 )
-def test_shared_covariance_loop_matches_per_coordinate_reference(
-    ivp, q, h, bitwise, settled_step
-):
+def test_shared_covariance_loop_matches_per_coordinate_reference(ivp, q, h, bitwise):
     ssm = taylor_state_space(TaylorParams(q, 1.0))
     (seg,) = solve(ssm, ivp, h, 0.0).segments
-    settled = settled_step(len(seg.t) - 1)
+    settled = settled_step(ssm, h, 0.0, len(seg.t) - 1)
     ref = reference_solve(ssm, ivp, h, 0.0)
     ref_means = np.array([[b.mean for b in rec] for rec in ref])
     assert seg.means.shape == ref_means.shape
-    # Up to the gain freeze the fused step is unchanged; past it the mean-only
-    # loop and the affine scan sum in another order, except that the q=1
+    # Up to the gain freeze each step is the reference's; past it the frozen
+    # gain and the affine scan sum in another order, except that the q=1
     # gain is bitwise constant, so its means stay bitwise.
     if bitwise:
         assert np.array_equal(seg.means[: settled + 1], ref_means[: settled + 1])
@@ -285,7 +327,7 @@ def test_shared_covariance_loop_matches_per_coordinate_reference(
 
 
 def full_recursion(ssm, ivp, h, R):
-    """solve's fused predict + Joseph update on every step, never freezing the gain."""
+    """Predict and Joseph update of means and covariance on every step, never freezing the gain."""
     trans, proj = ssm.transition_builder(h), ssm.projections
     dx0 = ivp.field(ivp.x0, 0.0)
     inits = [ssm.init_builder(x, dx) for x, dx in zip(ivp.x0, dx0)]
@@ -294,7 +336,11 @@ def full_recursion(ssm, ivp, h, R):
     for k in range(1, round(ivp.T / h) + 1):
         M, P = _predict(M, P, trans.A, trans.Q)
         z = solver._field_at(ivp.field, _dot(M, proj.H0), k * h)
-        M, P, _ = _update(M, P, proj.H, R, z)
+        P, K, S = _joseph(P, proj.H, R)
+        if K is None:
+            _passthrough(M, proj.H, z, S, step=k, t=k * h)
+        else:
+            M = _gain_update(M, proj.H, z, K)
         means.append(M)
         covs.append(P)
     return np.array(means), np.array(covs)
@@ -313,7 +359,7 @@ FREEZE_PROBLEMS = {
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("problem", list(FREEZE_PROBLEMS))
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_settled_gain_matches_the_full_recursion(problem, q, R, h, settled_step):
+def test_settled_gain_matches_the_full_recursion(problem, q, R, h):
     ivp = FREEZE_PROBLEMS[problem]
     ssm = taylor_state_space(TaylorParams(q, 1.0))
     try:
@@ -328,7 +374,7 @@ def test_settled_gain_matches_the_full_recursion(problem, q, R, h, settled_step)
         return
     (seg,) = solve(ssm, ivp, h, R).segments
     n = len(seg.t) - 1
-    settled = settled_step(n)
+    settled = settled_step(ssm, h, R, n)
     assert np.array_equal(seg.means[: settled + 1], full_means[: settled + 1])
     assert np.array_equal(seg.covs[: settled + 1], full_covs[: settled + 1])
     if q == 1:
@@ -352,30 +398,29 @@ def test_settled_gain_matches_the_full_recursion(problem, q, R, h, settled_step)
     assert np.all(np.max(np.abs(seg.means - ref_means), axis=0) <= 1e-12 * scale + 2 * rounding)
 
 
-def test_fourier_prior_never_freezes(settled_step):
+def test_fourier_prior_never_freezes():
     # zero diffusion: every observation shrinks the gain, so it never settles
     ssm = fourier_state_space(FourierParams(3, 1.0, 3.0, 1.0))
     ivp = cosine(T=10.0)
     (seg,) = solve(ssm, ivp, 0.01, 1e-6).segments
-    assert settled_step(1000) == 1000
+    assert settled_step(ssm, 0.01, 1e-6, 1000) == 1000
     ref = reference_solve(ssm, ivp, 0.01, 1e-6)
     assert np.array_equal(seg.means, np.array([[b.mean for b in rec] for rec in ref]))
     assert np.array_equal(seg.covs, np.array([rec[0].cov for rec in ref]))
 
 
-def test_divergence_past_the_freeze_carries_time(settled_step):
+def test_divergence_past_the_freeze_carries_time():
     def field(x, t):
         return np.array([np.nan]) if t > 4.995 else -x
 
     ssm = taylor_state_space(TaylorParams(2, 1.0))
-    solve(ssm, linear(T=10.0), 0.01, 0.0)
-    assert settled_step(1000) < 500
+    assert settled_step(ssm, 0.01, 0.0, 1000) < 500
     with pytest.raises(DivergedSolveError) as exc:
         solve(ssm, IVProblem(field, np.array([1.0]), 10.0, "late"), 0.01, 0.0)
     assert exc.value.t == 5.0
 
 
-def test_passthrough_updates_do_not_freeze_the_gain(settled_step):
+def test_passthrough_updates_do_not_freeze_the_gain():
     # A shift chain with noise on the top slot only, from a zero belief: the
     # noise reaches the measured slot 1 at step 4, so updates 1-3 see S = 0
     # and zero innovations, and pass through with no gain.
@@ -396,8 +441,10 @@ def test_passthrough_updates_do_not_freeze_the_gain(settled_step):
     (seg,) = solve(ssm, ivp, h, 0.0).segments
     # the first real gains come at steps 4 and 5; this chain's gain is the
     # same from its first, so it freezes there and not on the missing ones
-    settled = settled_step(500)
+    _, gains = schedule(ssm, h, 0.0, 500)
+    settled = len(gains)
     assert settled == 5
+    assert np.all(np.isnan(gains[:3])) and not np.any(np.isnan(gains[3:]))
     ref = reference_solve(ssm, ivp, h, 0.0)
     ref_means = np.array([[b.mean for b in rec] for rec in ref])
     ref_covs = np.array([rec[0].cov for rec in ref])
@@ -408,6 +455,40 @@ def test_passthrough_updates_do_not_freeze_the_gain(settled_step):
     assert np.max(np.abs(seg.means - ref_means)) <= 1e-12 * scale
     for cov, ref_cov in zip(seg.covs, ref_covs):
         assert np.max(np.abs(cov - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
+
+
+@pytest.mark.parametrize(
+    "ssm,R",
+    [
+        (taylor_state_space(TaylorParams(1, 1.0)), 0.0),
+        (taylor_state_space(TaylorParams(2, 1.0)), 1e-6),
+        (taylor_state_space(TaylorParams(3, 1.0)), 0.0),
+    ],
+    ids=["taylor-q1", "taylor-q2-R", "taylor-q3"],
+)
+def test_covariances_never_see_the_field(ssm, R):
+    # the same prior, h, R and n give bitwise the same covariances on any field
+    zero = IVProblem(lambda x, t: np.zeros(2), np.array([0.3, -2.0]), 2.0, "zero")
+    expected, _ = schedule(ssm, 0.01, R, 200)
+    for ivp in (replace(vdp(), T=2.0), replace(fhn(), T=2.0), zero):
+        (seg,) = solve(ssm, ivp, 0.01, R).segments
+        assert np.array_equal(seg.covs, expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_covariance_beyond_float_range_is_a_passthrough():
+    # sigma2 = 1e308 overflows the first predicted covariance: S is inf or
+    # NaN, no gain exists, and a nonzero innovation is a singular update
+    ssm = taylor_state_space(TaylorParams(1, 1e308))
+    with pytest.raises(SingularUpdateError) as exc:
+        solve(ssm, linear(T=8.0), 2.0, 0.0)
+    assert (exc.value.step, exc.value.t) == (1, 2.0)
+    _, gains = schedule(ssm, 2.0, 0.0, 4)
+    assert np.all(np.isnan(gains))
+    # on a zero field every innovation vanishes, so the means stay put
+    traj = solve(ssm, constant(c=1.0, T=8.0), 2.0, 0.0)
+    assert np.array_equal(traj.value_means(), np.ones((5, 1)))
 
 
 # J=0 Fourier state: the derivative row is zero, so with R=0 the innovation
