@@ -82,8 +82,6 @@ class HybridConfig:
     def __post_init__(self):
         if not 0 < self.T_p < np.inf:
             raise ContractViolation(f"prediction time T_p must be finite and > 0, got {self.T_p}")
-        if not 0 < self.h < np.inf:
-            raise ContractViolation(f"step size h must be finite and > 0, got {self.h}")
         if not 0 <= self.R < np.inf:
             raise ContractViolation(f"measurement noise R must be finite and >= 0, got {self.R}")
         _n_steps(self.T_p, self.h)

@@ -23,8 +23,8 @@ REFERENCE_PHASE = "reference"
 
 def vdp(mu: float = 5.0) -> IVProblem:
     """Van der Pol oscillator in Lienard form, d(x1)/dt = mu(x1 - x1^3/3 - x2)."""
-    if mu == 0:
-        raise ContractViolation("vdp requires mu != 0")
+    if not math.isfinite(mu) or mu == 0:
+        raise ContractViolation(f"vdp requires a finite mu != 0, got {mu}")
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
         x1, x2 = x
@@ -45,8 +45,8 @@ def fhn(
     The recovery equation is (x1 + a - x2)/tau, which leaves b unused;
     ``standard=True`` switches to the textbook (x1 + a - b*x2)/tau form.
     """
-    if tau == 0:
-        raise ContractViolation("fhn requires tau != 0")
+    if not all(map(math.isfinite, (I, a, b, tau))) or tau == 0:
+        raise ContractViolation(f"fhn requires finite I, a, b and tau != 0, got {(I, a, b, tau)}")
     b_eff = b if standard else 1.0
 
     def field(x: np.ndarray, t: float) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError
 from .filtering import (
-    GaussianBelief,
     ProjectionPair,
     TransitionModel,
     _dot,
@@ -40,7 +39,7 @@ from .filtering import (
     _symmetrize,
 )
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
-from .taylor import TaylorParams, ibm_transition, taylor_init, taylor_projections
+from .taylor import TaylorParams, _taylor_init, ibm_transition, taylor_projections
 
 # Tolerance for "t_end/h is an integer" grid checks.
 GRID_TOL = 1e-9
@@ -55,30 +54,40 @@ VectorField = Callable[[np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Pluggable prior: transition builder, projections, initial-belief builder."""
+    """Pluggable prior: transition builder, projections and initial belief.
+
+    ``init(ivp)`` returns the initial means ``M`` (d, D), one row per
+    coordinate of the problem, and the covariance ``P`` (D, D) they all
+    share; ``solve`` calls it once. It is the one part of the prior that
+    sees the problem.
+    """
 
     transition_builder: Callable[[float], TransitionModel]
     projections: ProjectionPair
-    init_builder: Callable[[float, float], GaussianBelief]
+    init: Callable[[IVProblem], tuple[np.ndarray, np.ndarray]]
     label: str
 
 
 def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
+    # The init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
+    # evaluation before the filter loop.
     return StateSpaceModel(
         transition_builder=lambda h: ibm_transition(h, params),
         projections=taylor_projections(params.q),
-        init_builder=lambda x0, dx0: taylor_init(x0, dx0, params.q),
+        init=lambda ivp: _taylor_init(ivp.x0, _field_at(ivp.field, ivp.x0, 0.0), params.q),
         label="taylor",
     )
 
 
 def fourier_state_space(params: FourierParams) -> StateSpaceModel:
     # The Fourier prior is zero-mean; the initial values enter only through
-    # the measurements, so the init builder ignores them.
+    # the measurements, so the init evaluates nothing. Every solve shares P.
+    P = fourier_init(params).cov
+    P.flags.writeable = False
     return StateSpaceModel(
         transition_builder=lambda h: fourier_transition(h, params),
         projections=fourier_projections(params),
-        init_builder=lambda x0, dx0: fourier_init(params),
+        init=lambda ivp: (np.zeros((ivp.dim, params.dim)), P),
         label="fourier",
     )
 
@@ -94,6 +103,8 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
+        if not np.isfinite(self.x0).all():
+            raise ContractViolation(f"initial value x0 must be finite, got {self.x0}")
         if not 0 < self.T < np.inf:
             raise ContractViolation(f"time horizon T must be finite and > 0, got {self.T}")
 
@@ -193,6 +204,8 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
 
 
 def _n_steps(t_end: float, h: float) -> int:
+    if not 0 < h < np.inf:
+        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
     n = t_end / h
     n_round = round(n) if np.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > GRID_TOL * max(1.0, abs(n)):
@@ -215,14 +228,18 @@ def solve(
     derivative row H with measurement noise R. Returns all round(t_end/h)+1
     records, including t = 0.
 
+    The initial means (d, D) and their shared covariance come from one call
+    of ``ssm.init(ivp)``; the Taylor init makes the solve's one field
+    evaluation at t = 0, the Fourier init none. ``solve`` checks that they
+    fit the transition and projections and that the covariance is exactly
+    symmetric.
+
     The covariances and gains come from ``_covariance_schedule`` before any
     mean moves; the loop that follows evaluates the field and updates the
     means with those gains. A passthrough step (no finite S > 0, see
     ``filtering._joseph``) moves no mean and raises SingularUpdateError,
     with the step and t, unless every innovation vanishes.
     """
-    if not 0 < h < np.inf:
-        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
     if not 0 <= R < np.inf:
         raise ContractViolation(f"measurement noise R must be finite and >= 0, got {R}")
     t_end = ivp.T if t_end is None else t_end
@@ -231,21 +248,20 @@ def solve(
     n = _n_steps(t_end, h)
 
     trans, proj = ssm.transition_builder(h), ssm.projections
-    dx0 = _field_at(ivp.field, ivp.x0, 0.0)
-    inits = [ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim)]
-    P = inits[0].cov
-    if any(not np.array_equal(b.cov, P) for b in inits[1:]):
-        raise ContractViolation("init_builder must return one covariance for every coordinate")
-    if not trans.dim == proj.dim == P.shape[0]:
+    M, P = (np.asarray(a, dtype=float) for a in ssm.init(ivp))
+    D = trans.dim
+    if not (proj.dim == D and M.shape == (ivp.dim, D) and P.shape == (D, D)):
         raise ContractViolation(
-            f"transition dimension {trans.dim}, projection dimension {proj.dim} and "
-            f"belief dimension {P.shape[0]} differ"
+            f"transition dimension {D}, projection dimension {proj.dim}, init means "
+            f"{M.shape} and init covariance {P.shape} disagree for {ivp.dim} coordinates"
         )
+    if not np.array_equal(P, P.T):
+        raise ContractViolation("init covariance must be exactly symmetric")
     A, H0, H = trans.A, proj.H0, proj.H
     covs, gains = _covariance_schedule(P, A, trans.Q, H, R, n)
 
-    means = np.empty((n + 1, ivp.dim, P.shape[0]))
-    means[0] = M = np.array([b.mean for b in inits])
+    means = np.empty((n + 1, ivp.dim, D))
+    means[0] = M
     # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
     Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
     for k, K in enumerate(Ks, 1):

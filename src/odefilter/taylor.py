@@ -48,15 +48,21 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
         raise ContractViolation(f"step size h must be finite and > 0, got {h}")
     q = params.q
     D = q + 1
+    try:  # a float, not a numpy scalar, so that overflow raises instead of giving inf
+        hp = [float(h) ** p for p in range(2 * q + 2)]
+    except OverflowError:
+        raise ContractViolation(
+            f"step size h={h:g} overflows the q={q} transition: h^{2 * q + 1} leaves float range"
+        ) from None
     A = np.zeros((D, D))
     Q = np.zeros((D, D))
     for i in range(D):
         for j in range(i, D):
-            A[i, j] = h ** (j - i) / math.factorial(j - i)
+            A[i, j] = hp[j - i] / math.factorial(j - i)
     for i in range(D):
         for j in range(i, D):
             p = 2 * q + 1 - i - j
-            base = h**p / (p * math.factorial(q - i) * math.factorial(q - j))
+            base = hp[p] / (p * math.factorial(q - i) * math.factorial(q - j))
             Q[i, j] = params.sigma2 * base
             Q[j, i] = Q[i, j]
     return TransitionModel(A, Q)
@@ -73,15 +79,21 @@ def taylor_projections(q: int) -> ProjectionPair:
     return ProjectionPair(H0, H)
 
 
-def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
-    """Initial belief pinning x(0) = x0 and x'(0) = dx0; higher derivatives zero.
+def _taylor_init(x0: np.ndarray, dx0: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means (d, q+1) pinning x(0) = x0 and x'(0) = dx0 per coordinate, higher
+    derivatives zero, and the covariance INIT_JITTER * I they all share."""
+    M = np.zeros((len(x0), q + 1))
+    M[:, 0], M[:, 1] = x0, dx0
+    return M, INIT_JITTER * np.eye(q + 1)
 
-    The covariance is INIT_JITTER * I rather than exactly zero.
+
+def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
+    """One coordinate's initial belief: x(0) = x0 and x'(0) = dx0, higher derivatives zero.
+
+    The one row of ``_taylor_init``, the batched init a Taylor solve uses;
+    the covariance is INIT_JITTER * I rather than exactly zero.
     """
     if int(q) != q or q < 1:
         raise ContractViolation(f"q must be an integer >= 1, got {q}")
-    mean = np.zeros(q + 1)
-    mean[0] = x0
-    mean[1] = dx0
-    cov = INIT_JITTER * np.eye(q + 1)
-    return GaussianBelief(mean, cov)
+    M, P = _taylor_init([x0], [dx0], int(q))
+    return GaussianBelief(M[0], P)

@@ -300,6 +300,23 @@ def test_non_finite_parameters_exit_code(tmp_path, flags):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    ["vdp --mu nan", "vdp --mu inf", "fhn --fhn-I inf", "fhn --fhn-I nan", "fhn --fhn-tau nan"],
+)
+def test_non_finite_problem_parameters_exit_code(tmp_path, flags):
+    # rejected by the problem factory before any file is written, not
+    # reported later as a non-finite field value
+    problem, *flags = flags.split()
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        "solve", "--problem", problem, "--method", "hybrid", *flags, "-o", str(out)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "problem,flags,expected",
     [
         ("vdp", [], vdp()),

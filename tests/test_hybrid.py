@@ -269,6 +269,8 @@ def test_predict_forward_grid():
         predict_forward(fourier_init(params), params, 0.25, 1.0, 1.0)
     with pytest.raises(ContractViolation):
         predict_forward(fourier_init(params), params, 0.25, 1.0, 1.1)
+    with pytest.raises(ContractViolation):
+        predict_forward(fourier_init(params), params, 0.0, 1.0, 2.0)
 
 
 def test_hybrid_structure_and_budget():

@@ -22,6 +22,7 @@ from odefilter import (
     constant,
     cosine,
     fhn,
+    fourier_init,
     fourier_projections,
     fourier_state_space,
     fourier_transition,
@@ -170,6 +171,8 @@ def test_grid_preconditions():
         solve(TAYLOR_Q1, ivp, 0.1, -1.0)
     with pytest.raises(ContractViolation):
         solve(TAYLOR_Q1, ivp, 0.1, 0.0, t_end=2.0)  # beyond T
+    with pytest.raises(ContractViolation):  # h^9 = 1e360 leaves float range at q=4
+        solve(taylor_state_space(TaylorParams(4, 1.0)), linear(T=1e41), 1e40, 0.0)
 
 
 NAN, INF = math.nan, math.inf
@@ -202,11 +205,55 @@ FOURIER = FourierParams(3, 1.0, 3.0, 1.0)
         lambda: fourier_transition(INF, FOURIER),
         lambda: rk4_reference(linear(), NAN),
         lambda: rk4_reference(linear(), 0.01, h_out=NAN),
+        lambda: vdp(mu=NAN),
+        lambda: vdp(mu=INF),
+        lambda: fhn(I=NAN),
+        lambda: fhn(a=INF),
+        lambda: fhn(b=NAN),
+        lambda: fhn(tau=INF),
+        lambda: IVProblem(lambda x, t: -x, np.array([1.0, NAN]), 1.0, "p"),
+        lambda: linear(x0=NAN),
+        lambda: constant(c=INF),
     ],
 )
 def test_non_finite_parameters_are_contract_violations(build):
     with pytest.raises(ContractViolation):
         build()
+
+
+@pytest.mark.parametrize(
+    "ssm,first", [(TAYLOR_Q1, 0), (fourier_state_space(FOURIER), 1)], ids=["taylor", "fourier"]
+)
+def test_field_evaluations_per_prior(ssm, first):
+    # the Taylor init evaluates the field at t=0; the zero-mean Fourier init
+    # sees none, so a Fourier-prior solve of n steps evaluates it n times
+    h, n = 0.1, 20
+    field = RecordingField(cosine().field)
+    solve(ssm, replace(cosine(), field=field, T=n * h), h, 1e-6)
+    assert [t for t, _ in field.calls] == [k * h for k in range(first, n + 1)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_taylor_init_is_one_row_of_the_batched_init(q):
+    ivp = IVProblem(vdp().field, np.array([1.0 / 3.0, -2.0 / 7.0]), 1.0, "vdp")
+    M, P = taylor_state_space(TaylorParams(q, 1.0)).init(ivp)
+    dx0 = vdp().field(ivp.x0, 0.0)
+    for i in range(2):
+        belief = taylor_init(ivp.x0[i], dx0[i], q)
+        assert np.array_equal(belief.mean, M[i])
+        assert np.array_equal(belief.cov, P)
+
+
+@pytest.mark.parametrize("J", [0, 3, 5])
+def test_fourier_init_is_row_zero_of_the_batched_init(J):
+    params = FourierParams(J, 1.0, 3.0, 1.0)
+    M, P = fourier_state_space(params).init(vdp())
+    belief = fourier_init(params)
+    assert M.shape == (2, params.dim)
+    assert np.array_equal(belief.mean, M[0]) and np.array_equal(belief.mean, M[1])
+    assert np.array_equal(belief.cov, P)
+    # every solve shares P, so it is read-only
+    assert not P.flags.writeable
 
 
 def test_record_count_matches_grid():
@@ -262,8 +309,8 @@ def reference_solve(ssm, ivp, h, R):
     trans = ssm.transition_builder(h)
     meas = MeasurementModel(ssm.projections.H, R)
     H0 = ssm.projections.H0
-    dx0 = ivp.field(ivp.x0, 0.0)
-    beliefs = [ssm.init_builder(ivp.x0[i], dx0[i]) for i in range(ivp.dim)]
+    M, P = ssm.init(ivp)
+    beliefs = [GaussianBelief(m, P) for m in M]
     records = [beliefs]
     for k in range(1, round(ivp.T / h) + 1):
         predicted = [predict(b, trans) for b in beliefs]
@@ -282,7 +329,7 @@ def coupled_linear(T=2.0):
 def schedule(ssm, h, R, n):
     """The covariances and gains of an n-step solve under ssm; they never see the field."""
     trans, proj = ssm.transition_builder(h), ssm.projections
-    P0 = ssm.init_builder(0.0, 0.0).cov
+    _, P0 = ssm.init(constant(c=0.0))
     return solver._covariance_schedule(P0, trans.A, trans.Q, proj.H, R, n)
 
 
@@ -329,9 +376,7 @@ def test_shared_covariance_loop_matches_per_coordinate_reference(ivp, q, h, bitw
 def full_recursion(ssm, ivp, h, R):
     """Predict and Joseph update of means and covariance on every step, never freezing the gain."""
     trans, proj = ssm.transition_builder(h), ssm.projections
-    dx0 = ivp.field(ivp.x0, 0.0)
-    inits = [ssm.init_builder(x, dx) for x, dx in zip(ivp.x0, dx0)]
-    M, P = np.array([b.mean for b in inits]), inits[0].cov
+    M, P = ssm.init(ivp)
     means, covs = [M], [P]
     for k in range(1, round(ivp.T / h) + 1):
         M, P = _predict(M, P, trans.A, trans.Q)
@@ -431,7 +476,7 @@ def test_passthrough_updates_do_not_freeze_the_gain():
     ssm = replace(
         taylor_state_space(TaylorParams(D - 1, 1.0)),
         transition_builder=lambda step: TransitionModel(A, Q),
-        init_builder=lambda x0, dx0: GaussianBelief(np.zeros(D), np.zeros((D, D))),
+        init=lambda ivp: (np.zeros((ivp.dim, D)), np.zeros((D, D))),
     )
 
     def field(x, t):
@@ -514,15 +559,26 @@ def test_singular_update_passes_when_every_innovation_vanishes():
     assert np.array_equal(traj.value_means(), np.zeros((3, 2)))
 
 
-def test_coordinate_dependent_init_covariance_is_rejected():
-    def init(x0, dx0):
-        return GaussianBelief(np.array([x0, dx0]), (2.0 + x0) * np.eye(2))
-
-    ssm = replace(TAYLOR_Q1, init_builder=init)
-    with pytest.raises(ContractViolation):
-        solve(ssm, replace(vdp(), T=1.0), 0.1, 0.0)
-    # equal covariances pass
-    solve(ssm, IVProblem(lambda x, t: -x, np.array([0.5, 0.5]), 1.0, "twins"), 0.1, 0.0)
+def test_malformed_init_is_rejected():
+    ivp = replace(vdp(), T=1.0)
+    M, P = TAYLOR_Q1.init(ivp)
+    asymmetric = P.copy()
+    asymmetric[0, 1] = 1e-3
+    for init in (
+        (M[0], P),  # a (D,) mean, which would broadcast into every coordinate
+        (np.zeros((2, 3)), np.eye(3)),  # D = 3 under a D = 2 transition
+        (M, np.eye(2, 3)),  # a non-square covariance
+        (M, asymmetric),
+    ):
+        ssm = replace(TAYLOR_Q1, init=lambda ivp: init)
+        with pytest.raises(ContractViolation):
+            solve(ssm, ivp, 0.1, 0.0)
+    # the same arrays, well formed, give the prior's own solve
+    ssm = replace(TAYLOR_Q1, init=lambda ivp: (M, P))
+    (seg,) = solve(ssm, ivp, 0.1, 0.0).segments
+    (expected,) = solve(TAYLOR_Q1, ivp, 0.1, 0.0).segments
+    assert np.array_equal(seg.means, expected.means)
+    assert np.array_equal(seg.covs, expected.covs)
 
 
 def test_segment_projections_equal_per_vector_expressions_bitwise():

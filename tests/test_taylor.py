@@ -51,6 +51,9 @@ def test_invalid_arguments():
         ibm_transition(0.0, TaylorParams(1, 1.0))
     with pytest.raises(ContractViolation):
         ibm_transition(-0.1, TaylorParams(1, 1.0))
+    for h in (1e40, np.float64(1e40)):  # h^9 beyond float range
+        with pytest.raises(ContractViolation, match=r"h=1e\+40.*q=4"):
+            ibm_transition(h, TaylorParams(4, 1.0))
     with pytest.raises(ContractViolation):
         TaylorParams(0, 1.0)
     with pytest.raises(ContractViolation):
