@@ -32,10 +32,6 @@ from .taylor import TaylorParams
 EXACT_ORDER_THRESHOLD = 1e-10
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _build_problem(args: argparse.Namespace):
     """The problem with the parameters given on the command line; its factory has the defaults."""
     flags = {
@@ -60,17 +56,14 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
         header += [f"ref_{i}" for i in range(d)]
     header.append("phase")
 
-    means = traj.value_means()
-    stds = traj.value_stds()
+    columns = [traj.times()[:, None], traj.value_means(), traj.value_stds()]
+    if ref_values is not None:
+        columns.append(ref_values)
+    rows = np.hstack(columns).tolist()
+    # "%.17g" % x is format(x, ".17g"), nan, inf and -0 included
+    row_format = ",".join(["%.17g"] * (len(header) - 1) + ["%s"])
     lines = [",".join(header)]
-    for k, (t, phase) in enumerate(zip(traj.times(), traj.phases())):
-        cells = [_fmt(t)]
-        cells += [_fmt(v) for v in means[k]]
-        cells += [_fmt(v) for v in stds[k]]
-        if ref_values is not None:
-            cells += [_fmt(v) for v in ref_values[k]]
-        cells.append(phase)
-        lines.append(",".join(cells))
+    lines += [row_format % (*row, phase) for row, phase in zip(rows, traj.phases())]
     return "\n".join(lines) + "\n"
 
 
@@ -218,8 +211,11 @@ def render_svg(data: CsvData) -> str:
         )
         parts.append(f'<text x="{x + 4:.2f}" y="{_MT + 14}" fill="#666">t={rule_t:.6g}</text>')
 
+    # sx and sy map whole columns with the arithmetic they apply to one value
+    xs = sx(data.t).tolist()
+
     def polyline(values: np.ndarray, color: str):
-        points = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(data.t, values))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, sy(values).tolist())))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
 
     legend = []

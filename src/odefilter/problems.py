@@ -16,9 +16,17 @@ import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError
 from .filtering import ProjectionPair
-from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps
+from .solver import IVProblem, PhaseSegment, Trajectory, _field_at, _n_steps
 
 REFERENCE_PHASE = "reference"
+
+
+def _cube(v: float) -> float:
+    """v**3, overflowing to +-inf as numpy does where Python raises OverflowError."""
+    try:
+        return v**3
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def vdp(mu: float = 5.0) -> IVProblem:
@@ -27,8 +35,8 @@ def vdp(mu: float = 5.0) -> IVProblem:
         raise ContractViolation(f"vdp requires a finite mu != 0, got {mu}")
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2 = x
-        return np.array([mu * (x1 - x1**3 / 3.0 - x2), x1 / mu])
+        x1, x2 = x.tolist()
+        return np.array([mu * (x1 - _cube(x1) / 3.0 - x2), x1 / mu])
 
     return IVProblem(field=field, x0=np.array([1.0, -1.0]), T=50.0, name="vdp")
 
@@ -50,8 +58,8 @@ def fhn(
     b_eff = b if standard else 1.0
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2 = x
-        return np.array([x1 - x1**3 / 3.0 - x2 + I, (x1 + a - b_eff * x2) / tau])
+        x1, x2 = x.tolist()
+        return np.array([x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b_eff * x2) / tau])
 
     return IVProblem(field=field, x0=np.array([1.0, 0.1]), T=50.0, name="fhn")
 
@@ -106,6 +114,11 @@ def by_name(name: str, T: float | None = None, **params) -> IVProblem:
     return ivp
 
 
+def _as_floats(z) -> list[float]:
+    """A field output as the flat list of floats ``_field_at`` would read it."""
+    return np.asarray(z, dtype=float).ravel().tolist()
+
+
 def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta trajectory on a uniform grid.
 
@@ -113,7 +126,9 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     h_ref), which keeps long high-resolution references affordable. Callers
     judging a filter run at step h should use h_ref <= h/10. Records carry
     [value, derivative] means with zero covariance under the phase tag
-    ``reference``.
+    ``reference``. The field's outputs follow ``solve``'s contract: the t = 0
+    evaluation is checked by ``_field_at``, so a wrong component count
+    raises ContractViolation there.
     """
     if not 0 < h_ref < math.inf:
         raise ContractViolation(f"h_ref must be finite and > 0, got {h_ref}")
@@ -127,27 +142,32 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
 
     f = ivp.field
     means = np.empty((n_out + 1, ivp.dim, 2))
-
-    def record(k: int, t: float, x: np.ndarray):
-        if not np.all(np.isfinite(x)):
-            raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-        means[k, :, 0] = x
-        means[k, :, 1] = f(x, t)
-
-    x = ivp.x0.copy()
-    record(0, 0.0, x)
+    # The state and the stages are lists of floats: float64 arithmetic on two
+    # or three numbers costs less in Python than in numpy ufunc calls, and
+    # rounds the same. Every field call gets a fresh float64 array, and no
+    # field output is written to, so a field may return its input or a
+    # cached array.
+    means[0, :, 0] = x = ivp.x0.tolist()
+    means[0, :, 1] = _field_at(f, ivp.x0.copy(), 0.0)
     half = 0.5 * h_ref
     sixth = h_ref / 6.0
     for k in range(1, n_out + 1):
         base = (k - 1) * substeps_round
         for s in range(substeps_round):
             t = (base + s) * h_ref
-            k1 = f(x, t)
-            k2 = f(x + half * k1, t + half)
-            k3 = f(x + half * k2, t + half)
-            k4 = f(x + h_ref * k3, t + h_ref)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(k, k * h_out, x)
+            k1 = _as_floats(f(np.array(x), t))
+            k2 = _as_floats(f(np.array([a + half * b for a, b in zip(x, k1)]), t + half))
+            k3 = _as_floats(f(np.array([a + half * b for a, b in zip(x, k2)]), t + half))
+            k4 = _as_floats(f(np.array([a + h_ref * b for a, b in zip(x, k3)]), t + h_ref))
+            x = [
+                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+            ]
+        t = k * h_out
+        if not all(map(math.isfinite, x)):
+            raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
+        means[k, :, 0] = x
+        means[k, :, 1] = _as_floats(f(np.array(x), t))
 
     projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     segment = PhaseSegment(

@@ -231,8 +231,8 @@ def solve(
     The initial means (d, D) and their shared covariance come from one call
     of ``ssm.init(ivp)``; the Taylor init makes the solve's one field
     evaluation at t = 0, the Fourier init none. ``solve`` checks that they
-    fit the transition and projections and that the covariance is exactly
-    symmetric.
+    fit the transition and projections, are finite, and that the covariance
+    is exactly symmetric.
 
     The covariances and gains come from ``_covariance_schedule`` before any
     mean moves; the loop that follows evaluates the field and updates the
@@ -255,6 +255,8 @@ def solve(
             f"transition dimension {D}, projection dimension {proj.dim}, init means "
             f"{M.shape} and init covariance {P.shape} disagree for {ivp.dim} coordinates"
         )
+    if not (np.isfinite(M).all() and np.isfinite(P).all()):
+        raise ContractViolation("init means and covariance must be finite")
     if not np.array_equal(P, P.T):
         raise ContractViolation("init covariance must be exactly symmetric")
     A, H0, H = trans.A, proj.H0, proj.H

@@ -2,7 +2,10 @@
 
 The batch Gaussian conditioning and rotation helpers here are deliberately
 written from scratch (information form, explicit trig) so they share no code
-path with the filtering implementation they judge.
+path with the filtering implementation they judge. The ``numpy_*`` and
+``format_*`` functions are frozen copies of the straightforward numpy forms of
+the RK4 reference, the benchmark fields and the CSV/SVG text, which the
+faster package code must reproduce bit for bit.
 """
 
 import math
@@ -10,6 +13,7 @@ import math
 import numpy as np
 
 from odefilter import GaussianBelief, ProjectionPair, Trajectory
+from odefilter.cli import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W
 from odefilter.solver import PhaseSegment
 
 PSD_RELATIVE_TOL = 1e-10
@@ -108,3 +112,90 @@ def synthetic_taylor_trajectory(fun, dfun, h: float, n: int, var: float = 0.0) -
     projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     segment = PhaseSegment("taylor", projections, np.array(ts), means, covs)
     return Trajectory((segment,), h, "synthetic")
+
+
+def numpy_rk4_means(f, x0, h_ref: float, h_out: float, n_out: int) -> np.ndarray:
+    """[value, derivative] means (n_out+1, d, 2) of RK4 on numpy arrays."""
+    substeps = round(h_out / h_ref)
+    means = np.empty((n_out + 1, len(x0), 2))
+    x = np.array(x0, dtype=float)
+    means[0, :, 0], means[0, :, 1] = x, f(x, 0.0)
+    half = 0.5 * h_ref
+    sixth = h_ref / 6.0
+    for k in range(1, n_out + 1):
+        base = (k - 1) * substeps
+        for s in range(substeps):
+            t = (base + s) * h_ref
+            k1 = f(x, t)
+            k2 = f(x + half * k1, t + half)
+            k3 = f(x + half * k2, t + half)
+            k4 = f(x + h_ref * k3, t + h_ref)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        means[k, :, 0], means[k, :, 1] = x, f(x, k * h_out)
+    return means
+
+
+def numpy_vdp_field(mu: float):
+    def field(x, t):
+        x1, x2 = x
+        return np.array([mu * (x1 - x1**3 / 3.0 - x2), x1 / mu])
+
+    return field
+
+
+def numpy_fhn_field(I: float = 0.5, a: float = 0.7, b: float = 0.8, tau: float = 10.0,
+                    standard: bool = False):
+    b_eff = b if standard else 1.0
+
+    def field(x, t):
+        x1, x2 = x
+        return np.array([x1 - x1**3 / 3.0 - x2 + I, (x1 + a - b_eff * x2) / tau])
+
+    return field
+
+
+def format_trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
+    """The trajectory CSV, one ``format(x, ".17g")`` per cell."""
+    d = traj.dim
+    header = ["t"] + [f"mean_{i}" for i in range(d)] + [f"std_{i}" for i in range(d)]
+    if reference is not None:
+        header += [f"ref_{i}" for i in range(d)]
+    header.append("phase")
+    means, stds = traj.value_means(), traj.value_stds()
+    refs = None if reference is None else reference.value_means()
+    lines = [",".join(header)]
+    for k, (t, phase) in enumerate(zip(traj.times(), traj.phases())):
+        cells = [format(t, ".17g")]
+        cells += [format(v, ".17g") for v in means[k]]
+        cells += [format(v, ".17g") for v in stds[k]]
+        if refs is not None:
+            cells += [format(v, ".17g") for v in refs[k]]
+        cells.append(phase)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def format_polyline_points(data) -> list[str]:
+    """The ``points`` of render_svg's polylines (refs, then means), one point at a time."""
+    pw, ph = _SVG_W - _ML - _MR, _SVG_H - _MT - _MB
+    series = [data.means[:, i] for i in range(data.dim)]
+    if data.refs is not None:
+        series = [data.refs[:, i] for i in range(data.dim)] + series
+    tmin, tmax = float(data.t.min()), float(data.t.max())
+    ymin = min(float(s.min()) for s in series)
+    ymax = max(float(s.max()) for s in series)
+    if tmax == tmin:
+        tmax = tmin + 1.0
+    if ymax == ymin:
+        ymin, ymax = ymin - 1.0, ymax + 1.0
+    pad = 0.05 * (ymax - ymin)
+    ymin -= pad
+    ymax += pad
+
+    def sx(t):
+        return _ML + (t - tmin) / (tmax - tmin) * pw
+
+    def sy(v):
+        return _MT + (ymax - v) / (ymax - ymin) * ph
+
+    return [" ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(data.t, s)) for s in series]

@@ -1,13 +1,34 @@
 """CLI surface: solve/plot/converge, CSV schema, SVG output, determinism."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odefilter import ContractViolation, TaylorParams, fhn, solve, taylor_state_space, vdp
-from odefilter.cli import main, parse_trajectory_csv, render_svg, run_converge, trajectory_csv
+from odefilter import (
+    ContractViolation,
+    ProjectionPair,
+    TaylorParams,
+    Trajectory,
+    fhn,
+    rk4_reference,
+    solve,
+    taylor_state_space,
+    vdp,
+)
+from odefilter.cli import (
+    CsvData,
+    main,
+    parse_trajectory_csv,
+    render_svg,
+    run_converge,
+    trajectory_csv,
+)
+from odefilter.solver import PhaseSegment
+
+from conftest import format_polyline_points, format_trajectory_csv
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -365,3 +386,51 @@ def test_parse_render_svg_determinism(tmp_path):
     assert np.allclose(data.t, np.arange(9) * 0.25)
     assert data.means.shape == (9, 1)
     assert abs(data.means[-1, 0] - math.cos(2.0)) <= 5e-2
+
+
+def polyline_points(svg: str) -> list[str]:
+    return re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+
+
+def test_csv_and_svg_equal_the_per_value_formatting():
+    ivp = replace(fhn(), T=5.0)
+    traj = solve(taylor_state_space(TaylorParams(2, 1.0)), ivp, 0.05, 0.0)
+    reference = rk4_reference(ivp, 0.005, h_out=0.05)
+    for ref in (None, reference):
+        text = trajectory_csv(traj, ref)
+        assert text == format_trajectory_csv(traj, ref)
+        data = parse_trajectory_csv(text)
+        assert polyline_points(render_svg(data)) == format_polyline_points(data)
+
+
+def test_csv_formats_non_finite_stds_and_negative_zeros():
+    # value_means sums from +0.0, so a -0.0 cell reaches the CSV through t alone
+    nan, inf = math.nan, math.inf
+    projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    means = np.array([[[1.0, 1.0]], [[1 / 3, 0.0]], [[-1e-300, 0.0]], [[1e17, 0.0]]])
+    covs = np.zeros((4, 2, 2))
+    covs[:, 0, 0] = [nan, inf, -1.0, 0.25]  # stds nan, inf, 0 (clamped) and 0.5
+    first = PhaseSegment("taylor", projections, np.array([-0.0, 0.5]), means[:2], covs[:2])
+    second = PhaseSegment("fourier", projections, np.array([1.0, 1.5]), means[2:], covs[2:])
+    traj = Trajectory((first, second), h=0.5, problem="cells")
+    ref_means = np.array([[[-2.0, 0.0]], [[2.5e-8, 0.0]], [[-7.0, 0.0]], [[0.1, 0.0]]])
+    zeros = np.zeros((4, 2, 2))
+    ref_segment = PhaseSegment("reference", projections, np.arange(4) * 0.5, ref_means, zeros)
+    reference = Trajectory((ref_segment,), h=0.5, problem="cells")
+    text = trajectory_csv(traj, reference)
+    assert text == format_trajectory_csv(traj, reference)
+    assert text.split("\n")[1:3] == [
+        "-0,1,nan,-2,taylor", "0.5,0.33333333333333331,inf,2.4999999999999999e-08,taylor"
+    ]
+    data = parse_trajectory_csv(text)
+    assert polyline_points(render_svg(data)) == format_polyline_points(data)
+
+
+@pytest.mark.parametrize(
+    "means", [[[-0.0], [0.0], [-0.0]], [[2.0], [2.0], [2.0]], [[-1e-12], [3.0], [1e-300]]],
+    ids=["signed-zeros", "flat", "tiny"],
+)
+def test_svg_polylines_equal_the_per_point_formatting(means):
+    means = np.array(means)
+    data = CsvData(np.array([0.0, 0.5, 1.0]), means, np.zeros_like(means), -means, ["taylor"] * 3)
+    assert polyline_points(render_svg(data)) == format_polyline_points(data)

@@ -1,6 +1,8 @@
 """Benchmark vector fields, the registry, and the RK4 reference oracle."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +11,18 @@ from odefilter import (
     ContractViolation,
     DivergedSolveError,
     IVProblem,
+    TaylorParams,
     by_name,
     fhn,
+    linear,
     rk4_reference,
+    solve,
+    taylor_state_space,
     vdp,
 )
 from odefilter.problems import REGISTRY
+
+from conftest import numpy_fhn_field, numpy_rk4_means, numpy_vdp_field
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -123,3 +131,115 @@ def test_rk4_grid_validation():
         rk4_reference(ivp, 0.003, h_out=0.01)  # not an integer multiple
     with pytest.raises(ContractViolation):
         rk4_reference(ivp, 0.02, h_out=0.01)  # h_out below h_ref
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 arrays bit for bit, sign of zero included; NaN matches NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+FIELD_PAIRS = {
+    "vdp": (vdp(), numpy_vdp_field(5.0)),
+    "vdp-mu": (vdp(mu=-0.3), numpy_vdp_field(-0.3)),
+    "fhn": (fhn(), numpy_fhn_field()),
+    "fhn-standard": (
+        fhn(I=-1.2, a=0.3, b=2.0, tau=3.0, standard=True),
+        numpy_fhn_field(-1.2, 0.3, 2.0, 3.0, standard=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("substeps", [1, 10])
+def test_rk4_equals_the_numpy_loop_bitwise(name, substeps):
+    ivp = by_name(name)
+    h_ref = ivp.T / 2000
+    reference_field = {"vdp": numpy_vdp_field(5.0), "fhn": numpy_fhn_field()}.get(name, ivp.field)
+    expected = numpy_rk4_means(reference_field, ivp.x0, h_ref, substeps * h_ref, 2000 // substeps)
+    (segment,) = rk4_reference(ivp, h_ref, h_out=substeps * h_ref).segments
+    assert same_bits(segment.means, expected)
+
+
+@pytest.mark.parametrize("pair", FIELD_PAIRS.values(), ids=FIELD_PAIRS.keys())
+def test_fields_equal_the_numpy_scalar_forms_bitwise(pair):
+    ivp, reference = pair
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(20000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(20000, 2))
+    nan, inf = math.nan, math.inf
+    special = [
+        [1e200, 0.5], [-1e200, 0.5], [1e200, -1e200], [0.5, 1e200],  # x1**3 overflows
+        [nan, 1.0], [1.0, nan], [inf, 0.0], [-inf, 0.0], [0.0, -0.0], [-0.0, 0.0],
+    ]
+    states = np.concatenate([states, special])
+    with np.errstate(all="ignore"):
+        expected = [reference(x, 0.0) for x in states]
+    got = [ivp.field(x, 0.0) for x in states]
+    assert same_bits(got, expected)
+    # an overflowing cube is inf, not OverflowError, so a diverging solve stays typed
+    assert all(np.isinf(ivp.field(np.array(x), 0.0)[0]) for x in special[:3])
+
+
+@pytest.mark.parametrize("pair", FIELD_PAIRS.values(), ids=FIELD_PAIRS.keys())
+def test_fields_take_object_states(pair):
+    ivp, reference = pair
+    for x in (
+        np.array([0.5, -2.0], dtype=object),
+        np.array([Fraction(1, 3), Fraction(-2, 7)], dtype=object),
+    ):
+        got, expected = ivp.field(x, 0.0), reference(x, 0.0)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+
+def test_rk4_call_count_and_aliased_field_outputs():
+    calls = []
+
+    def fresh(x, t):
+        calls.append((x, x.copy()))
+        return np.array([x[1], -x[0]])
+
+    def returns_its_input(x, t):
+        x[0], x[1] = x[1], -x[0]
+        return x
+
+    cache = np.empty(2)
+
+    def returns_a_cached_array(x, t):
+        cache[0], cache[1] = x[1], -x[0]
+        return cache
+
+    ivp = IVProblem(field=fresh, x0=np.array([1.0, 0.0]), T=1.0, name="harmonic")
+    (expected,) = rk4_reference(ivp, 0.01, h_out=0.05).segments
+    substeps, n_out = 5, 20
+    assert len(calls) == 4 * substeps * n_out + n_out + 1
+    # every call gets its own float64 array, which nothing writes to afterwards
+    assert len({id(x) for x, _ in calls}) == len(calls)
+    assert all(x.dtype == np.float64 and np.array_equal(x, seen) for x, seen in calls)
+    for field in (returns_its_input, returns_a_cached_array):
+        (segment,) = rk4_reference(replace(ivp, field=field), 0.01, h_out=0.05).segments
+        assert np.array_equal(segment.means, expected.means)
+
+
+def test_rk4_rejects_a_field_output_of_the_wrong_size_as_solve_does():
+    taylor = taylor_state_space(TaylorParams(1, 1.0))
+    one_component = IVProblem(lambda x, t: np.array([-x[0]]), np.array([1.0, 2.0]), 1.0, "short")
+    with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
+        rk4_reference(one_component, 0.01)
+    with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
+        solve(taylor, one_component, 0.1, 0.0)
+
+
+def test_rk4_accepts_the_field_outputs_solve_accepts():
+    # solve reads a field output through np.asarray, so a list or a scalar is one too
+    as_array = IVProblem(lambda x, t: np.array([x[1], -x[0]]), np.array([1.0, 0.0]), 1.0, "array")
+    (expected,) = rk4_reference(as_array, 0.01).segments
+    as_list = replace(as_array, field=lambda x, t: [x[1], -x[0]])
+    (segment,) = rk4_reference(as_list, 0.01).segments
+    assert np.array_equal(segment.means, expected.means)
+    solve(taylor_state_space(TaylorParams(1, 1.0)), as_list, 0.1, 0.0)
+    scalar = IVProblem(lambda x, t: -x[0], np.array([1.0]), 1.0, "scalar")
+    (segment,) = rk4_reference(scalar, 0.01).segments
+    (expected,) = rk4_reference(linear(T=1.0), 0.01).segments
+    assert np.array_equal(segment.means, expected.means)

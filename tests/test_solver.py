@@ -581,6 +581,29 @@ def test_malformed_init_is_rejected():
     assert np.array_equal(seg.covs, expected.covs)
 
 
+@pytest.mark.parametrize("problem", [constant(T=1.0), linear(T=1.0)], ids=["constant", "linear"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["mean", "covariance"])
+def test_non_finite_init_is_rejected_before_the_loop(problem, bad, where):
+    # A zero field never sees the state, so a NaN mean would run to NaN rows.
+    M, P = TAYLOR_Q1.init(problem)
+    if where == "mean":
+        M = M.copy()
+        M[0, 0] = bad
+    else:
+        P = np.full_like(P, bad)
+    calls = []
+
+    def field(x, t):
+        calls.append(t)
+        return problem.field(x, t)
+
+    ssm = replace(TAYLOR_Q1, init=lambda ivp: (M, P))
+    with pytest.raises(ContractViolation, match="finite"):
+        solve(ssm, replace(problem, field=field), 0.25, 0.0)
+    assert calls == []
+
+
 def test_segment_projections_equal_per_vector_expressions_bitwise():
     # The projections must sum like a lone `H0 @ mean`; a batched `means @ H0`
     # sums in another order and differs in the last bit on such data.
