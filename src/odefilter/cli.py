@@ -46,19 +46,18 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
     """Render a trajectory (plus optional reference values) as CSV text."""
     d = traj.dim
     header = ["t"] + [f"mean_{i}" for i in range(d)] + [f"std_{i}" for i in range(d)]
-    ref_values = None
+    columns = [traj.times()[:, None], traj.value_means(), traj.value_stds()]
     if reference is not None:
-        if len(reference) != len(traj):
-            raise ContractViolation(
-                f"reference has {len(reference)} records, trajectory has {len(traj)}"
-            )
         ref_values = reference.value_means()
+        if ref_values.shape != columns[1].shape:
+            raise ContractViolation(
+                f"reference values of shape {ref_values.shape} do not match "
+                f"trajectory values of shape {columns[1].shape}"
+            )
         header += [f"ref_{i}" for i in range(d)]
+        columns.append(ref_values)
     header.append("phase")
 
-    columns = [traj.times()[:, None], traj.value_means(), traj.value_stds()]
-    if ref_values is not None:
-        columns.append(ref_values)
     rows = np.hstack(columns).tolist()
     # "%.17g" % x is format(x, ".17g"), nan, inf and -0 included
     row_format = ",".join(["%.17g"] * (len(header) - 1) + ["%s"])

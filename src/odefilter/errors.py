@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter rules that raise them."""
+
+import math
+import numbers
 
 
 class ContractViolation(ValueError):
@@ -31,3 +34,22 @@ class CsvFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _integer_at_least(value, k: int, name: str) -> int:
+    """``value`` as an int if it is an integer >= k (2.0 counts, 2.5, NaN and inf do not)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value) >= k):
+        raise ContractViolation(f"{name} must be an integer >= {k}, got {value}")
+    return int(value)
+
+
+def _finite_positive(value, name: str) -> float:
+    if not 0 < value < math.inf:
+        raise ContractViolation(f"{name} must be finite and > 0, got {value}")
+    return float(value)
+
+
+def _finite_nonnegative(value, name: str) -> float:
+    if not 0 <= value < math.inf:
+        raise ContractViolation(f"{name} must be finite and >= 0, got {value}")
+    return float(value)

@@ -11,7 +11,8 @@ shared by all coordinates, and also accepts a single mean ``(D,)``. The
 update is split in two: ``_joseph`` conditions the covariance alone and
 yields the gain, which never depends on the data; ``_gain_update`` moves the
 means with that gain. Each coordinate's mean is multiplied on its own, as a
-lone vector would be, so batching changes no bits.
+lone vector would be, so batching changes no bits. Each covariance step is
+one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ContractViolation, SingularUpdateError
+from .errors import ContractViolation, SingularUpdateError, _finite_nonnegative
 
 # Innovations at or below this magnitude are treated as exactly zero when the
 # innovation variance vanishes (deterministic perfect measurement).
@@ -45,12 +46,23 @@ def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M[..., None, :] @ v)[..., 0]
 
 
+def _cov_map(P: np.ndarray, F: np.ndarray, G) -> np.ndarray:
+    """``F P F^T + G``, exactly symmetric; P or F may be a stack, giving one result per matrix."""
+    return _symmetrize(F @ P @ F.swapaxes(-1, -2) + G)
+
+
+def _gain_map(K: np.ndarray, h: np.ndarray, R: float):
+    """``(I - K h, R K K^T)``: the Joseph update with gain K as a ``_cov_map``."""
+    col = K[:, None]  # col * row is np.outer's product, without its call overhead
+    return _identity(len(K)) - col * h, R * (col * K)
+
+
 def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
     """Means ``A m`` per coordinate and the shared covariance ``A P A^T + Q``.
 
     A may also be a stack of transitions, giving one result per transition.
     """
-    return (A @ M[..., None])[..., 0], _symmetrize(A @ P @ A.swapaxes(-1, -2) + Q)
+    return (A @ M[..., None])[..., 0], _cov_map(P, A, Q)
 
 
 def _gain_update(M: np.ndarray, h: np.ndarray, z, K: np.ndarray) -> np.ndarray:
@@ -71,9 +83,7 @@ def _joseph(P: np.ndarray, h: np.ndarray, R: float):
     if not 0.0 < S < np.inf:
         return P, None, S
     K = Ph / S
-    col = K[:, None]  # col * row is np.outer's product, without its call overhead
-    IKH = _identity(len(K)) - col * h
-    return _symmetrize(IKH @ P @ IKH.T + R * (col * K)), K, S
+    return _cov_map(P, *_gain_map(K, h, R)), K, S
 
 
 def _passthrough(M: np.ndarray, h: np.ndarray, z, S: float, step=None, t=None) -> None:
@@ -148,9 +158,7 @@ class MeasurementModel:
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float).reshape(-1)
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "R", float(self.R))
-        if not 0 <= self.R < np.inf:
-            raise ContractViolation(f"measurement noise R must be finite and >= 0, got {self.R}")
+        object.__setattr__(self, "R", _finite_nonnegative(float(self.R), "measurement noise R"))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
 
 BESSEL_RELATIVE_TOL = 1e-16
@@ -30,18 +30,9 @@ class FourierParams:
     sigma2: float
 
     def __post_init__(self):
-        if int(self.J) != self.J or self.J < 0:
-            raise ContractViolation(f"J must be an integer >= 0, got {self.J}")
-        if not 0 < self.w0 < math.inf:
-            raise ContractViolation(f"w0 must be finite and > 0, got {self.w0}")
-        if not 0 < self.l < math.inf:
-            raise ContractViolation(f"l must be finite and > 0, got {self.l}")
-        if not 0 < self.sigma2 < math.inf:
-            raise ContractViolation(f"sigma2 must be finite and > 0, got {self.sigma2}")
-        object.__setattr__(self, "J", int(self.J))
-        object.__setattr__(self, "w0", float(self.w0))
-        object.__setattr__(self, "l", float(self.l))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "J", _integer_at_least(self.J, 0, "J"))
+        for name in ("w0", "l", "sigma2"):
+            object.__setattr__(self, name, _finite_positive(getattr(self, name), name))
 
     @property
     def dim(self) -> int:
@@ -57,10 +48,8 @@ def bessel_i(j: int, z: float) -> float:
     z = l^-2 = 1/9 and a few hundred at z = 400 (l = 0.05). A value beyond
     float range comes out as inf, one below it as 0.
     """
-    if j < 0 or int(j) != j:
-        raise ContractViolation(f"order j must be an integer >= 0, got {j}")
-    if not 0 <= z < math.inf:
-        raise ContractViolation(f"argument z must be finite and >= 0, got {z}")
+    j = _integer_at_least(j, 0, "order j")
+    _finite_nonnegative(z, "argument z")
     half = 0.5 * z
     try:
         term = half**j / math.factorial(j)
@@ -108,9 +97,7 @@ def _rotation(params: FourierParams, t) -> np.ndarray:
 
 def fourier_transition(h: float, params: FourierParams) -> TransitionModel:
     """Block-diagonal rotation over step h: block j turns by w0*j*h. Zero diffusion."""
-    if not 0 < h < math.inf:
-        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
-    A = _rotation(params, h)
+    A = _rotation(params, _finite_positive(h, "step size h"))
     return TransitionModel(A, np.zeros_like(A))
 
 

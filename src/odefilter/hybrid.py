@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
-from .filtering import GaussianBelief, _dot, _predict, _symmetrize
+from .errors import ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least
+from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
 from .fourier import FourierParams, _rotation, fourier_init, fourier_projections
 from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve, taylor_state_space
 from .taylor import TaylorParams
@@ -46,8 +46,8 @@ class TrainPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ContractViolation(f"unknown train policy {self.kind!r}")
-        if self.kind == "values_stride" and self.stride < 1:
-            raise ContractViolation(f"stride must be >= 1, got {self.stride}")
+        if self.kind == "values_stride":
+            object.__setattr__(self, "stride", _integer_at_least(self.stride, 1, "stride"))
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class TrainNoise:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown train noise {self.kind!r}")
-        if not 0 < self.jitter < np.inf:
-            raise ContractViolation(f"jitter must be finite and > 0, got {self.jitter}")
+        _finite_positive(self.jitter, "jitter")
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,8 @@ class HybridConfig:
     train_noise: TrainNoise = field(default_factory=TrainNoise)
 
     def __post_init__(self):
-        if not 0 < self.T_p < np.inf:
-            raise ContractViolation(f"prediction time T_p must be finite and > 0, got {self.T_p}")
-        if not 0 <= self.R < np.inf:
-            raise ContractViolation(f"measurement noise R must be finite and >= 0, got {self.R}")
+        _finite_positive(self.T_p, "prediction time T_p")
+        _finite_nonnegative(self.R, "measurement noise R")
         _n_steps(self.T_p, self.h)
 
 
@@ -139,8 +136,8 @@ def _train(
 def _extrapolate(M: np.ndarray, P: np.ndarray, params: FourierParams, h: float, n: int):
     """Means (n, d, D) and covariances (n, D, D) of the belief (M, P) rotated
     by tau_m = m*h, m = 1..n: A(tau_m) M and A(tau_m) P A(tau_m)^T."""
-    means, covs = _predict(M, P, _rotation(params, np.arange(1, n + 1) * h)[:, None], 0.0)
-    return means, covs[:, 0]
+    A = _rotation(params, np.arange(1, n + 1) * h)
+    return (A[:, None] @ M[..., None])[..., 0], _cov_map(P, A, 0.0)
 
 
 def train_fourier(
@@ -163,6 +160,7 @@ def train_fourier(
         raise ContractViolation(
             f"coordinate {coordinate} outside the trajectory's {taylor_traj.dim} coordinates"
         )
+    coordinate = _integer_at_least(coordinate, 0, "coordinate")
     M, P = _train(prior, taylor_traj, params, policy or TrainPolicy(), noise or TrainNoise())
     return GaussianBelief(M[coordinate], P)
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolation, DivergedSolveError
+from .errors import ContractViolation, DivergedSolveError, _finite_positive
 from .filtering import ProjectionPair
 from .solver import IVProblem, PhaseSegment, Trajectory, _field_at, _n_steps
 
@@ -130,8 +130,7 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     evaluation is checked by ``_field_at``, so a wrong component count
     raises ContractViolation there.
     """
-    if not 0 < h_ref < math.inf:
-        raise ContractViolation(f"h_ref must be finite and > 0, got {h_ref}")
+    _finite_positive(h_ref, "h_ref")
     if h_out is None:
         h_out = h_ref
     substeps = h_out / h_ref

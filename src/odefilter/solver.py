@@ -11,11 +11,11 @@ the data: one covariance per step serves all coordinates, next to one mean
 per coordinate. Only the vector-field evaluation couples the means.
 
 A solve is therefore two recursions. ``_covariance_schedule`` takes no
-field: it runs predict and Joseph update on the covariance alone until the
-gain settles, which under the Taylor prior takes a few dozen steps, and
-``_affine_scan`` fills the remaining covariances, which follow the constant
-affine map ``P <- F P F^T + G`` of the Joseph update with the frozen gain.
-Then one mean loop, the only code that calls the field, runs
+field: it applies the predict map and each step's gain map (see
+``filtering._cov_map``) to the covariance alone until the gain settles,
+which under the Taylor prior takes a few dozen steps; ``_affine_scan``
+fills the rest with powers of the frozen map, the two composed. Then one
+mean loop, the only code that calls the field, runs
 ``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step.
 """
 
@@ -27,16 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, DivergedSolveError
+from .errors import ContractViolation, DivergedSolveError, _finite_nonnegative, _finite_positive
 from .filtering import (
     ProjectionPair,
     TransitionModel,
+    _cov_map,
     _dot,
+    _gain_map,
     _gain_update,
-    _identity,
     _joseph,
     _passthrough,
-    _symmetrize,
 )
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
 from .taylor import TaylorParams, _taylor_init, ibm_transition, taylor_projections
@@ -105,8 +105,7 @@ class IVProblem:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
         if not np.isfinite(self.x0).all():
             raise ContractViolation(f"initial value x0 must be finite, got {self.x0}")
-        if not 0 < self.T < np.inf:
-            raise ContractViolation(f"time horizon T must be finite and > 0, got {self.T}")
+        _finite_positive(self.T, "time horizon T")
 
     @property
     def dim(self) -> int:
@@ -204,9 +203,7 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
 
 
 def _n_steps(t_end: float, h: float) -> int:
-    if not 0 < h < np.inf:
-        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
-    n = t_end / h
+    n = t_end / _finite_positive(h, "step size h")
     n_round = round(n) if np.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > GRID_TOL * max(1.0, abs(n)):
         raise ContractViolation(f"t_end/h = {n!r} is not an integer number of steps")
@@ -240,8 +237,7 @@ def solve(
     ``filtering._joseph``) moves no mean and raises SingularUpdateError,
     with the step and t, unless every innovation vanishes.
     """
-    if not 0 <= R < np.inf:
-        raise ContractViolation(f"measurement noise R must be finite and >= 0, got {R}")
+    _finite_nonnegative(R, "measurement noise R")
     t_end = ivp.T if t_end is None else t_end
     if t_end > ivp.T + GRID_TOL:
         raise ContractViolation(f"t_end={t_end} exceeds problem horizon T={ivp.T}")
@@ -288,23 +284,23 @@ def _covariance_schedule(P0, A, Q, H, R, n):
     GAIN_SETTLED_RTOL at step s. A passthrough (see ``_joseph``) has no gain,
     never counts, and leaves a NaN row; no real gain holds a NaN. Step
     k <= s uses gains[k-1]; the last gain holds for every later step, whose
-    covariances are the Joseph recursion with it, ``P <- F P F^T + G`` with
-    ``F = (I - K H) A`` and ``G = (I - K H) Q (I - K H)^T + R K K^T``,
-    filled by ``_affine_scan``. A gain that never settles gives s = n.
+    covariances follow the frozen map, predict composed with the gain map:
+    ``F = (I - K H) A``, ``G = (I - K H) Q (I - K H)^T + R K K^T``, filled
+    by ``_affine_scan``. A gain that never settles gives s = n.
     """
     covs = np.empty((n + 1,) + P0.shape)
     gains = np.full((n, len(H)), np.nan)
     covs[0] = P = P0
     for k in range(1, n + 1):
-        P, K, _ = _joseph(_symmetrize(A @ P @ A.T + Q), H, R)  # the covariance half of _predict
+        P, K, _ = _joseph(_cov_map(P, A, Q), H, R)  # the covariance half of _predict
         covs[k] = P
         if K is None:
             continue
         gains[k - 1] = K
         # the NaN row of a passthrough agrees with no gain, so it never counts
         if k > 1 and np.all(np.abs(K - gains[k - 2]) <= GAIN_SETTLED_RTOL * np.abs(K)):
-            IKH = _identity(len(K)) - K[:, None] * H
-            _affine_scan(covs[k:], IKH @ A, _symmetrize(IKH @ Q @ IKH.T + R * (K[:, None] * K)))
+            IKH, RKK = _gain_map(K, H, R)
+            _affine_scan(covs[k:], IKH @ A, _cov_map(Q, IKH, RKK))
             return covs, gains[:k].copy()
     return covs, gains
 
@@ -312,18 +308,15 @@ def _covariance_schedule(P0, A, Q, H, R, n):
 def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:
     """Fill covs[1:] in place with ``P[j+1] = F P[j] F^T + G`` from covs[0].
 
-    L steps of the map compose to ``P[j+L] = F^L P[j] F^LT + C_L`` with
-    ``C_L = sum_{i<L} F^i G F^iT``, and ``C_2L = F^L C_L F^LT + C_L``. The
-    first SCAN_BLOCK entries fill by doubling L; every later block of
-    SCAN_BLOCK entries is the block before it mapped by one batched product.
+    L steps of the map are the map ``(F^L, C_L)``, and composing it with
+    itself gives ``(F^2L, F^L C_L F^LT + C_L)``. Each pass maps the L entries
+    before covs[j] to the next min(L, len(covs) - j) in one batched product,
+    then doubles L while it is below SCAN_BLOCK, the most one product holds.
     """
-    n = len(covs)
-    L, FL, CL = 1, F, G
-    while L < min(n, SCAN_BLOCK):
-        covs[L : 2 * L] = _symmetrize(FL @ covs[: min(L, n - L)] @ FL.T + CL)
-        CL = _symmetrize(FL @ CL @ FL.T + CL)
-        FL = FL @ FL
-        L *= 2
-    for j in range(L, n, L):
-        m = min(L, n - j)
-        covs[j : j + m] = _symmetrize(FL @ covs[j - L : j - L + m] @ FL.T + CL)
+    L, FL, CL, j = 1, F, G, 1
+    while j < len(covs):
+        m = min(L, len(covs) - j)
+        covs[j : j + m] = _cov_map(covs[j - L : j - L + m], FL, CL)
+        j += m
+        if L < SCAN_BLOCK:
+            L, FL, CL = 2 * L, FL @ FL, _cov_map(CL, FL, CL)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _finite_positive, _integer_at_least
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
 
 # Diagonal jitter on the (otherwise deterministic) initial covariance; keeps
@@ -28,12 +28,8 @@ class TaylorParams:
     sigma2: float
 
     def __post_init__(self):
-        if int(self.q) != self.q or self.q < 1:
-            raise ContractViolation(f"q must be an integer >= 1, got {self.q}")
-        if not 0 < self.sigma2 < math.inf:
-            raise ContractViolation(f"sigma2 must be finite and > 0, got {self.sigma2}")
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "q", _integer_at_least(self.q, 1, "q"))
+        object.__setattr__(self, "sigma2", _finite_positive(self.sigma2, "sigma2"))
 
 
 def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
@@ -44,8 +40,7 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
         A[i, j] = h^(j-i) / (j-i)!          for i <= j, else 0
         Q[i, j] = sigma2 * h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!)
     """
-    if not 0 < h < math.inf:
-        raise ContractViolation(f"step size h must be finite and > 0, got {h}")
+    _finite_positive(h, "step size h")
     q = params.q
     D = q + 1
     try:  # a float, not a numpy scalar, so that overflow raises instead of giving inf
@@ -70,8 +65,7 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
 
 def taylor_projections(q: int) -> ProjectionPair:
     """Value and derivative selectors for the stacked-derivative state."""
-    if int(q) != q or q < 1:
-        raise ContractViolation(f"q must be an integer >= 1, got {q}")
+    q = _integer_at_least(q, 1, "q")
     H0 = np.zeros(q + 1)
     H0[0] = 1.0
     H = np.zeros(q + 1)
@@ -93,7 +87,5 @@ def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
     The one row of ``_taylor_init``, the batched init a Taylor solve uses;
     the covariance is INIT_JITTER * I rather than exactly zero.
     """
-    if int(q) != q or q < 1:
-        raise ContractViolation(f"q must be an integer >= 1, got {q}")
-    M, P = _taylor_init([x0], [dx0], int(q))
+    M, P = _taylor_init([x0], [dx0], _integer_at_least(q, 1, "q"))
     return GaussianBelief(M[0], P)

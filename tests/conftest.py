@@ -5,7 +5,9 @@ written from scratch (information form, explicit trig) so they share no code
 path with the filtering implementation they judge. The ``numpy_*`` and
 ``format_*`` functions are frozen copies of the straightforward numpy forms of
 the RK4 reference, the benchmark fields and the CSV/SVG text, which the
-faster package code must reproduce bit for bit.
+faster package code must reproduce bit for bit; ``two_loop_affine_scan`` is a
+frozen copy of the covariance scan written as a doubling loop and a block
+loop, which the one-loop scan must reproduce bit for bit.
 """
 
 import math
@@ -199,3 +201,21 @@ def format_polyline_points(data) -> list[str]:
         return _MT + (ymax - v) / (ymax - ymin) * ph
 
     return [" ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(data.t, s)) for s in series]
+
+
+def two_loop_affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray, block: int = 256):
+    """Fill covs[1:] with ``P[j+1] = F P[j] F^T + G``: doubling up to ``block``, then blocks."""
+
+    def sym(m):
+        return 0.5 * (m + m.swapaxes(-1, -2))
+
+    n = len(covs)
+    L, FL, CL = 1, F, G
+    while L < min(n, block):
+        covs[L : 2 * L] = sym(FL @ covs[: min(L, n - L)] @ FL.T + CL)
+        CL = sym(FL @ CL @ FL.T + CL)
+        FL = FL @ FL
+        L *= 2
+    for j in range(L, n, L):
+        m = min(L, n - j)
+        covs[j : j + m] = sym(FL @ covs[j - L : j - L + m] @ FL.T + CL)

@@ -12,6 +12,7 @@ from odefilter import (
     ProjectionPair,
     TaylorParams,
     Trajectory,
+    by_name,
     fhn,
     rk4_reference,
     solve,
@@ -401,6 +402,17 @@ def test_csv_and_svg_equal_the_per_value_formatting():
         assert text == format_trajectory_csv(traj, ref)
         data = parse_trajectory_csv(text)
         assert polyline_points(render_svg(data)) == format_polyline_points(data)
+
+
+@pytest.mark.parametrize("ref_problem,ref_T", [("linear", 5.0), ("fhn", 4.0)], ids=["dim", "length"])
+def test_csv_rejects_a_reference_of_another_shape(ref_problem, ref_T):
+    # a 1-dim reference of the same length must not reach the row format
+    traj = solve(taylor_state_space(TaylorParams(1, 1.0)), replace(fhn(), T=5.0), 0.05, 0.0)
+    ivp = replace(by_name(ref_problem), T=ref_T)
+    reference = rk4_reference(ivp, 0.05)
+    shape = re.escape(str(reference.value_means().shape))
+    with pytest.raises(ContractViolation, match=rf"{shape}.*\(101, 2\)"):
+        trajectory_csv(traj, reference)
 
 
 def test_csv_formats_non_finite_stds_and_negative_zeros():

@@ -1,4 +1,5 @@
-"""The package imports nothing beyond numpy and the standard library."""
+"""The package imports nothing beyond numpy and the standard library, and the
+covariance arithmetic stays behind ``filtering``'s covariance map."""
 
 import ast
 import pathlib
@@ -26,3 +27,17 @@ def test_runtime_dependencies_are_numpy_and_the_standard_library():
         if name != "numpy" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def imported_names(path, module):
+    """Names one source file imports from a relative import of ``module``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            yield from (alias.name for alias in node.names)
+
+
+def test_solver_builds_no_covariance_map_of_its_own():
+    # the solver's covariance steps go through _cov_map and _gain_map
+    names = set(imported_names(PACKAGE / "solver.py", "filtering"))
+    assert {"_cov_map", "_gain_map"} <= names
+    assert not names & {"_identity", "_symmetrize"}

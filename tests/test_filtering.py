@@ -15,7 +15,7 @@ from odefilter import (
     update,
 )
 
-from odefilter.filtering import _gain_update, _joseph
+from odefilter.filtering import _cov_map, _gain_update, _joseph
 
 from conftest import assert_belief_hygiene, batch_gaussian_posterior, random_spd
 
@@ -109,6 +109,22 @@ def test_update_composes_the_covariance_and_mean_kernels():
         out = update(GaussianBelief(mean, cov), MeasurementModel(h, 0.2), z)
         assert np.array_equal(out.cov, P)
         assert np.array_equal(out.mean, _gain_update(mean, h, z, K))
+
+
+@pytest.mark.parametrize("G", ["spd", "zero"])
+def test_cov_map_on_a_stack_equals_the_per_matrix_map(G):
+    rng = np.random.default_rng(11)
+    D = 4
+    Ps = np.array([random_spd(rng, D) for _ in range(6)])
+    Fs = rng.normal(size=(6, D, D))
+    G = random_spd(rng, D) if G == "spd" else 0.0
+
+    def one(P, F):
+        X = F @ P @ F.T + G
+        return 0.5 * (X + X.T)
+
+    assert np.array_equal(_cov_map(Ps, Fs[0], G), np.array([one(P, Fs[0]) for P in Ps]))
+    assert np.array_equal(_cov_map(Ps[0], Fs, G), np.array([one(Ps[0], F) for F in Fs]))
 
 
 def test_joseph_passthrough_has_no_gain():

@@ -41,7 +41,9 @@ from odefilter import (
 from odefilter import solver
 from odefilter.filtering import (
     TransitionModel,
+    _cov_map,
     _dot,
+    _gain_map,
     _gain_update,
     _joseph,
     _passthrough,
@@ -50,7 +52,7 @@ from odefilter.filtering import (
 from odefilter.solver import PhaseSegment
 from odefilter.taylor import INIT_JITTER
 
-from conftest import extended_precision_ibm_filter, random_spd
+from conftest import extended_precision_ibm_filter, random_spd, two_loop_affine_scan
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -518,6 +520,40 @@ def test_covariances_never_see_the_field(ssm, R):
     for ivp in (replace(vdp(), T=2.0), replace(fhn(), T=2.0), zero):
         (seg,) = solve(ssm, ivp, 0.01, R).segments
         assert np.array_equal(seg.covs, expected)
+
+
+def frozen_map(ssm, h, R, n):
+    """The covariance at the step an n-step schedule freezes its gain, and the
+    frozen map (F, G) the scan applies from there."""
+    trans, proj = ssm.transition_builder(h), ssm.projections
+    covs, gains = schedule(ssm, h, R, n)
+    assert len(gains) < n, "the gain never settled"
+    IKH, RKK = _gain_map(gains[-1], proj.H, R)
+    return covs[len(gains)], IKH @ trans.A, _cov_map(trans.Q, IKH, RKK)
+
+
+# Both sides of the end of doubling (SCAN_BLOCK = 256) and of later blocks.
+SCAN_LENGTHS = [1, 2, 3, 255, 256, 257, 511, 512, 513, 1000]
+
+
+@pytest.mark.parametrize("R", [0.0, 1e-6])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_affine_scan_equals_the_two_loop_scan_at_every_block_edge(q, R):
+    # q=4 with R=1e-6 freezes only at step 744 of h=0.01
+    P0, F, G = frozen_map(taylor_state_space(TaylorParams(q, 1.0)), 0.01, R, 1000)
+    assert solver.SCAN_BLOCK == 256
+    for n in SCAN_LENGTHS:
+        got = np.empty((n,) + P0.shape)
+        got[0] = P0
+        expected = got.copy()
+        solver._affine_scan(got, F, G)
+        two_loop_affine_scan(expected, F, G, block=256)
+        assert np.array_equal(got, expected), n
+    # and the scan is the map applied step by step, up to summation order
+    P = P0
+    for k, cov in enumerate(got[1:], 1):
+        P = _cov_map(P, F, G)
+        assert np.max(np.abs(cov - P)) <= 1e-12 * np.max(np.abs(P)), k
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
