@@ -42,10 +42,15 @@ def _build_problem(args: argparse.Namespace):
     return problems.by_name(args.problem, T=args.T, **given)
 
 
+def _csv_header(d: int, reference: bool) -> list[str]:
+    """The CSV columns for d coordinates, with the ref_i columns when ``reference``."""
+    groups = ("mean", "std", "ref") if reference else ("mean", "std")
+    return ["t", *(f"{group}_{i}" for group in groups for i in range(d)), "phase"]
+
+
 def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
     """Render a trajectory (plus optional reference values) as CSV text."""
-    d = traj.dim
-    header = ["t"] + [f"mean_{i}" for i in range(d)] + [f"std_{i}" for i in range(d)]
+    header = _csv_header(traj.dim, reference is not None)
     columns = [traj.times()[:, None], traj.value_means(), traj.value_stds()]
     if reference is not None:
         ref_values = reference.value_means()
@@ -54,9 +59,7 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
                 f"reference values of shape {ref_values.shape} do not match "
                 f"trajectory values of shape {columns[1].shape}"
             )
-        header += [f"ref_{i}" for i in range(d)]
         columns.append(ref_values)
-    header.append("phase")
 
     rows = np.hstack(columns).tolist()
     # "%.17g" % x is format(x, ".17g"), nan, inf and -0 included
@@ -88,19 +91,9 @@ def parse_trajectory_csv(text: str) -> CsvData:
     if not lines:
         raise CsvFormatError("empty file", line=1)
     header = lines[0].split(",")
-    if header[0] != "t" or header[-1] != "phase":
-        raise CsvFormatError("header must start with 't' and end with 'phase'", line=1)
-    body = header[1:-1]
-    d = sum(1 for name in body if name.startswith("mean_"))
-    if d == 0:
-        raise CsvFormatError("no mean_i columns in header", line=1)
-    has_ref = any(name.startswith("ref_") for name in body)
-    expected = (
-        [f"mean_{i}" for i in range(d)]
-        + [f"std_{i}" for i in range(d)]
-        + ([f"ref_{i}" for i in range(d)] if has_ref else [])
-    )
-    if body != expected:
+    d = sum(1 for name in header if name.startswith("mean_"))
+    has_ref = "ref_0" in header
+    if d == 0 or header != _csv_header(d, has_ref):
         raise CsvFormatError(f"unexpected column layout {header!r}", line=1)
 
     n_cols = len(header)
@@ -147,14 +140,19 @@ def render_svg(data: CsvData) -> str:
     pw = _SVG_W - _ML - _MR
     ph = _SVG_H - _MT - _MB
     n = data.t.size
+    # (label, column, colour) of each curve, in drawing order: the true curves under the means
+    groups = (("ref", data.refs, REF_COLORS), ("mean", data.means, MEAN_COLORS))
+    series = [
+        (f"{group}_{i}", values[:, i], colors[i % len(colors)])
+        for group, values, colors in groups
+        if values is not None and n > 0
+        for i in range(data.dim)
+    ]
 
-    if n > 0:
+    if series:
         tmin, tmax = float(data.t.min()), float(data.t.max())
-        series = [data.means[:, i] for i in range(data.dim)]
-        if data.refs is not None:
-            series += [data.refs[:, i] for i in range(data.dim)]
-        ymin = min(float(s.min()) for s in series)
-        ymax = max(float(s.max()) for s in series)
+        ymin = min(float(values.min()) for _, values, _ in series)
+        ymax = max(float(values.max()) for _, values, _ in series)
     else:
         tmin, tmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     if tmax == tmin:
@@ -213,22 +211,12 @@ def render_svg(data: CsvData) -> str:
     # sx and sy map whole columns with the arithmetic they apply to one value
     xs = sx(data.t).tolist()
 
-    def polyline(values: np.ndarray, color: str):
+    for _, values, color in series:
         points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, sy(values).tolist())))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
 
-    legend = []
-    if n > 0:
-        if data.refs is not None:
-            for i in range(data.dim):
-                polyline(data.refs[:, i], REF_COLORS[i % len(REF_COLORS)])
-                legend.append((f"ref_{i}", REF_COLORS[i % len(REF_COLORS)]))
-        for i in range(data.dim):
-            polyline(data.means[:, i], MEAN_COLORS[i % len(MEAN_COLORS)])
-            legend.append((f"mean_{i}", MEAN_COLORS[i % len(MEAN_COLORS)]))
-
     lx = _ML + 8
-    for label, color in legend:
+    for label, _, color in series:
         parts.append(f'<text x="{lx}" y="{_MT + ph - 8}" fill="{color}">{label}</text>')
         lx += 8 * len(label) + 16
 
@@ -268,13 +256,9 @@ def run_converge(
 
 
 def _add_solve_args(p: argparse.ArgumentParser):
-    p.add_argument("--problem", required=True, choices=sorted(problems.REGISTRY))
     p.add_argument("--method", required=True, choices=["taylor", "hybrid"])
     p.add_argument("--h", type=float, default=0.01, help="step size (default 0.01)")
-    p.add_argument("--T", type=float, default=None, help="time horizon (default: problem's)")
     p.add_argument("--Tp", type=float, default=None, help="prediction time (default 0.75*T)")
-    p.add_argument("--q", type=int, default=1, help="Taylor derivatives (default 1)")
-    p.add_argument("--sigma2-taylor", type=float, default=1.0)
     p.add_argument("--J", type=int, default=3, help="Fourier truncation order (default 3)")
     p.add_argument("--w0", type=float, default=1.0, help="angular velocity (default 1)")
     p.add_argument("--l", type=float, default=3.0, help="periodic-kernel lengthscale (default 3)")
@@ -306,19 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian ODE filtering with Taylor, Fourier, and hybrid priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the problem and the Taylor prior, which solve and converge both take
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--problem", required=True, choices=sorted(problems.REGISTRY))
+    shared.add_argument("--q", type=int, default=1, help="Taylor derivatives (default 1)")
+    shared.add_argument("--sigma2-taylor", type=float, default=1.0)
+    shared.add_argument("--T", type=float, default=None, help="time horizon (default: problem's)")
 
-    p_solve = sub.add_parser("solve", help="run a filter and write a trajectory CSV")
+    p_solve = sub.add_parser(
+        "solve", parents=[shared], help="run a filter and write a trajectory CSV"
+    )
     _add_solve_args(p_solve)
 
     p_plot = sub.add_parser("plot", help="render a trajectory CSV as an SVG line chart")
     p_plot.add_argument("csv", help="input CSV produced by solve")
     p_plot.add_argument("-o", "--output", default=None, help="SVG path (default <csv>.svg)")
 
-    p_conv = sub.add_parser("converge", help="step-size study against the RK4 reference")
-    p_conv.add_argument("--problem", required=True, choices=sorted(problems.REGISTRY))
-    p_conv.add_argument("--q", type=int, default=1)
-    p_conv.add_argument("--sigma2-taylor", type=float, default=1.0)
-    p_conv.add_argument("--T", type=float, default=None)
+    p_conv = sub.add_parser(
+        "converge", parents=[shared], help="step-size study against the RK4 reference"
+    )
     p_conv.add_argument(
         "--h", type=float, nargs="+", required=True, help="step sizes, strictly decreasing"
     )
@@ -326,18 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, parser) -> int:
-    if args.method == "hybrid":
-        horizon = args.T if args.T is not None else problems.by_name(args.problem).T
-        t_p = args.Tp if args.Tp is not None else 0.75 * horizon
-        if not 0 < t_p < horizon:
-            parser.error(f"--Tp must lie strictly inside (0, T={horizon:g}), got {t_p:g}")
+    ivp = _build_problem(args)
     train_policy = TrainPolicy(args.train_policy, args.train_stride)
     train_noise = TrainNoise(args.train_noise, args.train_jitter)
-    ivp = _build_problem(args)
     taylor = TaylorParams(args.q, args.sigma2_taylor)
     if args.method == "taylor":
         traj = solve(taylor_state_space(taylor), ivp, args.h, args.R)
     else:
+        t_p = args.Tp if args.Tp is not None else 0.75 * ivp.T
+        if not 0 < t_p < ivp.T:
+            parser.error(f"--Tp must lie strictly inside (0, T={ivp.T:g}), got {t_p:g}")
         config = HybridConfig(
             taylor=taylor,
             fourier=FourierParams(args.J, args.w0, args.l, args.sigma2_fourier),

@@ -36,20 +36,25 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
+def _is_finite(value) -> bool:
+    """A real number (numpy scalars count, strings and arrays do not), neither NaN nor inf."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _integer_at_least(value, k: int, name: str) -> int:
     """``value`` as an int if it is an integer >= k (2.0 counts, 2.5, NaN and inf do not)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value) >= k):
+    if not (_is_finite(value) and value == int(value) >= k):
         raise ContractViolation(f"{name} must be an integer >= {k}, got {value}")
     return int(value)
 
 
 def _finite_positive(value, name: str) -> float:
-    if not 0 < value < math.inf:
+    if not (_is_finite(value) and value > 0):
         raise ContractViolation(f"{name} must be finite and > 0, got {value}")
     return float(value)
 
 
 def _finite_nonnegative(value, name: str) -> float:
-    if not 0 <= value < math.inf:
+    if not (_is_finite(value) and value >= 0):
         raise ContractViolation(f"{name} must be finite and >= 0, got {value}")
     return float(value)

@@ -18,7 +18,6 @@ one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -27,14 +26,6 @@ from .errors import ContractViolation, SingularUpdateError, _finite_nonnegative
 # Innovations at or below this magnitude are treated as exactly zero when the
 # innovation variance vanishes (deterministic perfect measurement).
 ZERO_INNOVATION_TOL = 1e-12
-
-
-@cache
-def _identity(D: int) -> np.ndarray:
-    """The D x D identity, built once per size and read-only."""
-    eye = np.eye(D)
-    eye.flags.writeable = False
-    return eye
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -54,7 +45,7 @@ def _cov_map(P: np.ndarray, F: np.ndarray, G) -> np.ndarray:
 def _gain_map(K: np.ndarray, h: np.ndarray, R: float):
     """``(I - K h, R K K^T)``: the Joseph update with gain K as a ``_cov_map``."""
     col = K[:, None]  # col * row is np.outer's product, without its call overhead
-    return _identity(len(K)) - col * h, R * (col * K)
+    return np.eye(len(K)) - col * h, R * (col * K)
 
 
 def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
@@ -158,7 +149,7 @@ class MeasurementModel:
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float).reshape(-1)
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "R", _finite_nonnegative(float(self.R), "measurement noise R"))
+        object.__setattr__(self, "R", _finite_nonnegative(self.R, "measurement noise R"))
 
 
 @dataclass(frozen=True)

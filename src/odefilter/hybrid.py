@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least
+from .errors import (
+    ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least, _is_finite
+)
 from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
 from .fourier import FourierParams, _rotation, fourier_init, fourier_projections
 from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve, taylor_state_space
@@ -133,11 +135,14 @@ def _train(
     return M, _symmetrize(S @ S.T)
 
 
-def _extrapolate(M: np.ndarray, P: np.ndarray, params: FourierParams, h: float, n: int):
-    """Means (n, d, D) and covariances (n, D, D) of the belief (M, P) rotated
-    by tau_m = m*h, m = 1..n: A(tau_m) M and A(tau_m) P A(tau_m)^T."""
-    A = _rotation(params, np.arange(1, n + 1) * h)
-    return (A[:, None] @ M[..., None])[..., 0], _cov_map(P, A, 0.0)
+def _extrapolate(M, P, params, h, t0, t_end) -> PhaseSegment:
+    """The ``fourier`` segment on (t0, t_end]: the belief (M, P) at t0 rotated
+    by tau_m = m*h, m = 1..n for the n steps of h from t0 to t_end, which
+    gives the means A(tau_m) M and the covariances A(tau_m) P A(tau_m)^T."""
+    tau = np.arange(1, _n_steps(t_end - t0, h) + 1) * h
+    A = _rotation(params, tau)
+    means, covs = (A[:, None] @ M[..., None])[..., 0], _cov_map(P, A, 0.0)
+    return PhaseSegment("fourier", fourier_projections(params), t0 + tau, means, covs)
 
 
 def train_fourier(
@@ -174,18 +179,16 @@ def predict_forward(
 ) -> list[tuple[float, GaussianBelief]]:
     """Pure Fourier prediction from t_p to t_end; no vector-field evaluations.
 
-    Returns the round((t_end - t_p)/h) beliefs at t_p + h, ..., t_end: the
-    belief at t_p rotated by the distance from t_p. The dynamics have zero
-    diffusion, so covariance eigenvalues are invariant along the segment.
+    Returns the beliefs at t_p + h, ..., t_end, one per whole step of h:
+    the belief at t_p rotated by the distance from t_p. The dynamics have
+    zero diffusion, so covariance eigenvalues are invariant along the segment.
     """
     if belief.dim != params.dim:
         raise ContractViolation(f"belief dimension {belief.dim} != Fourier dimension {params.dim}")
-    if t_end <= t_p:
-        raise ContractViolation(f"t_end={t_end} must exceed t_p={t_p}")
-    n = _n_steps(t_end - t_p, h)
-    means, covs = _extrapolate(belief.mean[None], belief.cov, params, h, n)
-    times = t_p + np.arange(1, n + 1) * h
-    return list(zip(times.tolist(), map(GaussianBelief, means[:, 0], covs)))
+    if not (_is_finite(t_p) and _is_finite(t_end)):
+        raise ContractViolation(f"t_p={t_p} and t_end={t_end} must be finite numbers")
+    seg = _extrapolate(belief.mean[None], belief.cov, params, h, t_p, t_end)
+    return list(zip(seg.t.tolist(), map(GaussianBelief, seg.means[:, 0], seg.covs)))
 
 
 def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
@@ -200,13 +203,11 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
         raise ContractViolation(
             f"prediction time T_p={config.T_p} must lie strictly inside (0, T={ivp.T})"
         )
-    n = _n_steps(ivp.T - config.T_p, config.h)
+    _n_steps(ivp.T - config.T_p, config.h)  # a bad grid fails before the Taylor solve
     taylor_traj = solve(
         taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p
     )
     prior = fourier_init(config.fourier)
     M, P = _train(prior, taylor_traj, config.fourier, config.train_policy, config.train_noise)
-    times = config.T_p + np.arange(1, n + 1) * config.h
-    means, covs = _extrapolate(M, P, config.fourier, config.h, n)
-    tail = PhaseSegment("fourier", fourier_projections(config.fourier), times, means, covs)
+    tail = _extrapolate(M, P, config.fourier, config.h, config.T_p, ivp.T)
     return Trajectory(taylor_traj.segments + (tail,), h=config.h, problem=ivp.name)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolation, DivergedSolveError, _finite_positive
+from .errors import ContractViolation, DivergedSolveError, _finite_positive, _is_finite
 from .filtering import ProjectionPair
 from .solver import IVProblem, PhaseSegment, Trajectory, _field_at, _n_steps
 
@@ -31,7 +31,7 @@ def _cube(v: float) -> float:
 
 def vdp(mu: float = 5.0) -> IVProblem:
     """Van der Pol oscillator in Lienard form, d(x1)/dt = mu(x1 - x1^3/3 - x2)."""
-    if not math.isfinite(mu) or mu == 0:
+    if not _is_finite(mu) or mu == 0:
         raise ContractViolation(f"vdp requires a finite mu != 0, got {mu}")
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
@@ -53,7 +53,7 @@ def fhn(
     The recovery equation is (x1 + a - x2)/tau, which leaves b unused;
     ``standard=True`` switches to the textbook (x1 + a - b*x2)/tau form.
     """
-    if not all(map(math.isfinite, (I, a, b, tau))) or tau == 0:
+    if not all(map(_is_finite, (I, a, b, tau))) or tau == 0:
         raise ContractViolation(f"fhn requires finite I, a, b and tau != 0, got {(I, a, b, tau)}")
     b_eff = b if standard else 1.0
 
@@ -110,7 +110,7 @@ def by_name(name: str, T: float | None = None, **params) -> IVProblem:
         raise ContractViolation(f"problem {name!r} does not accept {sorted(unknown)}")
     ivp = factory(**params)
     if T is not None:
-        ivp = replace(ivp, T=float(T))
+        ivp = replace(ivp, T=T)
     return ivp
 
 
@@ -131,12 +131,8 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     raises ContractViolation there.
     """
     _finite_positive(h_ref, "h_ref")
-    if h_out is None:
-        h_out = h_ref
-    substeps = h_out / h_ref
-    substeps_round = round(substeps) if math.isfinite(substeps) else 0
-    if substeps_round < 1 or abs(substeps - substeps_round) > 1e-9 * max(1.0, substeps):
-        raise ContractViolation(f"h_out={h_out} must be an integer multiple of h_ref={h_ref}")
+    h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
+    substeps = _n_steps(h_out, h_ref)
     n_out = _n_steps(ivp.T, h_out)
 
     f = ivp.field
@@ -151,8 +147,8 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     half = 0.5 * h_ref
     sixth = h_ref / 6.0
     for k in range(1, n_out + 1):
-        base = (k - 1) * substeps_round
-        for s in range(substeps_round):
+        base = (k - 1) * substeps
+        for s in range(substeps):
             t = (base + s) * h_ref
             k1 = _as_floats(f(np.array(x), t))
             k2 = _as_floats(f(np.array([a + half * b for a, b in zip(x, k1)]), t + half))

@@ -41,7 +41,7 @@ from .filtering import (
 from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
 from .taylor import TaylorParams, _taylor_init, ibm_transition, taylor_projections
 
-# Tolerance for "t_end/h is an integer" grid checks.
+# Tolerance of the grid checks: step counts (relative), record spacing and horizon (absolute).
 GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
@@ -105,7 +105,7 @@ class IVProblem:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
         if not np.isfinite(self.x0).all():
             raise ContractViolation(f"initial value x0 must be finite, got {self.x0}")
-        _finite_positive(self.T, "time horizon T")
+        object.__setattr__(self, "T", _finite_positive(self.T, "time horizon T"))
 
     @property
     def dim(self) -> int:
@@ -166,7 +166,7 @@ class Trajectory:
         if len({s.means.shape[1] for s in self.segments}) != 1:
             raise ContractViolation("segments must share one coordinate count")
         ts = self.times()
-        if len(ts) > 1 and not np.all(np.abs(np.diff(ts) - self.h) <= 1e-9):
+        if len(ts) > 1 and not np.all(np.abs(np.diff(ts) - self.h) <= GRID_TOL):
             raise ContractViolation("record times must increase uniformly by h")
 
     def __len__(self) -> int:
@@ -202,11 +202,12 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
     return z
 
 
-def _n_steps(t_end: float, h: float) -> int:
-    n = t_end / _finite_positive(h, "step size h")
+def _n_steps(span: float, h: float) -> int:
+    """The number of steps of h in span: a whole number >= 1, to GRID_TOL relative."""
+    n = span / _finite_positive(h, "step size h")
     n_round = round(n) if np.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > GRID_TOL * max(1.0, abs(n)):
-        raise ContractViolation(f"t_end/h = {n!r} is not an integer number of steps")
+        raise ContractViolation(f"{span:g}/{h:g} = {n!r} is not an integer number of steps")
     return n_round
 
 
@@ -238,7 +239,7 @@ def solve(
     with the step and t, unless every innovation vanishes.
     """
     _finite_nonnegative(R, "measurement noise R")
-    t_end = ivp.T if t_end is None else t_end
+    t_end = ivp.T if t_end is None else _finite_positive(t_end, "t_end")
     if t_end > ivp.T + GRID_TOL:
         raise ContractViolation(f"t_end={t_end} exceeds problem horizon T={ivp.T}")
     n = _n_steps(t_end, h)

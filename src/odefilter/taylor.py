@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, _finite_positive, _integer_at_least
+from .errors import ContractViolation, _finite_positive, _integer_at_least, _is_finite
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
 
 # Diagonal jitter on the (otherwise deterministic) initial covariance; keeps
@@ -87,5 +87,7 @@ def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
     The one row of ``_taylor_init``, the batched init a Taylor solve uses;
     the covariance is INIT_JITTER * I rather than exactly zero.
     """
+    if not (_is_finite(x0) and _is_finite(dx0)):
+        raise ContractViolation(f"x0={x0} and dx0={dx0} must be finite numbers")
     M, P = _taylor_init([x0], [dx0], _integer_at_least(q, 1, "q"))
     return GaussianBelief(M[0], P)

@@ -1,5 +1,6 @@
-"""The package imports nothing beyond numpy and the standard library, and the
-covariance arithmetic stays behind ``filtering``'s covariance map."""
+"""The package imports nothing beyond numpy and the standard library, the
+covariance arithmetic stays behind ``filtering``'s covariance map, and step
+counts are rounded in one place."""
 
 import ast
 import pathlib
@@ -41,3 +42,14 @@ def test_solver_builds_no_covariance_map_of_its_own():
     names = set(imported_names(PACKAGE / "solver.py", "filtering"))
     assert {"_cov_map", "_gain_map"} <= names
     assert not names & {"_identity", "_symmetrize"}
+
+
+def test_only_the_solver_rounds_step_counts():
+    # the whole-number-of-steps rule lives in solver._n_steps; docstrings do not count
+    rounding = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"
+    }
+    assert rounding == {"solver.py"}

@@ -110,6 +110,8 @@ FINITE_PARAMETERS = {
     "HybridConfig.R": lambda v: HybridConfig(TAYLOR, FOURIER, T_p=0.5, h=0.1, R=v),
     "IVProblem.T": lambda v: IVProblem(lambda x, t: -x, np.ones(1), v, "p"),
     "IVProblem.x0": lambda v: IVProblem(lambda x, t: -x, np.array([v]), 1.0, "p"),
+    "taylor_init.x0": lambda v: taylor_init(v, 0.0, 2),
+    "taylor_init.dx0": lambda v: taylor_init(1.0, v, 2),
     "MeasurementModel.R": lambda v: MeasurementModel(np.ones(2), v),
     "solve.h": lambda v: solve(SSM, LINEAR, v, 0.0),
     "solve.R": lambda v: solve(SSM, LINEAR, 0.1, v),
@@ -150,3 +152,16 @@ def test_integer_parameters_reject_only_with_contract_violations(name, value):
 def test_finite_parameters_reject_only_with_contract_violations(name, value):
     with pytest.raises(ContractViolation):
         FINITE_PARAMETERS[name](value)
+
+
+# A scalar parameter is a real number, numpy scalars included, and nothing
+# else. Out of scope: the array-valued rows (x0, c) go through numpy's
+# conversion, which reads the string "0.5" as the number 0.5.
+SCALAR_PARAMETERS = sorted(set(FINITE_PARAMETERS) - {"IVProblem.x0", "linear.x0", "constant.c"})
+
+
+@pytest.mark.parametrize("name", SCALAR_PARAMETERS)
+def test_a_non_number_scalar_parameter_is_a_contract_violation(name):
+    FINITE_PARAMETERS[name](np.float64(0.5))  # 0.5 is a valid value for every row
+    with pytest.raises(ContractViolation):
+        FINITE_PARAMETERS[name]("0.5")

@@ -133,6 +133,22 @@ def test_rk4_grid_validation():
         rk4_reference(ivp, 0.02, h_out=0.01)  # h_out below h_ref
 
 
+@pytest.mark.parametrize("off,accepted", [(5e-10, True), (5e-9, False)])
+def test_rk4_reference_and_solve_share_one_grid_tolerance(off, accepted):
+    # a step ratio off by `off` relative: t_end/h in solve, h_out/h_ref in the reference
+    ivp = linear(T=1.0)
+    runs = [
+        lambda: solve(taylor_state_space(TaylorParams(1, 1.0)), ivp, 0.1 * (1 + off), 0.0),
+        lambda: rk4_reference(ivp, 0.01 * (1 + off), h_out=0.1),
+    ]
+    for run in runs:
+        if accepted:
+            run()
+        else:
+            with pytest.raises(ContractViolation, match="not an integer number of steps"):
+                run()
+
+
 def same_bits(a, b) -> bool:
     """Equal float64 arrays bit for bit, sign of zero included; NaN matches NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
