@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args, parser) -> int:
+def _cmd_solve(args) -> int:
     ivp = _build_problem(args)
     train_policy = TrainPolicy(args.train_policy, args.train_stride)
     train_noise = TrainNoise(args.train_noise, args.train_jitter)
@@ -323,13 +323,10 @@ def _cmd_solve(args, parser) -> int:
     if args.method == "taylor":
         traj = solve(taylor_state_space(taylor), ivp, args.h, args.R)
     else:
-        t_p = args.Tp if args.Tp is not None else 0.75 * ivp.T
-        if not 0 < t_p < ivp.T:
-            parser.error(f"--Tp must lie strictly inside (0, T={ivp.T:g}), got {t_p:g}")
         config = HybridConfig(
             taylor=taylor,
             fourier=FourierParams(args.J, args.w0, args.l, args.sigma2_fourier),
-            T_p=t_p,
+            T_p=args.Tp if args.Tp is not None else 0.75 * ivp.T,
             h=args.h,
             R=args.R,
             train_policy=train_policy,
@@ -373,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            return _cmd_solve(args, parser)
+            return _cmd_solve(args)
         if args.command == "plot":
             return _cmd_plot(args)
         return _cmd_converge(args, parser)

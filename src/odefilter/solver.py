@@ -17,10 +17,17 @@ which under the Taylor prior takes a few dozen steps; ``_affine_scan``
 fills the rest with powers of the frozen map, the two composed. Then one
 mean loop, the only code that calls the field, runs
 ``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step.
+
+The mean loop makes no array temporaries per step: it predicts straight
+into its row of the output means and updates it there, through views and
+scratch buffers made once per solve. It makes the same kernel calls in the
+same order as a loop that allocates every intermediate, so its output is
+the same bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable
@@ -70,11 +77,14 @@ class StateSpaceModel:
 
 def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
     # The init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
-    # evaluation before the filter loop.
+    # evaluation before the filter loop. The field gets a copy of x0, as it
+    # gets a fresh array at every step.
     return StateSpaceModel(
         transition_builder=lambda h: ibm_transition(h, params),
         projections=taylor_projections(params.q),
-        init=lambda ivp: _taylor_init(ivp.x0, _field_at(ivp.field, ivp.x0, 0.0), params.q),
+        init=lambda ivp: _taylor_init(
+            ivp.x0, _field_at(ivp.field, ivp.x0.copy(), 0.0), params.q
+        ),
         label="taylor",
     )
 
@@ -102,7 +112,11 @@ class IVProblem:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
+        x0 = np.asarray(self.x0)
+        # bool, int or float: a float conversion would read the string "0.5" as a number
+        if x0.dtype.kind not in "biuf":
+            raise ContractViolation(f"initial value x0 must hold real numbers, got {self.x0!r}")
+        object.__setattr__(self, "x0", np.asarray(x0, dtype=float).reshape(-1))
         if not np.isfinite(self.x0).all():
             raise ContractViolation(f"initial value x0 must be finite, got {self.x0}")
         object.__setattr__(self, "T", _finite_positive(self.T, "time horizon T"))
@@ -197,7 +211,7 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
         raise ContractViolation(
             f"vector field returned {z.size} components for a {m.size}-dimensional state"
         )
-    if not np.isfinite(z).all():
+    if not all(map(math.isfinite, z.tolist())):
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     return z
 
@@ -261,17 +275,23 @@ def solve(
 
     means = np.empty((n + 1, ivp.dim, D))
     means[0] = M
+    # The field gets inputs[k - 1], a row of its own, so it may keep or
+    # overwrite its input without touching the means or a later input.
+    columns, rows = means[..., None], means[..., None, :]
+    projected = np.empty((n, ivp.dim, 1))
+    inputs, hm, step = projected[..., 0], np.empty((ivp.dim, 1)), np.empty((ivp.dim, D))
     # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
     Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
     for k, K in enumerate(Ks, 1):
         t = k * h
-        M = (A @ M[..., None])[..., 0]  # the mean half of _predict
-        z = _field_at(ivp.field, _dot(M, H0), t)
+        np.matmul(A, columns[k - 1], columns[k])  # the mean half of _predict
+        M, row = means[k], rows[k]
+        np.matmul(row, H0, projected[k - 1])  # _dot(M, H0), into the field's input
+        z = _field_at(ivp.field, inputs[k - 1], t)
         if K is None:  # covs[k] is then the predicted covariance, so this is its S
             _passthrough(M, H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
         else:
-            M = _gain_update(M, H, z, K)
-        means[k] = M
+            _gain_update(M, H, z, K, out=M, rows=row, hm=hm, step=step)
 
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
     return Trajectory((segment,), h=h, problem=ivp.name)

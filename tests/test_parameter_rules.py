@@ -154,14 +154,21 @@ def test_finite_parameters_reject_only_with_contract_violations(name, value):
         FINITE_PARAMETERS[name](value)
 
 
-# A scalar parameter is a real number, numpy scalars included, and nothing
-# else. Out of scope: the array-valued rows (x0, c) go through numpy's
-# conversion, which reads the string "0.5" as the number 0.5.
-SCALAR_PARAMETERS = sorted(set(FINITE_PARAMETERS) - {"IVProblem.x0", "linear.x0", "constant.c"})
-
-
-@pytest.mark.parametrize("name", SCALAR_PARAMETERS)
+# A parameter is a real number, numpy scalars included, and nothing else;
+# so is every entry of the array-valued rows (x0, c), which numpy alone
+# would read from the string "0.5".
+@pytest.mark.parametrize("name", sorted(FINITE_PARAMETERS))
 def test_a_non_number_scalar_parameter_is_a_contract_violation(name):
     FINITE_PARAMETERS[name](np.float64(0.5))  # 0.5 is a valid value for every row
     with pytest.raises(ContractViolation):
         FINITE_PARAMETERS[name]("0.5")
+
+
+def test_an_initial_value_must_hold_numbers_bools_included():
+    field = lambda x, t: -x  # noqa: E731
+    with pytest.raises(ContractViolation, match="real numbers"):
+        IVProblem(field, ["1", "2"], 1.0, "p")
+    with pytest.raises(ContractViolation, match="real numbers"):
+        IVProblem(field, np.array([1.0 + 0j]), 1.0, "p")
+    assert np.array_equal(IVProblem(field, [True, 2], 1.0, "p").x0, [1.0, 2.0])
+    assert IVProblem(field, np.arange(2, dtype=np.uint8), 1.0, "p").x0.dtype == float

@@ -150,6 +150,60 @@ def test_diverged_solve_carries_time():
     assert exc.value.t == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("d", [1, 2, 32])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_field_component_diverges_at_its_step(d, where, bad):
+    def field(x, t):
+        z = -x
+        if t > 0.5:
+            z[where] = bad
+        return z
+
+    with pytest.raises(DivergedSolveError) as exc:
+        solve(TAYLOR_Q1, IVProblem(field, np.ones(d), 1.0, "late"), 0.25, 0.0)
+    assert exc.value.t == 0.75
+
+
+@pytest.mark.parametrize("d", [1, 2, 32])
+def test_huge_finite_field_outputs_of_any_form_pass(d):
+    huge = np.where(np.arange(d) % 2, -1.7e308, 1.7e308)
+    forms = {"array": lambda z: z, "list": list, "column": lambda z: z.reshape(d, 1)}
+    means = {}
+    for name, form in forms.items():
+        ivp = IVProblem(lambda x, t: form(huge.copy()), np.ones(d), 1.0, "huge")
+        means[name] = solve(TAYLOR_Q1, ivp, 0.25, 0.0).segments[0].means
+    assert np.isfinite(means["array"]).all()
+    assert np.array_equal(means["list"], means["array"])
+    assert np.array_equal(means["column"], means["array"])
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_a_field_may_keep_and_overwrite_its_inputs(q):
+    ssm, ivp = taylor_state_space(TaylorParams(q, 1.0)), coupled_linear(T=1.0)
+    pure = solve(ssm, ivp, 0.01, 0.0).segments[0].means
+    kept, called_with = [], []
+
+    def keeping(x, t):
+        kept.append(x)
+        called_with.append(x.copy())
+        return ivp.field(x.copy(), t)
+
+    def overwriting(x, t):
+        z = ivp.field(x.copy(), t)
+        x[:] = np.nan
+        return z
+
+    for field in (keeping, overwriting):
+        (seg,) = solve(ssm, replace(ivp, field=field), 0.01, 0.0).segments
+        assert np.array_equal(seg.means, pure)
+    # every kept input still holds the state it was called with: no buffer
+    # the solve hands the field is written again or handed out twice
+    assert len(kept) == len(pure)
+    assert all(np.array_equal(x, c) for x, c in zip(kept, called_with))
+    assert len({x.__array_interface__["data"][0] for x in kept}) == len(kept)
+
+
 def test_singular_update_carries_step_index():
     # J=0 Fourier state has a zero derivative row: with R=0 any nonzero
     # field value makes the update singular
