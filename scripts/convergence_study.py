@@ -17,8 +17,7 @@ def main() -> None:
     args = parser.parse_args()
 
     for problem, q, hs, T in STUDIES:
-        horizon = T if T is not None else "default"
-        print(f"== {problem} (q={q}, T={horizon}) ==")
+        print(f"== {problem} (q={q}, T={T or 'default'}) ==")
         table, _, _ = run_converge(problem, q, hs, T, args.sigma2)
         print(table)
         print()

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the two benchmark oscillators with the default hybrid configuration.
 
-Writes <problem>_hybrid.csv and <problem>_hybrid.svg (filter mean plus RK4
-reference overlay) into --outdir and prints a short summary per run.
+For each, runs ``odefilter solve --method hybrid --reference`` and
+``odefilter plot``, which write <problem>_hybrid.csv and <problem>_hybrid.svg
+(filter mean plus RK4 reference overlay) into --outdir, and prints a short
+summary read back from the CSV.
 """
 
 import argparse
@@ -11,51 +13,37 @@ from pathlib import Path
 
 import numpy as np
 
-from odefilter import FourierParams, HybridConfig, TaylorParams, hybrid_solve, problems
-from odefilter.cli import parse_trajectory_csv, render_svg, trajectory_csv
+from odefilter import cli, problems
 
 
-def run(problem: str, outdir: Path, h: float, t_p_fraction: float) -> None:
-    ivp = problems.by_name(problem)
-    t_p = t_p_fraction * ivp.T
-    config = HybridConfig(
-        taylor=TaylorParams(1, 1.0),
-        fourier=FourierParams(3, 1.0, 3.0, 1.0),
-        T_p=t_p,
-        h=h,
-        R=0.0,
-    )
+def run(problem: str, outdir: Path, h: float | None, t_p_fraction: float | None) -> None:
+    """Solve and plot one problem; ``None`` leaves h or T_p at the CLI's default."""
+    csv_path = outdir / f"{problem}_hybrid.csv"
+    flags = ["--problem", problem, "--method", "hybrid", "--reference", "-o", str(csv_path)]
+    if h is not None:
+        flags += ["--h", repr(h)]
+    if t_p_fraction is not None:
+        flags += ["--Tp", repr(t_p_fraction * problems.by_name(problem).T)]
 
     start = time.perf_counter()
-    traj = hybrid_solve(config, ivp)
-    solve_s = time.perf_counter() - start
+    for argv in (["solve", *flags], ["plot", str(csv_path)]):  # plot writes <problem>_hybrid.svg
+        if code := cli.main(argv):
+            raise SystemExit(code)
+    elapsed = time.perf_counter() - start
 
-    reference = problems.rk4_reference(ivp, h / 10.0, h_out=h)
-    csv_text = trajectory_csv(traj, reference)
-
-    csv_path = outdir / f"{problem}_hybrid.csv"
-    csv_path.write_text(csv_text)
-    svg_path = outdir / f"{problem}_hybrid.svg"
-    svg_path.write_text(render_svg(parse_trajectory_csv(csv_text)))
-
-    values = traj.value_means()
-    ref_values = reference.value_means()
-    taylor_mask = np.array([p == "taylor" for p in traj.phases()])
-    rmse_taylor = np.sqrt(np.mean((values[taylor_mask] - ref_values[taylor_mask]) ** 2, axis=0))
-    rmse_fourier = np.sqrt(
-        np.mean((values[~taylor_mask] - ref_values[~taylor_mask]) ** 2, axis=0)
-    )
-    print(f"{problem}: {len(traj)} records, T_p={t_p:g}, solve {solve_s:.2f}s")
-    print(f"  filtering RMSE vs RK4 per coordinate:     {rmse_taylor}")
-    print(f"  extrapolation RMSE vs RK4 per coordinate: {rmse_fourier}")
-    print(f"  wrote {csv_path} and {svg_path}")
+    data = cli.parse_trajectory_csv(csv_path.read_text())
+    taylor = np.array([phase == "taylor" for phase in data.phases])
+    rmse = [np.sqrt(np.mean((data.means - data.refs)[m] ** 2, axis=0)) for m in (taylor, ~taylor)]
+    print(f"{problem}: {len(data.t)} records, T_p={data.t[taylor][-1]:g}, all in {elapsed:.2f}s")
+    print(f"  filtering RMSE vs RK4 per coordinate:     {rmse[0]}")
+    print(f"  extrapolation RMSE vs RK4 per coordinate: {rmse[1]}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--h", type=float, default=0.01)
-    parser.add_argument("--tp-fraction", type=float, default=0.75)
+    parser.add_argument("--h", type=float, help="step size (default: solve's)")
+    parser.add_argument("--tp-fraction", type=float, help="T_p / T (default: solve's)")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

@@ -26,7 +26,7 @@ from . import problems
 from .errors import ContractViolation, CsvFormatError, DivergedSolveError, SingularUpdateError
 from .fourier import FourierParams
 from .hybrid import NOISE_KINDS, POLICY_KINDS, HybridConfig, TrainNoise, TrainPolicy, hybrid_solve
-from .solver import Trajectory, solve, taylor_state_space
+from .solver import GRID_TOL, Trajectory, solve, taylor_state_space
 from .taylor import TaylorParams
 
 EXACT_ORDER_THRESHOLD = 1e-10
@@ -49,9 +49,13 @@ def _csv_header(d: int, reference: bool) -> list[str]:
 
 
 def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
-    """Render a trajectory (plus optional reference values) as CSV text."""
+    """Render a trajectory (plus optional reference values) as CSV text.
+
+    The reference must have the trajectory's coordinates and its times, to GRID_TOL.
+    """
     header = _csv_header(traj.dim, reference is not None)
-    columns = [traj.times()[:, None], traj.value_means(), traj.value_stds()]
+    t = traj.times()
+    columns = [t[:, None], traj.value_means(), traj.value_stds()]
     if reference is not None:
         ref_values = reference.value_means()
         if ref_values.shape != columns[1].shape:
@@ -59,6 +63,11 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
                 f"reference values of shape {ref_values.shape} do not match "
                 f"trajectory values of shape {columns[1].shape}"
             )
+        ref_t = reference.times()
+        off_grid = np.flatnonzero(~(np.abs(ref_t - t) <= GRID_TOL))
+        if off_grid.size:
+            k = off_grid[0]
+            raise ContractViolation(f"reference time {ref_t[k]:.17g} differs from t={t[k]:.17g}")
         columns.append(ref_values)
 
     rows = np.hstack(columns).tolist()
@@ -230,8 +239,11 @@ def run_converge(
     """Step-size study of the Taylor filter against the RK4 reference.
 
     Returns the printed table, the per-h max errors, and the fitted order
-    (least-squares slope in log-log, or "exact" when errors vanish).
+    (least-squares slope in log-log, or "exact" when errors vanish). The
+    slope needs at least 3 step sizes, strictly decreasing.
     """
+    if len(hs) < 3 or not all(a > b for a, b in zip(hs, hs[1:])):
+        raise ContractViolation(f"need 3 or more strictly decreasing step sizes, got {hs}")
     ivp = problems.by_name(problem, T=T)
     params = TaylorParams(q, sigma2)
     errors = []
@@ -264,10 +276,10 @@ def _add_solve_args(p: argparse.ArgumentParser):
     p.add_argument("--l", type=float, default=3.0, help="periodic-kernel lengthscale (default 3)")
     p.add_argument("--sigma2-fourier", type=float, default=1.0)
     p.add_argument("--R", type=float, default=0.0, help="measurement noise (default 0)")
-    p.add_argument("--train-policy", choices=POLICY_KINDS, default="values_all")
-    p.add_argument("--train-stride", type=int, default=1)
-    p.add_argument("--train-noise", choices=NOISE_KINDS, default="fixed_jitter")
-    p.add_argument("--train-jitter", type=float, default=1e-10)
+    p.add_argument("--train-policy", choices=POLICY_KINDS, default=TrainPolicy.kind)
+    p.add_argument("--train-stride", type=int, default=TrainPolicy.stride)
+    p.add_argument("--train-noise", choices=NOISE_KINDS, default=TrainNoise.kind)
+    p.add_argument("--train-jitter", type=float, default=TrainNoise.jitter)
     p.add_argument("--mu", type=float, default=None, help="vdp parameter")
     p.add_argument("--fhn-I", type=float, default=None)
     p.add_argument("--fhn-a", type=float, default=None)
@@ -317,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     ivp = _build_problem(args)
-    train_policy = TrainPolicy(args.train_policy, args.train_stride)
-    train_noise = TrainNoise(args.train_noise, args.train_jitter)
     taylor = TaylorParams(args.q, args.sigma2_taylor)
     if args.method == "taylor":
         traj = solve(taylor_state_space(taylor), ivp, args.h, args.R)
@@ -329,8 +339,8 @@ def _cmd_solve(args) -> int:
             T_p=args.Tp if args.Tp is not None else 0.75 * ivp.T,
             h=args.h,
             R=args.R,
-            train_policy=train_policy,
-            train_noise=train_noise,
+            train_policy=TrainPolicy(args.train_policy, args.train_stride),
+            train_noise=TrainNoise(args.train_noise, args.train_jitter),
         )
         traj = hybrid_solve(config, ivp)
     reference = None
@@ -354,13 +364,8 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_converge(args, parser) -> int:
-    hs = args.h
-    if len(hs) < 3:
-        parser.error("--h needs at least 3 step sizes")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        parser.error("--h step sizes must be strictly decreasing")
-    table, _, _ = run_converge(args.problem, args.q, hs, args.T, args.sigma2_taylor)
+def _cmd_converge(args) -> int:
+    table, _, _ = run_converge(args.problem, args.q, args.h, args.T, args.sigma2_taylor)
     print(table)
     return 0
 
@@ -373,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_solve(args)
         if args.command == "plot":
             return _cmd_plot(args)
-        return _cmd_converge(args, parser)
+        return _cmd_converge(args)
     except (ContractViolation, CsvFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

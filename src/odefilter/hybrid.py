@@ -58,7 +58,8 @@ class TrainNoise:
 
     fixed_jitter: constant variance ``jitter`` (default 1e-10).
     taylor_variance: the Taylor posterior variance of the observed quantity,
-    propagating solver uncertainty into the training.
+    propagating solver uncertainty into the training; ``jitter`` is unused
+    and unchecked.
     """
 
     kind: str = "fixed_jitter"
@@ -67,7 +68,8 @@ class TrainNoise:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown train noise {self.kind!r}")
-        _finite_positive(self.jitter, "jitter")
+        if self.kind == "fixed_jitter":
+            _finite_positive(self.jitter, "jitter")
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,11 @@ def train_fourier(
     derivative row). The result is the ``coordinate`` row of the one
     least-squares solve that ``hybrid_solve`` makes for all coordinates.
     """
-    if not 0 <= coordinate < taylor_traj.dim:
+    coordinate = _integer_at_least(coordinate, 0, "coordinate")
+    if coordinate >= taylor_traj.dim:
         raise ContractViolation(
             f"coordinate {coordinate} outside the trajectory's {taylor_traj.dim} coordinates"
         )
-    coordinate = _integer_at_least(coordinate, 0, "coordinate")
     M, P = _train(prior, taylor_traj, params, policy or TrainPolicy(), noise or TrainNoise())
     return GaussianBelief(M[coordinate], P)
 
@@ -210,4 +212,4 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
     prior = fourier_init(config.fourier)
     M, P = _train(prior, taylor_traj, config.fourier, config.train_policy, config.train_noise)
     tail = _extrapolate(M, P, config.fourier, config.h, config.T_p, ivp.T)
-    return Trajectory(taylor_traj.segments + (tail,), h=config.h, problem=ivp.name)
+    return Trajectory(taylor_traj.segments + (tail,))

@@ -172,4 +172,4 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
         means,
         np.zeros((n_out + 1, 2, 2)),
     )
-    return Trajectory((segment,), h=h_out, problem=ivp.name)
+    return Trajectory((segment,))

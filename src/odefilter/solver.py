@@ -165,23 +165,21 @@ class PhaseSegment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered solver output on a uniform grid of step h.
+    """Time-ordered solver output on a uniform grid.
 
     The grid points are stored as a sequence of phase segments; the
     accessors below concatenate them.
     """
 
     segments: tuple[PhaseSegment, ...]
-    h: float
-    problem: str
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         if len({s.means.shape[1] for s in self.segments}) != 1:
             raise ContractViolation("segments must share one coordinate count")
-        ts = self.times()
-        if len(ts) > 1 and not np.all(np.abs(np.diff(ts) - self.h) <= GRID_TOL):
-            raise ContractViolation("record times must increase uniformly by h")
+        steps = np.diff(self.times())
+        if len(steps) and not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= GRID_TOL)):
+            raise ContractViolation("record times must increase by one uniform step")
 
     def __len__(self) -> int:
         return sum(len(s.t) for s in self.segments)
@@ -294,7 +292,7 @@ def solve(
             _gain_update(M, H, z, K, out=M, rows=row, hm=hm, step=step)
 
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
-    return Trajectory((segment,), h=h, problem=ivp.name)
+    return Trajectory((segment,))
 
 
 def _covariance_schedule(P0, A, Q, H, R, n):

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ContractViolation, _finite_positive, _integer_at_least, _is_finite
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
 
-# Diagonal jitter on the (otherwise deterministic) initial covariance; keeps
-# the matrix nonsingular for downstream factorizations.
+# Prior variance of each slot the init pins: x(0), x'(0) and the higher
+# derivatives it sets to zero. No Taylor covariance is ever factorized.
 INIT_JITTER = 1e-12
 
 

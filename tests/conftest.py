@@ -113,7 +113,7 @@ def synthetic_taylor_trajectory(fun, dfun, h: float, n: int, var: float = 0.0) -
     covs = np.repeat(var * np.eye(2)[None], n + 1, axis=0)
     projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     segment = PhaseSegment("taylor", projections, np.array(ts), means, covs)
-    return Trajectory((segment,), h, "synthetic")
+    return Trajectory((segment,))
 
 
 def numpy_rk4_means(f, x0, h_ref: float, h_out: float, n_out: int) -> np.ndarray:

@@ -247,6 +247,15 @@ def test_run_converge_rejects_a_fractional_q():
         run_converge("linear", 1.5, [0.1, 0.05, 0.025], None, 1.0)
 
 
+@pytest.mark.parametrize(
+    "hs", [[0.1], [0.1, 0.05], [0.025, 0.05, 0.1], [0.1, 0.1, 0.05], [0.1, math.nan, 0.05]]
+)
+def test_run_converge_needs_three_strictly_decreasing_step_sizes(hs):
+    # one point has no slope to fit, and the CLI's usage rule is the library's
+    with pytest.raises(ContractViolation, match="step sizes"):
+        run_converge("linear", 1, hs, None, 1.0)
+
+
 def test_usage_errors_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", "lorenz", "--method", "taylor"])
@@ -257,13 +266,12 @@ def test_usage_errors_exit_nonzero(capsys):
     assert main(["solve", "--problem", "vdp", "--method", "hybrid", "--Tp", "80"]) == 2
     assert "T_p" in capsys.readouterr().err
 
-    with pytest.raises(SystemExit) as exc:
-        main(["converge", "--problem", "linear", "--h", "0.1", "0.05"])
-    assert exc.value.code == 2
+    # run_converge owns the step-size rule
+    assert main(["converge", "--problem", "linear", "--h", "0.1", "0.05"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
-    with pytest.raises(SystemExit) as exc:
-        main(["converge", "--problem", "linear", "--h", "0.025", "0.05", "0.1"])
-    assert exc.value.code == 2
+    assert main(["converge", "--problem", "linear", "--h", "0.025", "0.05", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invalid_grid_exit_code(tmp_path):
@@ -287,6 +295,20 @@ def test_zero_train_jitter_exit_code(tmp_path):
     assert code == 2
     assert err.startswith("error:") and "jitter" in err
     assert not out.exists()
+
+
+def test_taylor_solve_ignores_every_hybrid_only_flag(tmp_path):
+    # flags a Taylor solve never reads are not checked, whatever their values
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    base = ["solve", "--problem", "linear", "--method", "taylor", "--h", "0.1", "-o"]
+    assert run(*base, str(plain))[0] == 0
+    hybrid_only = [
+        "--J", "-1", "--w0", "nan", "--l", "0", "--sigma2-fourier", "-1", "--Tp", "5",
+        "--train-policy", "values_stride", "--train-stride", "0",
+        "--train-noise", "fixed_jitter", "--train-jitter", "0",
+    ]
+    assert run(*base, str(flagged), *hybrid_only)[0] == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -415,6 +437,15 @@ def test_csv_rejects_a_reference_of_another_shape(ref_problem, ref_T):
         trajectory_csv(traj, reference)
 
 
+def test_csv_rejects_a_reference_on_another_grid():
+    # same record count, other times: each row would pair t=0.1k with ref(0.2k)
+    traj = solve(taylor_state_space(TaylorParams(1, 1.0)), by_name("linear", T=1.0), 0.1, 0.0)
+    reference = rk4_reference(by_name("linear", T=2.0), 0.02, h_out=0.2)
+    assert reference.value_means().shape == traj.value_means().shape
+    with pytest.raises(ContractViolation, match=r"reference time 0\.2\d* differs from t=0\.1"):
+        trajectory_csv(traj, reference)
+
+
 def test_csv_formats_non_finite_stds_and_negative_zeros():
     # value_means sums from +0.0, so a -0.0 cell reaches the CSV through t alone
     nan, inf = math.nan, math.inf
@@ -424,11 +455,11 @@ def test_csv_formats_non_finite_stds_and_negative_zeros():
     covs[:, 0, 0] = [nan, inf, -1.0, 0.25]  # stds nan, inf, 0 (clamped) and 0.5
     first = PhaseSegment("taylor", projections, np.array([-0.0, 0.5]), means[:2], covs[:2])
     second = PhaseSegment("fourier", projections, np.array([1.0, 1.5]), means[2:], covs[2:])
-    traj = Trajectory((first, second), h=0.5, problem="cells")
+    traj = Trajectory((first, second))
     ref_means = np.array([[[-2.0, 0.0]], [[2.5e-8, 0.0]], [[-7.0, 0.0]], [[0.1, 0.0]]])
     zeros = np.zeros((4, 2, 2))
     ref_segment = PhaseSegment("reference", projections, np.arange(4) * 0.5, ref_means, zeros)
-    reference = Trajectory((ref_segment,), h=0.5, problem="cells")
+    reference = Trajectory((ref_segment,))
     text = trajectory_csv(traj, reference)
     assert text == format_trajectory_csv(traj, reference)
     assert text.split("\n")[1:3] == [

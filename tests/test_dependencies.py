@@ -1,12 +1,14 @@
 """The package imports nothing beyond numpy and the standard library, the
-covariance arithmetic stays behind ``filtering``'s covariance map, and step
-counts are rounded in one place."""
+covariance arithmetic stays behind ``filtering``'s covariance map, step
+counts are rounded in one place, the scripts reach the package only through
+its front end, and every CLI usage error after parsing comes from the library."""
 
 import ast
 import pathlib
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "odefilter"
+SCRIPTS = PACKAGE.parents[1] / "scripts"
 
 
 def imported_modules(path):
@@ -53,3 +55,40 @@ def test_only_the_solver_rounds_step_counts():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"
     }
     assert rounding == {"solver.py"}
+
+
+def package_modules(path):
+    """The ``odefilter`` modules one source file imports, by dotted name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "odefilter":
+            yield from (f"odefilter.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_scripts_use_only_the_cli_and_the_problem_registry():
+    # the experiment is spelled once, in the CLI; a script that builds its own
+    # config or output would be a second spelling
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
+    foreign = {
+        (path.name, name)
+        for path in scripts
+        for name in package_modules(path)
+        if name.split(".")[0] == "odefilter"
+        and name not in {"odefilter.cli", "odefilter.problems"}
+    }
+    assert not foreign
+
+
+def test_the_cli_raises_no_usage_error_of_its_own():
+    # argparse's parse errors stay; every later one is a library ContractViolation
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "error"
+    ]
+    assert not calls

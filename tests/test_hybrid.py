@@ -297,7 +297,7 @@ def test_hybrid_boundary_belief_is_trained_belief():
     traj = hybrid_solve(config, ivp)
 
     taylor_part, fourier_part = traj.segments
-    sub = Trajectory((taylor_part,), h=traj.h, problem=traj.problem)
+    sub = Trajectory((taylor_part,))
     trained = train_fourier(
         fourier_init(config.fourier), sub, 0, config.fourier, config.train_policy, config.train_noise
     )
@@ -390,7 +390,7 @@ def test_hybrid_config_validation():
     with pytest.raises(ContractViolation):
         TrainNoise(jitter=0.0)
     with pytest.raises(ContractViolation):
-        TrainNoise("taylor_variance", jitter=-1e-10)
+        TrainNoise("fixed_jitter", jitter=-1e-10)
     with pytest.raises(ContractViolation):
         TrainPolicy("values_stride", stride=0)
     config = HybridConfig(T_p=2.0, h=0.1, **PARAMS_51)

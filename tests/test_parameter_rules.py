@@ -77,6 +77,14 @@ def test_a_bad_integer_parameter_is_a_contract_violation(name, value):
         build(value)
 
 
+@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_a_non_number_integer_parameter_is_a_contract_violation(name, value):
+    # the integer rule runs before any comparison a non-number would fail with TypeError
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        INTEGER_PARAMETERS[name](value)
+
+
 def test_integral_floats_are_stored_as_ints():
     assert type(TaylorParams(2.0, 1.0).q) is int
     assert type(FourierParams(3.0, 1.0, 3.0, 1.0).J) is int
@@ -96,6 +104,8 @@ def test_an_integral_float_stride_trains():
 
 def test_stride_is_checked_only_under_values_stride():
     assert TrainPolicy("values_all", NAN).kind == "values_all"
+    # the same rule for the jitter, which only fixed_jitter reads
+    assert TrainNoise("taylor_variance", NAN).kind == "taylor_variance"
 
 
 # The same for every parameter that must be finite.

@@ -49,7 +49,7 @@ from odefilter.filtering import (
     _passthrough,
     _predict,
 )
-from odefilter.solver import PhaseSegment
+from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
 from conftest import extended_precision_ibm_filter, random_spd, two_loop_affine_scan
@@ -318,6 +318,15 @@ def test_record_count_matches_grid():
         assert len(traj) == round(t_end / h) + 1
         assert traj.times()[0] == 0.0
         assert traj.times()[-1] == pytest.approx(t_end, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [[0.0, 0.1, 0.3], [0.0, -0.1, -0.2], [0.0, 0.0, 0.0]])
+def test_trajectory_times_increase_by_one_step(t):
+    # the step is the first spacing; a trajectory carries no h of its own
+    means, covs = np.zeros((3, 1, 2)), np.zeros((3, 2, 2))
+    segment = PhaseSegment("taylor", taylor_projections(1), np.array(t), means, covs)
+    with pytest.raises(ContractViolation, match="uniform step"):
+        Trajectory((segment,))
 
 
 def test_fourier_prior_is_exact_on_zero_field():
