@@ -19,6 +19,7 @@ from .fourier import (
     bessel_i,
     fourier_init,
     fourier_projections,
+    fourier_state_space,
     fourier_transition,
     fourier_weights,
 )
@@ -31,15 +32,14 @@ from .hybrid import (
     train_fourier,
 )
 from .problems import by_name, cosine, constant, fhn, linear, rk4_reference, vdp
-from .solver import (
-    IVProblem,
-    StateSpaceModel,
-    Trajectory,
-    fourier_state_space,
-    solve,
+from .solver import IVProblem, StateSpaceModel, Trajectory, solve
+from .taylor import (
+    TaylorParams,
+    ibm_transition,
+    taylor_init,
+    taylor_projections,
     taylor_state_space,
 )
-from .taylor import TaylorParams, ibm_transition, taylor_init, taylor_projections
 
 __all__ = [
     "ContractViolation",
@@ -56,6 +56,7 @@ __all__ = [
     "bessel_i",
     "fourier_init",
     "fourier_projections",
+    "fourier_state_space",
     "fourier_transition",
     "fourier_weights",
     "HybridConfig",
@@ -74,11 +75,10 @@ __all__ = [
     "IVProblem",
     "StateSpaceModel",
     "Trajectory",
-    "fourier_state_space",
     "solve",
-    "taylor_state_space",
     "TaylorParams",
     "ibm_transition",
     "taylor_init",
     "taylor_projections",
+    "taylor_state_space",
 ]

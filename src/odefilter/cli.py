@@ -26,18 +26,15 @@ from . import problems
 from .errors import ContractViolation, CsvFormatError, DivergedSolveError, SingularUpdateError
 from .fourier import FourierParams
 from .hybrid import NOISE_KINDS, POLICY_KINDS, HybridConfig, TrainNoise, TrainPolicy, hybrid_solve
-from .solver import GRID_TOL, Trajectory, solve, taylor_state_space
-from .taylor import TaylorParams
+from .solver import GRID_TOL, Trajectory, solve
+from .taylor import TaylorParams, taylor_state_space
 
 EXACT_ORDER_THRESHOLD = 1e-10
 
 
 def _build_problem(args: argparse.Namespace):
     """The problem with the parameters given on the command line; its factory has the defaults."""
-    flags = {
-        "mu": args.mu, "I": args.fhn_I, "a": args.fhn_a, "b": args.fhn_b, "tau": args.fhn_tau,
-        "standard": args.fhn_standard,
-    }
+    flags = {"mu": args.mu, "I": args.fhn_I, "a": args.fhn_a, "b": args.fhn_b, "tau": args.fhn_tau}
     given = {name: value for name, value in flags.items() if value is not None}
     return problems.by_name(args.problem, T=args.T, **given)
 
@@ -285,12 +282,6 @@ def _add_solve_args(p: argparse.ArgumentParser):
     p.add_argument("--fhn-a", type=float, default=None)
     p.add_argument("--fhn-b", type=float, default=None)
     p.add_argument("--fhn-tau", type=float, default=None)
-    p.add_argument(
-        "--fhn-standard",
-        action="store_true",
-        default=None,
-        help="use the recovery form with the b*x2 term",
-    )
     p.add_argument("--reference", action="store_true", help="add RK4 reference columns")
     p.add_argument("--h-ref", type=float, default=None, help="reference step (default h/10)")
     p.add_argument("-o", "--output", default=None, help="CSV path (default <problem>_<method>.csv)")

@@ -5,6 +5,8 @@ at angular velocity j*w0, with zero diffusion: Fourier coefficients of a
 periodic signal do not drift. Prior block variances q_j^2 are the
 Bessel-function weights of the canonical periodic covariance kernel, so that
 the implied process is (a finite-rank approximation of) a periodic GP.
+``fourier_state_space`` bundles the transition, the projections and the
+zero-mean init for ``solve``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
+from .solver import StateSpaceModel
 
 BESSEL_RELATIVE_TOL = 1e-16
 
@@ -121,3 +124,16 @@ def fourier_init(params: FourierParams) -> GaussianBelief:
     weights = fourier_weights(params)
     cov = np.diag(np.repeat(weights, 2))
     return GaussianBelief(np.zeros(params.dim), cov)
+
+
+def fourier_state_space(params: FourierParams) -> StateSpaceModel:
+    # The Fourier prior is zero-mean; the initial values enter only through
+    # the measurements, so the init evaluates nothing. Every solve shares P.
+    P = fourier_init(params).cov
+    P.flags.writeable = False
+    return StateSpaceModel(
+        transition_builder=lambda h: fourier_transition(h, params),
+        projections=fourier_projections(params),
+        init=lambda ivp: (np.zeros((ivp.dim, params.dim)), P),
+        label="fourier",
+    )

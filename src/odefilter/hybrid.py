@@ -23,8 +23,8 @@ from .errors import (
 )
 from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
 from .fourier import FourierParams, _rotation, fourier_init, fourier_projections
-from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve, taylor_state_space
-from .taylor import TaylorParams
+from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve
+from .taylor import TaylorParams, taylor_state_space
 
 POLICY_KINDS = ("values_all", "values_stride", "values_and_derivatives")
 NOISE_KINDS = ("fixed_jitter", "taylor_variance")

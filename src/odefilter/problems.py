@@ -41,25 +41,17 @@ def vdp(mu: float = 5.0) -> IVProblem:
     return IVProblem(field=field, x0=np.array([1.0, -1.0]), T=50.0, name="vdp")
 
 
-def fhn(
-    I: float = 0.5,
-    a: float = 0.7,
-    b: float = 0.8,
-    tau: float = 10.0,
-    standard: bool = False,
-) -> IVProblem:
-    """FitzHugh-Nagumo model.
+def fhn(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0) -> IVProblem:
+    """FitzHugh-Nagumo model, d(x1)/dt = x1 - x1^3/3 - x2 + I, d(x2)/dt = (x1 + a - b*x2)/tau.
 
-    The recovery equation is (x1 + a - x2)/tau, which leaves b unused;
-    ``standard=True`` switches to the textbook (x1 + a - b*x2)/tau form.
+    The default b = 1 is the paper's printed form; b = 0.8 is the textbook one.
     """
     if not all(map(_is_finite, (I, a, b, tau))) or tau == 0:
         raise ContractViolation(f"fhn requires finite I, a, b and tau != 0, got {(I, a, b, tau)}")
-    b_eff = b if standard else 1.0
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
         x1, x2 = x.tolist()
-        return np.array([x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b_eff * x2) / tau])
+        return np.array([x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b * x2) / tau])
 
     return IVProblem(field=field, x0=np.array([1.0, 0.1]), T=50.0, name="fhn")
 

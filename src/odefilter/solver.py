@@ -45,8 +45,6 @@ from .filtering import (
     _joseph,
     _passthrough,
 )
-from .fourier import FourierParams, fourier_init, fourier_projections, fourier_transition
-from .taylor import TaylorParams, _taylor_init, ibm_transition, taylor_projections
 
 # Tolerance of the grid checks: step counts (relative), record spacing and horizon (absolute).
 GRID_TOL = 1e-9
@@ -75,33 +73,6 @@ class StateSpaceModel:
     label: str
 
 
-def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
-    # The init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
-    # evaluation before the filter loop. The field gets a copy of x0, as it
-    # gets a fresh array at every step.
-    return StateSpaceModel(
-        transition_builder=lambda h: ibm_transition(h, params),
-        projections=taylor_projections(params.q),
-        init=lambda ivp: _taylor_init(
-            ivp.x0, _field_at(ivp.field, ivp.x0.copy(), 0.0), params.q
-        ),
-        label="taylor",
-    )
-
-
-def fourier_state_space(params: FourierParams) -> StateSpaceModel:
-    # The Fourier prior is zero-mean; the initial values enter only through
-    # the measurements, so the init evaluates nothing. Every solve shares P.
-    P = fourier_init(params).cov
-    P.flags.writeable = False
-    return StateSpaceModel(
-        transition_builder=lambda h: fourier_transition(h, params),
-        projections=fourier_projections(params),
-        init=lambda ivp: (np.zeros((ivp.dim, params.dim)), P),
-        label="fourier",
-    )
-
-
 @dataclass(frozen=True)
 class IVProblem:
     """Initial value problem dx/dt = field(x, t), x(0) = x0, on [0, T]."""
@@ -117,8 +88,8 @@ class IVProblem:
         if x0.dtype.kind not in "biuf":
             raise ContractViolation(f"initial value x0 must hold real numbers, got {self.x0!r}")
         object.__setattr__(self, "x0", np.asarray(x0, dtype=float).reshape(-1))
-        if not np.isfinite(self.x0).all():
-            raise ContractViolation(f"initial value x0 must be finite, got {self.x0}")
+        if not (self.x0.size and np.isfinite(self.x0).all()):
+            raise ContractViolation(f"initial value x0 must be non-empty and finite, got {self.x0}")
         object.__setattr__(self, "T", _finite_positive(self.T, "time horizon T"))
 
     @property

@@ -2,7 +2,8 @@
 
 The state stacks the value and its first q derivatives. The transition mean
 is the degree-q Taylor expansion; process noise enters through the q-fold
-integrated Brownian motion with variance scale sigma2.
+integrated Brownian motion with variance scale sigma2. ``taylor_state_space``
+bundles the transition, the projections and the init for ``solve``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation, _finite_positive, _integer_at_least, _is_finite
 from .filtering import GaussianBelief, ProjectionPair, TransitionModel
+from .solver import StateSpaceModel, _field_at
 
 # Prior variance of each slot the init pins: x(0), x'(0) and the higher
 # derivatives it sets to zero. No Taylor covariance is ever factorized.
@@ -44,22 +46,18 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
     q = params.q
     D = q + 1
     try:  # a float, not a numpy scalar, so that overflow raises instead of giving inf
-        hp = [float(h) ** p for p in range(2 * q + 2)]
+        hp = np.array([float(h) ** p for p in range(2 * q + 2)])
     except OverflowError:
         raise ContractViolation(
             f"step size h={h:g} overflows the q={q} transition: h^{2 * q + 1} leaves float range"
         ) from None
-    A = np.zeros((D, D))
-    Q = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i, D):
-            A[i, j] = hp[j - i] / math.factorial(j - i)
-    for i in range(D):
-        for j in range(i, D):
-            p = 2 * q + 1 - i - j
-            base = hp[p] / (p * math.factorial(q - i) * math.factorial(q - j))
-            Q[i, j] = params.sigma2 * base
-            Q[j, i] = Q[i, j]
+    # Exact integer denominators, each rounded to float once, as a scalar
+    # division by an int would round them; float factorials drift from q = 22.
+    fact = np.array([math.factorial(k) for k in range(D)], dtype=object)
+    i, j = np.indices((D, D))
+    p, up = 2 * q + 1 - i - j, np.maximum(j - i, 0)
+    A = np.triu(hp[up] / fact[up].astype(float))
+    Q = params.sigma2 * (hp[p] / (p * fact[q - i] * fact[q - j]).astype(float))
     return TransitionModel(A, Q)
 
 
@@ -91,3 +89,17 @@ def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
         raise ContractViolation(f"x0={x0} and dx0={dx0} must be finite numbers")
     M, P = _taylor_init([x0], [dx0], _integer_at_least(q, 1, "q"))
     return GaussianBelief(M[0], P)
+
+
+def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
+    # The init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
+    # evaluation before the filter loop. The field gets a copy of x0, as it
+    # gets a fresh array at every step.
+    return StateSpaceModel(
+        transition_builder=lambda h: ibm_transition(h, params),
+        projections=taylor_projections(params.q),
+        init=lambda ivp: _taylor_init(
+            ivp.x0, _field_at(ivp.field, ivp.x0.copy(), 0.0), params.q
+        ),
+        label="taylor",
+    )

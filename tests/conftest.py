@@ -7,7 +7,9 @@ path with the filtering implementation they judge. The ``numpy_*`` and
 the RK4 reference, the benchmark fields and the CSV/SVG text, which the
 faster package code must reproduce bit for bit; ``two_loop_affine_scan`` is a
 frozen copy of the covariance scan written as a doubling loop and a block
-loop, which the one-loop scan must reproduce bit for bit.
+loop, which the one-loop scan must reproduce bit for bit, and
+``loop_ibm_transition`` a frozen copy of the IBM transition written as two
+double loops, which the closed form must reproduce bit for bit.
 """
 
 import math
@@ -145,13 +147,10 @@ def numpy_vdp_field(mu: float):
     return field
 
 
-def numpy_fhn_field(I: float = 0.5, a: float = 0.7, b: float = 0.8, tau: float = 10.0,
-                    standard: bool = False):
-    b_eff = b if standard else 1.0
-
+def numpy_fhn_field(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0):
     def field(x, t):
         x1, x2 = x
-        return np.array([x1 - x1**3 / 3.0 - x2 + I, (x1 + a - b_eff * x2) / tau])
+        return np.array([x1 - x1**3 / 3.0 - x2 + I, (x1 + a - b * x2) / tau])
 
     return field
 
@@ -201,6 +200,24 @@ def format_polyline_points(data) -> list[str]:
         return _MT + (ymax - v) / (ymax - ymin) * ph
 
     return [" ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(data.t, s)) for s in series]
+
+
+def loop_ibm_transition(h: float, q: int, sigma2: float):
+    """IBM transition (A, Q) entry by entry, each denominator an exact int."""
+    hp = [float(h) ** p for p in range(2 * q + 2)]
+    D = q + 1
+    A = np.zeros((D, D))
+    Q = np.zeros((D, D))
+    for i in range(D):
+        for j in range(i, D):
+            A[i, j] = hp[j - i] / math.factorial(j - i)
+    for i in range(D):
+        for j in range(i, D):
+            p = 2 * q + 1 - i - j
+            base = hp[p] / (p * math.factorial(q - i) * math.factorial(q - j))
+            Q[i, j] = sigma2 * base
+            Q[j, i] = Q[i, j]
+    return A, Q
 
 
 def two_loop_affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray, block: int = 256):

@@ -9,11 +9,14 @@ import pytest
 
 from odefilter import (
     ContractViolation,
+    FourierParams,
+    HybridConfig,
     ProjectionPair,
     TaylorParams,
     Trajectory,
     by_name,
     fhn,
+    hybrid_solve,
     rk4_reference,
     solve,
     taylor_state_space,
@@ -365,7 +368,7 @@ def test_non_finite_problem_parameters_exit_code(tmp_path, flags):
     [
         ("vdp", [], vdp()),
         ("vdp", ["--mu", "2"], vdp(mu=2.0)),
-        ("fhn", ["--fhn-I", "0.3", "--fhn-standard"], fhn(I=0.3, standard=True)),
+        ("fhn", ["--fhn-I", "0.3", "--fhn-b", "0.8"], fhn(I=0.3, b=0.8)),
     ],
 )
 def test_problem_flags_reach_the_factory(tmp_path, problem, flags, expected):
@@ -376,6 +379,25 @@ def test_problem_flags_reach_the_factory(tmp_path, problem, flags, expected):
     ssm = taylor_state_space(TaylorParams(1, 1.0))
     traj = solve(ssm, replace(expected, T=1.0), 0.01, 0.0)
     assert out.read_text() == trajectory_csv(traj)
+
+
+def test_fhn_b_flag_reaches_the_field(tmp_path):
+    # b is live: its flag gives another trajectory, the library's solve of fhn(b=0.3)
+    args = ["solve", "--problem", "fhn", "--method", "hybrid", "--T", "4"]
+    default, live = tmp_path / "default.csv", tmp_path / "b.csv"
+    assert run(*args, "-o", str(default))[0] == 0
+    assert run(*args, "--fhn-b", "0.3", "-o", str(live))[0] == 0
+    config = HybridConfig(TaylorParams(1, 1.0), FourierParams(3, 1.0, 3.0, 1.0), T_p=3.0, h=0.01)
+    expected = trajectory_csv(hybrid_solve(config, replace(fhn(b=0.3), T=4.0)))
+    assert live.read_text() == expected
+    assert live.read_text() != default.read_text()
+
+
+def test_fhn_has_no_form_switch_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "fhn", "--method", "taylor", "--fhn-standard"])
+    assert exc.value.code == 2
+    assert "--fhn-standard" in capsys.readouterr().err
 
 
 def test_flag_of_another_problem_is_rejected(tmp_path):

@@ -1,7 +1,8 @@
 """The package imports nothing beyond numpy and the standard library, the
-covariance arithmetic stays behind ``filtering``'s covariance map, step
-counts are rounded in one place, the scripts reach the package only through
-its front end, and every CLI usage error after parsing comes from the library."""
+covariance arithmetic stays behind ``filtering``'s covariance map, each
+prior builds its own state-space model, step counts are rounded in one
+place, the scripts reach the package only through its front end, and every
+CLI usage error after parsing comes from the library."""
 
 import ast
 import pathlib
@@ -44,6 +45,24 @@ def test_solver_builds_no_covariance_map_of_its_own():
     names = set(imported_names(PACKAGE / "solver.py", "filtering"))
     assert {"_cov_map", "_gain_map"} <= names
     assert not names & {"_identity", "_symmetrize"}
+
+
+def relative_imports(path):
+    """The package modules one source file imports relatively, by module name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # ``from . import problems`` names them as aliases
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module
+
+
+def test_each_prior_builds_its_own_state_space_model():
+    # the solver knows the StateSpaceModel interface, not the priors behind it,
+    # and a prior needs nothing from the layers built on it
+    assert not set(relative_imports(PACKAGE / "solver.py")) & {"taylor", "fourier"}
+    for prior in ("taylor.py", "fourier.py"):
+        assert not set(relative_imports(PACKAGE / prior)) & {"hybrid", "problems", "cli"}
 
 
 def test_only_the_solver_rounds_step_counts():

@@ -1,5 +1,6 @@
 """Benchmark vector fields, the registry, and the RK4 reference oracle."""
 
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -52,13 +53,25 @@ def test_fhn_field_values():
         fhn(tau=0.0)
 
 
-def test_fhn_b_parameter_is_unused_in_printed_form():
+def test_fhn_default_is_the_printed_form_b_1():
     x = np.array([0.4, -0.3])
-    assert np.array_equal(fhn(b=0.8).field(x, 0.0), fhn(b=123.0).field(x, 0.0))
-    # the standard-form variant does use b
-    standard = fhn(b=0.8, standard=True).field(x, 0.0)
+    assert same_bits(fhn().field(x, 0.0), fhn(b=1.0).field(x, 0.0))
+    # the textbook form is b = 0.8
+    standard = fhn(b=0.8).field(x, 0.0)
     assert standard[1] == pytest.approx((0.4 + 0.7 - 0.8 * (-0.3)) / 10.0, rel=1e-12)
     assert standard[1] != fhn().field(x, 0.0)[1]
+
+
+def test_fhn_has_no_form_switch():
+    assert list(inspect.signature(fhn).parameters) == ["I", "a", "b", "tau"]
+    with pytest.raises(ContractViolation, match="does not accept"):
+        by_name("fhn", standard=True)
+
+
+def test_empty_initial_value_is_rejected():
+    for x0 in ([], np.zeros((0, 2))):
+        with pytest.raises(ContractViolation, match="non-empty"):
+            IVProblem(lambda x, t: x, x0, 1.0, "e")
 
 
 def test_registry_is_total_over_known_names():
@@ -160,10 +173,7 @@ FIELD_PAIRS = {
     "vdp": (vdp(), numpy_vdp_field(5.0)),
     "vdp-mu": (vdp(mu=-0.3), numpy_vdp_field(-0.3)),
     "fhn": (fhn(), numpy_fhn_field()),
-    "fhn-standard": (
-        fhn(I=-1.2, a=0.3, b=2.0, tau=3.0, standard=True),
-        numpy_fhn_field(-1.2, 0.3, 2.0, 3.0, standard=True),
-    ),
+    "fhn-b": (fhn(I=-1.2, a=0.3, b=2.0, tau=3.0), numpy_fhn_field(-1.2, 0.3, 2.0, 3.0)),
 }
 
 

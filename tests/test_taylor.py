@@ -14,6 +14,8 @@ from odefilter import (
     taylor_projections,
 )
 
+from conftest import loop_ibm_transition
+
 # Frozen from an exact-fraction evaluation of the transition formulas at
 # q=2, h=1/2: Q = [[1/640, 1/128, 1/48], [1/128, 1/24, 1/8], [1/48, 1/8, 1/2]].
 Q_Q2_H05 = np.array(
@@ -44,6 +46,15 @@ def test_q2_matrices_match_independent_evaluation():
     assert np.allclose(trans.Q, Q_Q2_H05, rtol=1e-15, atol=0)
     assert trans.Q[2, 2] == 0.5
     assert trans.Q[0, 0] == 1.5625e-3
+
+
+@pytest.mark.parametrize("q", range(1, 31))
+def test_closed_form_equals_the_double_loop_bitwise(q):
+    for h in np.geomspace(1e-3, 1.7, 9):
+        for sigma2 in (0.3, 1.0, 7.5):
+            trans = ibm_transition(h, TaylorParams(q, sigma2))
+            A, Q = loop_ibm_transition(h, q, sigma2)
+            assert np.array_equal(trans.A, A) and np.array_equal(trans.Q, Q)
 
 
 def test_invalid_arguments():
