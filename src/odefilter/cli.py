@@ -1,7 +1,8 @@
 """Command-line front end: solve, plot, converge.
 
-``solve`` runs a filter and writes a trajectory CSV, ``plot`` renders such a
-CSV as a static SVG line chart, ``converge`` runs a step-size study against
+``solve`` runs a filter and writes a trajectory CSV; with ``--reference`` it
+also prints each phase's RMSE against the RK4 reference. ``plot`` renders such
+a CSV as a static SVG line chart, ``converge`` runs a step-size study against
 the Runge-Kutta reference. All defaults reproduce the benchmark oscillator
 runs, so ``odefilter solve --problem vdp --method hybrid`` works as-is.
 
@@ -342,6 +343,12 @@ def _cmd_solve(args) -> int:
     with open(out, "w", newline="") as fh:
         fh.write(trajectory_csv(traj, reference))
     print(f"wrote {out} ({len(traj)} rows)")
+    if reference is not None:
+        errors = traj.value_means() - reference.value_means()
+        ends = np.cumsum([len(segment.t) for segment in traj.segments])[:-1]
+        for segment, rows in zip(traj.segments, np.split(errors, ends)):
+            rmse = np.sqrt(np.mean(rows**2, axis=0))
+            print(f"  {segment.phase} RMSE vs RK4 per coordinate: {rmse}")
     return 0
 
 

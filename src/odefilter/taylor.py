@@ -45,19 +45,19 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
     _finite_positive(h, "step size h")
     q = params.q
     D = q + 1
-    try:  # a float, not a numpy scalar, so that overflow raises instead of giving inf
-        hp = np.array([float(h) ** p for p in range(2 * q + 2)])
-    except OverflowError:
-        raise ContractViolation(
-            f"step size h={h:g} overflows the q={q} transition: h^{2 * q + 1} leaves float range"
-        ) from None
     # Exact integer denominators, each rounded to float once, as a scalar
     # division by an int would round them; float factorials drift from q = 22.
     fact = np.array([math.factorial(k) for k in range(D)], dtype=object)
     i, j = np.indices((D, D))
     p, up = 2 * q + 1 - i - j, np.maximum(j - i, 0)
-    A = np.triu(hp[up] / fact[up].astype(float))
-    Q = params.sigma2 * (hp[p] / (p * fact[q - i] * fact[q - j]).astype(float))
+    try:  # Python floats and ints, not numpy scalars, so that overflow raises instead of giving inf
+        hp = np.array([float(h) ** k for k in range(2 * q + 2)])
+        A = np.triu(hp[up] / fact[up].astype(float))
+        Q = params.sigma2 * (hp[p] / (p * fact[q - i] * fact[q - j]).astype(float))
+    except OverflowError:
+        raise ContractViolation(
+            f"step size h={h:g} with q={q}: h^{2 * q + 1} or (2q+1)(q!)^2 leaves float range"
+        ) from None
     return TransitionModel(A, Q)
 
 

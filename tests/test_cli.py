@@ -1,8 +1,12 @@
 """CLI surface: solve/plot/converge, CSV schema, SVG output, determinism."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,10 @@ from odefilter import (
     vdp,
 )
 from odefilter.cli import (
+    _MB,
+    _ML,
+    _MT,
+    _SVG_H,
     CsvData,
     main,
     parse_trajectory_csv,
@@ -166,6 +174,43 @@ def test_plot_empty_csv_renders_axes_only(tmp_path):
     text = svg.read_text()
     assert "<polyline" not in text
     assert "<rect" in text
+
+
+def test_plot_of_an_empty_file_is_a_format_error(tmp_path):
+    csv = tmp_path / "blank.csv"
+    csv.write_text("")
+    code, _, err = run("plot", str(csv))
+    assert code == 2
+    assert err.startswith("error: ") and "empty file" in err
+    assert not (tmp_path / "blank.svg").exists()
+
+
+def test_plot_of_a_missing_file_exit_code(tmp_path):
+    code, _, err = run("plot", str(tmp_path / "missing.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and "missing.csv" in err
+
+
+def test_plot_of_one_record_spans_a_unit_time_axis(tmp_path):
+    # one time gives tmin == tmax; the axis runs from it to one past it
+    csv = tmp_path / "one.csv"
+    csv.write_text("t,mean_0,std_0,phase\n2,1,0.1,taylor\n")
+    assert run("plot", str(csv))[0] == 0
+    svg = (tmp_path / "one.svg").read_text()
+    assert polyline_points(svg) == [f"{_ML:.2f},{_MT + (_SVG_H - _MT - _MB) / 2:.2f}"]
+    assert ">2</text>" in svg and ">3</text>" in svg
+
+
+def test_module_run_exits_with_the_code_of_main(tmp_path):
+    csv = tmp_path / "blank.csv"
+    csv.write_text("")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "odefilter.cli", "plot", str(csv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "empty file" in proc.stderr
 
 
 def test_plot_malformed_csv_reports_line(tmp_path):
@@ -398,6 +443,49 @@ def test_fhn_has_no_form_switch_flag(capsys):
         main(["solve", "--problem", "fhn", "--method", "taylor", "--fhn-standard"])
     assert exc.value.code == 2
     assert "--fhn-standard" in capsys.readouterr().err
+
+
+def test_taylor_order_beyond_float_range_exit_code(tmp_path):
+    # (2q+1)(q!)^2 leaves float range at q = 98
+    out = tmp_path / "x.csv"
+    code, _, err = run("solve", "--problem", "linear", "--method", "taylor", "--q", "98",
+                       "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "q=98" in err and "h=0.01" in err
+    assert not out.exists()
+
+
+def rmse_lines(csv_text: str) -> list[str]:
+    """The per-phase RMSE lines of `solve --reference`, recomputed from its CSV."""
+    data = parse_trajectory_csv(csv_text)
+    phases = np.array(data.phases)
+    lines = []
+    for phase in dict.fromkeys(data.phases):
+        rows = (data.means - data.refs)[phases == phase]
+        lines.append(f"  {phase} RMSE vs RK4 per coordinate: {np.sqrt(np.mean(rows**2, axis=0))}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "problem,flags",
+    [
+        ("vdp", ["--method", "hybrid", "--h", "0.05", "--T", "10", "--Tp", "7.5"]),
+        ("fhn", ["--method", "hybrid", "--h", "0.05"]),
+        ("linear", ["--method", "taylor", "--h", "0.1", "--T", "2"]),
+    ],
+)
+def test_solve_reference_prints_the_rmse_of_each_phase(tmp_path, problem, flags):
+    out = tmp_path / "x.csv"
+    code, stdout, _ = run("solve", "--problem", problem, *flags, "--reference", "-o", str(out))
+    assert code == 0
+    wrote, *rest = stdout.splitlines()
+    assert wrote.startswith(f"wrote {out}")
+    expected = rmse_lines(out.read_text())
+    assert len(expected) == (2 if "hybrid" in flags else 1)
+    assert rest == expected
+    # without the reference there is nothing to compare against
+    stdout = run("solve", "--problem", problem, *flags, "-o", str(out))[1]
+    assert "RMSE" not in stdout
 
 
 def test_flag_of_another_problem_is_rejected(tmp_path):

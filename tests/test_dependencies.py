@@ -87,17 +87,16 @@ def package_modules(path):
             yield node.module
 
 
-def test_scripts_use_only_the_cli_and_the_problem_registry():
+def test_scripts_use_only_the_cli():
     # the experiment is spelled once, in the CLI; a script that builds its own
-    # config or output would be a second spelling
+    # config, output or summary would be a second spelling
     scripts = sorted(SCRIPTS.glob("*.py"))
     assert scripts
     foreign = {
         (path.name, name)
         for path in scripts
         for name in package_modules(path)
-        if name.split(".")[0] == "odefilter"
-        and name not in {"odefilter.cli", "odefilter.problems"}
+        if name.split(".")[0] == "odefilter" and name != "odefilter.cli"
     }
     assert not foreign
 

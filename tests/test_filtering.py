@@ -9,6 +9,7 @@ from odefilter import (
     ContractViolation,
     GaussianBelief,
     MeasurementModel,
+    ProjectionPair,
     SingularUpdateError,
     TransitionModel,
     predict,
@@ -149,6 +150,24 @@ def test_belief_shape_validation():
         GaussianBelief(np.zeros(2), np.eye(3))
     with pytest.raises(ContractViolation):
         GaussianBelief(np.zeros(2), np.array([[1.0, 0.1], [0.2, 1.0]]))
+    with pytest.raises(ContractViolation, match="vector"):
+        GaussianBelief(np.zeros((2, 1)), np.eye(2))
+
+
+def test_transition_shape_validation():
+    with pytest.raises(ContractViolation, match="square"):
+        TransitionModel(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ContractViolation, match="square"):
+        TransitionModel(np.ones(2), np.eye(2))
+    with pytest.raises(ContractViolation, match="does not match"):
+        TransitionModel(np.eye(2), np.eye(3))
+    with pytest.raises(ContractViolation, match="symmetric"):
+        TransitionModel(np.eye(2), np.array([[1.0, 0.1], [0.2, 1.0]]))
+
+
+def test_projection_pair_rows_have_equal_length():
+    with pytest.raises(ContractViolation, match="equal length"):
+        ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
 
 @given(seed=st.integers(0, 2**32 - 1), R=st.floats(0.0, 10.0), z=st.floats(-50.0, 50.0))

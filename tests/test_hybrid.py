@@ -227,6 +227,21 @@ def test_train_fourier_rejects_a_coordinate_outside_the_trajectory(coordinate):
     assert train_fourier(fourier_init(params), taylor, 1, params).dim == params.dim
 
 
+def test_train_fourier_rejects_a_prior_of_another_dimension():
+    params = FourierParams(1, 1.0, 3.0, 1.0)
+    taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), replace(vdp(), T=1.0), 0.1, 0.0)
+    prior = fourier_init(FourierParams(2, 1.0, 3.0, 1.0))
+    with pytest.raises(ContractViolation, match="prior dimension 6 != Fourier dimension 4"):
+        train_fourier(prior, taylor, 0, params)
+
+
+def test_predict_forward_rejects_a_belief_of_another_dimension():
+    params = FourierParams(1, 1.0, 3.0, 1.0)
+    belief = fourier_init(FourierParams(2, 1.0, 3.0, 1.0))
+    with pytest.raises(ContractViolation, match="belief dimension 6 != Fourier dimension 4"):
+        predict_forward(belief, params, 0.1, 0.0, 1.0)
+
+
 def test_predict_forward_zero_mean_stays_zero():
     params = FourierParams(2, 1.0, 3.0, 1.0)
     segment = predict_forward(fourier_init(params), params, 0.1, 1.0, 2.0)

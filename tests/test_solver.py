@@ -329,6 +329,30 @@ def test_trajectory_times_increase_by_one_step(t):
         Trajectory((segment,))
 
 
+@pytest.mark.parametrize(
+    "means_shape,covs_shape,match",
+    [
+        ((3, 2), (3, 2, 2), "means shape"),  # no coordinate axis
+        ((2, 1, 2), (3, 2, 2), "means shape"),  # one record short
+        ((3, 1, 3), (3, 2, 2), "means shape"),  # state of another dimension
+        ((3, 1, 2), (3, 2), "covs shape"),
+        ((3, 1, 2), (2, 2, 2), "covs shape"),
+    ],
+)
+def test_segment_shapes_are_checked(means_shape, covs_shape, match):
+    t, means, covs = np.array([0.0, 0.1, 0.2]), np.zeros(means_shape), np.zeros(covs_shape)
+    with pytest.raises(ContractViolation, match=match):
+        PhaseSegment("taylor", taylor_projections(1), t, means, covs)
+
+
+def test_trajectory_segments_share_one_coordinate_count():
+    proj, covs = taylor_projections(1), np.zeros((2, 2, 2))
+    first = PhaseSegment("taylor", proj, np.array([0.0, 0.1]), np.zeros((2, 1, 2)), covs)
+    second = PhaseSegment("taylor", proj, np.array([0.2, 0.3]), np.zeros((2, 2, 2)), covs)
+    with pytest.raises(ContractViolation, match="coordinate count"):
+        Trajectory((first, second))
+
+
 def test_fourier_prior_is_exact_on_zero_field():
     ssm = fourier_state_space(FourierParams(2, 1.0, 3.0, 1.0))
     traj = solve(ssm, constant(c=0.0, T=2.0), 0.1, 0.0)

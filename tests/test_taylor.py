@@ -71,6 +71,16 @@ def test_invalid_arguments():
         TaylorParams(1, 0.0)
 
 
+@pytest.mark.parametrize("h", [1e-3, 0.01, 1.0, 1.7])
+def test_denominators_beyond_float_range_are_a_contract_violation(h):
+    # (2q+1)(q!)^2 leaves float range at q = 98 whatever h is; q = 97 still builds
+    with pytest.raises(ContractViolation, match=rf"h={h:g}.*q=98"):
+        ibm_transition(h, TaylorParams(98, 1.0))
+    trans = ibm_transition(h, TaylorParams(97, 1.0))
+    A, Q = loop_ibm_transition(h, 97, 1.0)
+    assert np.array_equal(trans.A, A) and np.array_equal(trans.Q, Q)
+
+
 def test_projections_select_value_and_derivative():
     pair = taylor_projections(1)
     assert np.array_equal(pair.H0, np.array([1.0, 0.0]))
