@@ -6,7 +6,7 @@ periodic signal do not drift. Prior block variances q_j^2 are the
 Bessel-function weights of the canonical periodic covariance kernel, so that
 the implied process is (a finite-rank approximation of) a periodic GP.
 ``fourier_state_space`` bundles the transition, the projections and the
-zero-mean init for ``solve``.
+init for ``solve``: the zero-mean prior conditioned on the initial value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least
-from .filtering import GaussianBelief, ProjectionPair, TransitionModel
+from .filtering import GaussianBelief, ProjectionPair, TransitionModel, _gain_update, _joseph
 from .solver import StateSpaceModel
 
 BESSEL_RELATIVE_TOL = 1e-16
@@ -127,13 +127,15 @@ def fourier_init(params: FourierParams) -> GaussianBelief:
 
 
 def fourier_state_space(params: FourierParams) -> StateSpaceModel:
-    # The Fourier prior is zero-mean; the initial values enter only through
-    # the measurements, so the init evaluates nothing. Every solve shares P.
-    P = fourier_init(params).cov
+    # The init conditions the zero-mean prior on each coordinate's value,
+    # H0 m = x0, with no noise; it evaluates nothing. The conditioned
+    # covariance and the gain do not depend on x0, so every solve shares them.
+    proj = fourier_projections(params)
+    P, K, _ = _joseph(fourier_init(params).cov, proj.H0, 0.0)
     P.flags.writeable = False
     return StateSpaceModel(
         transition_builder=lambda h: fourier_transition(h, params),
-        projections=fourier_projections(params),
-        init=lambda ivp: (np.zeros((ivp.dim, params.dim)), P),
+        projections=proj,
+        init=lambda ivp: (_gain_update(np.zeros((ivp.dim, params.dim)), proj.H0, ivp.x0, K), P),
         label="fourier",
     )

@@ -4,6 +4,11 @@ The two oscillator benchmarks (Van der Pol, FitzHugh-Nagumo) are joined by
 three synthetic problems (linear decay, constant, cosine forcing) used for
 convergence and Fourier-training checks. ``rk4_reference`` provides the
 ground-truth trajectories the filters are judged against.
+
+Each problem writes its vector field once, as float code
+``rhs(x: list[float], t) -> list[float]``; ``_array_field`` turns it into the
+array ``field`` of its ``IVProblem``, which ``solve`` calls, and
+``rk4_reference`` calls the float form directly.
 """
 
 from __future__ import annotations
@@ -16,9 +21,23 @@ import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError, _finite_positive, _is_finite
 from .filtering import ProjectionPair
-from .solver import IVProblem, PhaseSegment, Trajectory, _field_at, _n_steps
+from .solver import IVProblem, PhaseSegment, Trajectory, VectorField, _field_at, _n_steps
 
 REFERENCE_PHASE = "reference"
+
+
+def _array_field(rhs) -> VectorField:
+    """The array field of a float form ``rhs(x: list[float], t) -> list[float]``:
+    rhs of the input's floats, its list as an array.
+
+    The field carries rhs as ``field.rhs``, which ``rk4_reference`` calls.
+    """
+
+    def field(x: np.ndarray, t: float) -> np.ndarray:
+        return np.array(rhs(x.tolist(), t))
+
+    field.rhs = rhs
+    return field
 
 
 def _cube(v: float) -> float:
@@ -34,11 +53,11 @@ def vdp(mu: float = 5.0) -> IVProblem:
     if not _is_finite(mu) or mu == 0:
         raise ContractViolation(f"vdp requires a finite mu != 0, got {mu}")
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2 = x.tolist()
-        return np.array([mu * (x1 - _cube(x1) / 3.0 - x2), x1 / mu])
+    def rhs(x: list, t: float) -> list:
+        x1, x2 = x
+        return [mu * (x1 - _cube(x1) / 3.0 - x2), x1 / mu]
 
-    return IVProblem(field=field, x0=np.array([1.0, -1.0]), T=50.0, name="vdp")
+    return IVProblem(field=_array_field(rhs), x0=[1.0, -1.0], T=50.0, name="vdp")
 
 
 def fhn(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0) -> IVProblem:
@@ -49,38 +68,38 @@ def fhn(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0) -> IV
     if not all(map(_is_finite, (I, a, b, tau))) or tau == 0:
         raise ContractViolation(f"fhn requires finite I, a, b and tau != 0, got {(I, a, b, tau)}")
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        x1, x2 = x.tolist()
-        return np.array([x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b * x2) / tau])
+    def rhs(x: list, t: float) -> list:
+        x1, x2 = x
+        return [x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b * x2) / tau]
 
-    return IVProblem(field=field, x0=np.array([1.0, 0.1]), T=50.0, name="fhn")
+    return IVProblem(field=_array_field(rhs), x0=[1.0, 0.1], T=50.0, name="fhn")
 
 
 def linear(x0: float = 1.0, T: float = 2.0) -> IVProblem:
     """Linear decay dx/dt = -x; exact solution x0 * exp(-t)."""
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        return -x
+    def rhs(x: list, t: float) -> list:
+        return [-v for v in x]
 
-    return IVProblem(field=field, x0=np.array([x0]), T=T, name="linear")
+    return IVProblem(field=_array_field(rhs), x0=[x0], T=T, name="linear")
 
 
 def constant(c: float = 1.0, T: float = 2.0) -> IVProblem:
     """Zero field; the solution stays at c."""
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(1)
+    def rhs(x: list, t: float) -> list:
+        return [0.0] * len(x)
 
-    return IVProblem(field=field, x0=np.array([c]), T=T, name="constant")
+    return IVProblem(field=_array_field(rhs), x0=[c], T=T, name="constant")
 
 
 def cosine(T: float = 6 * math.pi) -> IVProblem:
     """Time-forced problem dx/dt = -sin(t), x(0) = 1; exact solution cos(t)."""
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([-math.sin(t)])
+    def rhs(x: list, t: float) -> list:
+        return [-math.sin(t)]
 
-    return IVProblem(field=field, x0=np.array([1.0]), T=T, name="cosine")
+    return IVProblem(field=_array_field(rhs), x0=[1.0], T=T, name="cosine")
 
 
 REGISTRY = {"vdp": vdp, "fhn": fhn, "linear": linear, "constant": constant, "cosine": cosine}
@@ -106,11 +125,6 @@ def by_name(name: str, T: float | None = None, **params) -> IVProblem:
     return ivp
 
 
-def _as_floats(z) -> list[float]:
-    """A field output as the flat list of floats ``_field_at`` would read it."""
-    return np.asarray(z, dtype=float).ravel().tolist()
-
-
 def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta trajectory on a uniform grid.
 
@@ -127,25 +141,27 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     substeps = _n_steps(h_out, h_ref)
     n_out = _n_steps(ivp.T, h_out)
 
-    f = ivp.field
+    # A registered problem's float form, or a wrapper that hands an array field
+    # a fresh float64 array and reads its output as _field_at does.
+    f = getattr(ivp.field, "rhs", None) or (
+        lambda x, t: np.asarray(ivp.field(np.array(x), t), dtype=float).ravel().tolist()
+    )
     means = np.empty((n_out + 1, ivp.dim, 2))
     # The state and the stages are lists of floats: float64 arithmetic on two
     # or three numbers costs less in Python than in numpy ufunc calls, and
-    # rounds the same. Every field call gets a fresh float64 array, and no
-    # field output is written to, so a field may return its input or a
-    # cached array.
-    means[0, :, 0] = x = ivp.x0.tolist()
-    means[0, :, 1] = _field_at(f, ivp.x0.copy(), 0.0)
+    # rounds the same.
+    means[0, :, 0] = x = list(map(float, ivp.x0))
+    means[0, :, 1] = _field_at(ivp.field, ivp.x0.copy(), 0.0)
     half = 0.5 * h_ref
     sixth = h_ref / 6.0
     for k in range(1, n_out + 1):
         base = (k - 1) * substeps
         for s in range(substeps):
             t = (base + s) * h_ref
-            k1 = _as_floats(f(np.array(x), t))
-            k2 = _as_floats(f(np.array([a + half * b for a, b in zip(x, k1)]), t + half))
-            k3 = _as_floats(f(np.array([a + half * b for a, b in zip(x, k2)]), t + half))
-            k4 = _as_floats(f(np.array([a + h_ref * b for a, b in zip(x, k3)]), t + h_ref))
+            k1 = f(x, t)
+            k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
+            k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
+            k4 = f([a + h_ref * b for a, b in zip(x, k3)], t + h_ref)
             x = [
                 a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
@@ -154,9 +170,9 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
         if not all(map(math.isfinite, x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
         means[k, :, 0] = x
-        means[k, :, 1] = _as_floats(f(np.array(x), t))
+        means[k, :, 1] = f(x, t)
 
-    projections = ProjectionPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    projections = ProjectionPair([1.0, 0.0], [0.0, 1.0])
     segment = PhaseSegment(
         REFERENCE_PHASE,
         projections,

@@ -1,8 +1,9 @@
 """The package imports nothing beyond numpy and the standard library, the
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
-place, the scripts reach the package only through its front end, and every
-CLI usage error after parsing comes from the library."""
+place, the registered vector fields are float code, the scripts reach the
+package only through its front end, and every CLI usage error after parsing
+comes from the library."""
 
 import ast
 import pathlib
@@ -74,6 +75,23 @@ def test_only_the_solver_rounds_step_counts():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"
     }
     assert rounding == {"solver.py"}
+
+
+def test_registered_fields_are_float_code():
+    # each problem writes its field once on floats; arrays are built and read
+    # back only by the adapter that makes its array field and by the oracle's
+    # wrapper around an array field
+    def owners(node, path):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", "<lambda>" if isinstance(child, ast.Lambda) else None)
+            inner = path + (name,) if name else path
+            call = ast.unparse(child.func) if isinstance(child, ast.Call) else ""
+            if call == "np.array" or call.endswith(".tolist"):
+                yield ".".join(path)
+            yield from owners(child, inner)
+
+    tree = ast.parse((PACKAGE / "problems.py").read_text())
+    assert set(owners(tree, ())) == {"_array_field.field", "rk4_reference.<lambda>"}
 
 
 def package_modules(path):

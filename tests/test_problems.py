@@ -14,6 +14,7 @@ from odefilter import (
     IVProblem,
     TaylorParams,
     by_name,
+    constant,
     fhn,
     linear,
     rk4_reference,
@@ -102,6 +103,18 @@ def test_rk4_constant_field():
     assert np.array_equal(values, np.ones_like(values))
 
 
+def test_constant_with_an_array_value_stays_put():
+    # its field returned one zero for any state, so every solve and reference
+    # on two coordinates raised "returned 1 components for a 2-dimensional state"
+    ivp = constant(c=[1.0, 2.0])
+    for traj in (
+        solve(taylor_state_space(TaylorParams(1, 1.0)), ivp, 0.1, 0.0),
+        rk4_reference(ivp, 0.01, h_out=0.1),
+    ):
+        assert len(traj) == 21
+        assert np.array_equal(traj.value_means(), np.tile([1.0, 2.0], (21, 1)))
+
+
 def test_rk4_harmonic_oscillator_round_trip():
     ivp = IVProblem(
         field=lambda x, t: np.array([x[1], -x[0]]),
@@ -186,6 +199,20 @@ def test_rk4_equals_the_numpy_loop_bitwise(name, substeps):
     expected = numpy_rk4_means(reference_field, ivp.x0, h_ref, substeps * h_ref, 2000 // substeps)
     (segment,) = rk4_reference(ivp, h_ref, h_out=substeps * h_ref).segments
     assert same_bits(segment.means, expected)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("substeps", [1, 10])
+def test_rk4_of_the_float_form_equals_rk4_of_the_array_field_bitwise(name, substeps):
+    # a registered problem's reference calls its float form; the same field
+    # hidden behind a plain function goes through the array-field wrapper
+    ivp = by_name(name)
+    assert callable(ivp.field.rhs)
+    as_array = replace(ivp, field=lambda x, t: ivp.field(x, t))
+    h_ref = ivp.T / 2000
+    (float_form,) = rk4_reference(ivp, h_ref, h_out=substeps * h_ref).segments
+    (array_field,) = rk4_reference(as_array, h_ref, h_out=substeps * h_ref).segments
+    assert same_bits(float_form.means, array_field.means)
 
 
 @pytest.mark.parametrize("pair", FIELD_PAIRS.values(), ids=FIELD_PAIRS.keys())

@@ -281,8 +281,8 @@ def test_non_finite_parameters_are_contract_violations(build):
     "ssm,first", [(TAYLOR_Q1, 0), (fourier_state_space(FOURIER), 1)], ids=["taylor", "fourier"]
 )
 def test_field_evaluations_per_prior(ssm, first):
-    # the Taylor init evaluates the field at t=0; the zero-mean Fourier init
-    # sees none, so a Fourier-prior solve of n steps evaluates it n times
+    # the Taylor init evaluates the field at t=0; the Fourier init evaluates
+    # none, so a Fourier-prior solve of n steps evaluates it n times
     h, n = 0.1, 20
     field = RecordingField(cosine().field)
     solve(ssm, replace(cosine(), field=field, T=n * h), h, 1e-6)
@@ -301,15 +301,45 @@ def test_taylor_init_is_one_row_of_the_batched_init(q):
 
 
 @pytest.mark.parametrize("J", [0, 3, 5])
-def test_fourier_init_is_row_zero_of_the_batched_init(J):
+def test_fourier_init_conditioned_on_x0_is_each_row_of_the_batched_init(J):
+    # the zero-mean prior conditioned, with no noise, on the value H0 m = x0
     params = FourierParams(J, 1.0, 3.0, 1.0)
-    M, P = fourier_state_space(params).init(vdp())
-    belief = fourier_init(params)
+    ivp = vdp()
+    M, P = fourier_state_space(params).init(ivp)
+    exact = MeasurementModel(fourier_projections(params).H0, 0.0)
     assert M.shape == (2, params.dim)
-    assert np.array_equal(belief.mean, M[0]) and np.array_equal(belief.mean, M[1])
-    assert np.array_equal(belief.cov, P)
+    for i in range(2):
+        belief = update(fourier_init(params), exact, ivp.x0[i])
+        assert np.array_equal(belief.mean, M[i])
+        assert np.array_equal(belief.cov, P)
+    assert M @ exact.H == pytest.approx(ivp.x0, rel=1e-15)  # to rounding
     # every solve shares P, so it is read-only
     assert not P.flags.writeable
+
+
+def test_a_fourier_prior_solve_of_a_constant_stays_at_x0():
+    # a zero-mean init, measured only through H, whose constant-term slots
+    # are zero, never learned x0: the value mean was 0 at every step
+    values = solve(fourier_state_space(FOURIER), constant(c=5.0), 0.01, 1e-6).value_means()
+    assert values[0, 0] == pytest.approx(5.0, rel=1e-15)
+    assert np.max(np.abs(values - 5.0)) <= 1e-4  # measured 2.8e-5
+
+
+def test_a_fourier_prior_solve_of_cosine_starts_from_x0():
+    traj = solve(fourier_state_space(FOURIER), cosine(T=6.0), 0.01, 1e-6)
+    rmse = math.sqrt(np.mean((traj.value_means()[:, 0] - np.cos(traj.times())) ** 2))
+    assert rmse <= 1e-4  # measured 2.0e-6; 0.086 from a zero-mean init
+
+
+def test_a_fourier_prior_solve_of_fhn_finishes():
+    # with a zero-mean init this raised DivergedSolveError at t=0.09; the
+    # measured x1 RMSE against RK4 at h/10 is 0.143 (x2: 0.033)
+    ivp = fhn()
+    ssm = fourier_state_space(FourierParams(8, 2 * math.pi / 35.04, 3.0, 1.0))
+    traj = solve(ssm, ivp, 0.01, 1e-6)
+    reference = rk4_reference(ivp, 0.001, h_out=0.01)
+    rmse = np.sqrt(np.mean((traj.value_means() - reference.value_means()) ** 2, axis=0))
+    assert rmse[0] <= 0.2
 
 
 def test_record_count_matches_grid():
