@@ -86,6 +86,10 @@ class HybridConfig:
         _finite_positive(self.T_p, "prediction time T_p")
         _finite_nonnegative(self.R, "measurement noise R")
         _n_steps(self.T_p, self.h)
+        # at R = 0 every Taylor derivative variance past t = 0 is exactly 0
+        kinds = (self.train_policy.kind, self.train_noise.kind)
+        if self.R == 0 and kinds == ("values_and_derivatives", "taylor_variance"):
+            raise ContractViolation(f"train_policy {kinds[0]}, train_noise {kinds[1]} need R > 0")
 
 
 def _train(

@@ -93,7 +93,7 @@ def constant(c: float = 1.0, T: float = 2.0) -> IVProblem:
     return IVProblem(field=_array_field(rhs), x0=[c], T=T, name="constant")
 
 
-def cosine(T: float = 6 * math.pi) -> IVProblem:
+def cosine(T: float = 20.0) -> IVProblem:
     """Time-forced problem dx/dt = -sin(t), x(0) = 1; exact solution cos(t)."""
 
     def rhs(x: list, t: float) -> list:

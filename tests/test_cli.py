@@ -21,6 +21,7 @@ from odefilter import (
     by_name,
     fhn,
     hybrid_solve,
+    problems,
     rk4_reference,
     solve,
     taylor_state_space,
@@ -114,6 +115,20 @@ def test_solve_vdp_hybrid_defaults(tmp_path):
     assert phases[3751] == "fourier"
     assert float(rows[3750][0]) == 37.5
     assert set(phases) == {"taylor", "fourier"}
+
+
+@pytest.mark.parametrize("method", ["taylor", "hybrid"])
+@pytest.mark.parametrize("problem", sorted(problems.REGISTRY))
+def test_every_problem_solves_at_the_default_flags(tmp_path, monkeypatch, problem, method):
+    # each default horizon, and 0.75 of it, is a whole number of default steps
+    monkeypatch.chdir(tmp_path)
+    assert run("solve", "--problem", problem, "--method", method)[0] == 0
+    assert (tmp_path / f"{problem}_{method}.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("problem", ["linear", "constant", "cosine"])
+def test_synthetic_problems_converge_at_their_default_horizon(problem):
+    assert run("converge", "--problem", problem, "--h", "0.1", "0.05", "0.025")[0] == 0
 
 
 def test_solve_determinism_byte_identical(tmp_path):
@@ -343,6 +358,28 @@ def test_zero_train_jitter_exit_code(tmp_path):
     assert code == 2
     assert err.startswith("error:") and "jitter" in err
     assert not out.exists()
+
+
+def test_derivative_variance_training_at_zero_noise_exits_before_any_field_evaluation(
+    tmp_path, monkeypatch
+):
+    # at R = 0 every Taylor derivative variance past t = 0 is 0, so no row could be whitened
+    calls = []
+
+    def counted(name, **kwargs):
+        ivp = by_name(name, **kwargs)
+        return replace(ivp, field=lambda x, t: calls.append(t) or ivp.field(x, t))
+
+    monkeypatch.setattr(problems, "by_name", counted)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--problem", "vdp", "--method", "hybrid", "--T", "5", "-o", str(out),
+            "--train-policy", "values_and_derivatives", "--train-noise", "taylor_variance"]
+    code, _, err = run(*argv)
+    assert (code, calls) == (2, [])
+    assert all(name in err for name in ("values_and_derivatives", "taylor_variance", "R > 0"))
+    assert not out.exists()
+    assert run(*argv, "--R", "1e-6")[0] == 0
+    assert calls
 
 
 def test_taylor_solve_ignores_every_hybrid_only_flag(tmp_path):

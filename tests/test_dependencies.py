@@ -1,16 +1,14 @@
 """The package imports nothing beyond numpy and the standard library, the
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
-place, the registered vector fields are float code, the scripts reach the
-package only through its front end, and every CLI usage error after parsing
-comes from the library."""
+place, the registered vector fields are float code, and every CLI usage
+error after parsing comes from the library."""
 
 import ast
 import pathlib
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "odefilter"
-SCRIPTS = PACKAGE.parents[1] / "scripts"
 
 
 def imported_modules(path):
@@ -92,31 +90,6 @@ def test_registered_fields_are_float_code():
 
     tree = ast.parse((PACKAGE / "problems.py").read_text())
     assert set(owners(tree, ())) == {"_array_field.field", "rk4_reference.<lambda>"}
-
-
-def package_modules(path):
-    """The ``odefilter`` modules one source file imports, by dotted name."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module == "odefilter":
-            yield from (f"odefilter.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
-
-
-def test_scripts_use_only_the_cli():
-    # the experiment is spelled once, in the CLI; a script that builds its own
-    # config, output or summary would be a second spelling
-    scripts = sorted(SCRIPTS.glob("*.py"))
-    assert scripts
-    foreign = {
-        (path.name, name)
-        for path in scripts
-        for name in package_modules(path)
-        if name.split(".")[0] == "odefilter" and name != "odefilter.cli"
-    }
-    assert not foreign
 
 
 def test_the_cli_raises_no_usage_error_of_its_own():
