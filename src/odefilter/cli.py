@@ -27,7 +27,7 @@ from . import problems
 from .errors import ContractViolation, CsvFormatError, DivergedSolveError, SingularUpdateError
 from .fourier import FourierParams
 from .hybrid import NOISE_KINDS, POLICY_KINDS, HybridConfig, TrainNoise, TrainPolicy, hybrid_solve
-from .solver import GRID_TOL, Trajectory, solve
+from .solver import Trajectory, _same_grid_point, solve
 from .taylor import TaylorParams, taylor_state_space
 
 EXACT_ORDER_THRESHOLD = 1e-10
@@ -49,7 +49,8 @@ def _csv_header(d: int, reference: bool) -> list[str]:
 def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str:
     """Render a trajectory (plus optional reference values) as CSV text.
 
-    The reference must have the trajectory's coordinates and its times, to GRID_TOL.
+    The reference must have the trajectory's coordinates and its times, each
+    the same grid point by ``solver._same_grid_point`` on the trajectory's step.
     """
     header = _csv_header(traj.dim, reference is not None)
     t = traj.times()
@@ -61,8 +62,8 @@ def trajectory_csv(traj: Trajectory, reference: Trajectory | None = None) -> str
                 f"reference values of shape {ref_values.shape} do not match "
                 f"trajectory values of shape {columns[1].shape}"
             )
-        ref_t = reference.times()
-        off_grid = np.flatnonzero(~(np.abs(ref_t - t) <= GRID_TOL))
+        ref_t, step = reference.times(), t[1] - t[0] if len(t) > 1 else 0.0
+        off_grid = np.flatnonzero(~_same_grid_point(ref_t, t, step))
         if off_grid.size:
             k = off_grid[0]
             raise ContractViolation(f"reference time {ref_t[k]:.17g} differs from t={t[k]:.17g}")
@@ -162,10 +163,14 @@ def render_svg(data: CsvData) -> str:
         ymax = max(float(values.max()) for _, values, _ in series)
     else:
         tmin, tmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
+    # The axes run on halves of the times and quarters of the values (whose
+    # range is padded), so that no span or padded end overflows; a power of
+    # two scales normal floats exactly.
+    tmin, tmax, ymin, ymax = tmin / 2, tmax / 2, ymin / 4, ymax / 4
     if tmax == tmin:
-        tmax = tmin + 1.0
+        tmax = tmin + 0.5
     if ymax == ymin:
-        ymin, ymax = ymin - 1.0, ymax + 1.0
+        ymin, ymax = ymin - 0.25, ymax + 0.25
     pad = 0.05 * (ymax - ymin)
     ymin -= pad
     ymax += pad
@@ -191,13 +196,13 @@ def render_svg(data: CsvData) -> str:
             f'<line x1="{x:.2f}" y1="{_MT + ph}" x2="{x:.2f}" y2="{_MT + ph + 5}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{_MT + ph + 18}" text-anchor="middle">{tx:.6g}</text>'
+            f'<text x="{x:.2f}" y="{_MT + ph + 18}" text-anchor="middle">{2 * tx:.6g}</text>'
         )
         vy = ymin + frac * (ymax - ymin)
         y = sy(vy)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="#333"/>')
         parts.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">{vy:.6g}</text>'
+            f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">{4 * vy:.6g}</text>'
         )
 
     rule_t = None
@@ -208,7 +213,7 @@ def render_svg(data: CsvData) -> str:
                 rule_t = data.t[k - 1]
                 break
     if rule_t is not None:
-        x = sx(rule_t)
+        x = sx(rule_t / 2)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MT}" x2="{x:.2f}" y2="{_MT + ph}" '
             f'stroke="#666" stroke-dasharray="5,4"/>'
@@ -216,10 +221,10 @@ def render_svg(data: CsvData) -> str:
         parts.append(f'<text x="{x + 4:.2f}" y="{_MT + 14}" fill="#666">t={rule_t:.6g}</text>')
 
     # sx and sy map whole columns with the arithmetic they apply to one value
-    xs = sx(data.t).tolist()
+    xs = sx(data.t / 2).tolist()
 
     for _, values, color in series:
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, sy(values).tolist())))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, sy(values / 4).tolist())))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
 
     lx = _ML + 8

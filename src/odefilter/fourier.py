@@ -127,9 +127,12 @@ def fourier_init(params: FourierParams) -> GaussianBelief:
 
 
 def fourier_state_space(params: FourierParams) -> StateSpaceModel:
-    # The init conditions the zero-mean prior on each coordinate's value,
-    # H0 m = x0, with no noise; it evaluates nothing. The conditioned
-    # covariance and the gain do not depend on x0, so every solve shares them.
+    """The Fourier (periodic) prior as a ``StateSpaceModel``.
+
+    Its init conditions the zero-mean prior on each coordinate's value,
+    H0 m = x0, with no noise; it evaluates nothing. The conditioned
+    covariance and the gain do not depend on x0, so every solve shares them.
+    """
     proj = fourier_projections(params)
     P, K, _ = _joseph(fourier_init(params).cov, proj.H0, 0.0)
     P.flags.writeable = False

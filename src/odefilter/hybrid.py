@@ -74,6 +74,16 @@ class TrainNoise:
 
 @dataclass(frozen=True)
 class HybridConfig:
+    """Settings of one ``hybrid_solve``: the two priors, the switch time and the grid.
+
+    ``T_p`` is finite, > 0 and a whole number of steps of ``h`` (the grid
+    rule of ``solver._n_steps``); ``R`` is finite and >= 0. At ``R = 0`` every
+    Taylor derivative variance past t = 0 is exactly 0, so the
+    ``values_and_derivatives`` policy cannot train with ``taylor_variance``
+    noise. ``hybrid_solve`` adds ``T_p < T`` and that ``T - T_p`` is a whole
+    number of steps, for the problem it is given.
+    """
+
     taylor: TaylorParams
     fourier: FourierParams
     T_p: float

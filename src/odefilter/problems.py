@@ -132,9 +132,10 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     h_ref), which keeps long high-resolution references affordable. Callers
     judging a filter run at step h should use h_ref <= h/10. Records carry
     [value, derivative] means with zero covariance under the phase tag
-    ``reference``. The field's outputs follow ``solve``'s contract: the t = 0
-    evaluation is checked by ``_field_at``, so a wrong component count
-    raises ContractViolation there.
+    ``reference``. The field's outputs follow ``solve``'s contract through
+    ``_field_at``: the t = 0 evaluation always, and every stage of an array
+    field, so a wrong component count raises ContractViolation as in
+    ``solve``. A registered problem's float form runs unchecked past t = 0.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -142,10 +143,9 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     n_out = _n_steps(ivp.T, h_out)
 
     # A registered problem's float form, or a wrapper that hands an array field
-    # a fresh float64 array and reads its output as _field_at does.
-    f = getattr(ivp.field, "rhs", None) or (
-        lambda x, t: np.asarray(ivp.field(np.array(x), t), dtype=float).ravel().tolist()
-    )
+    # a fresh float64 array and holds every stage to its contract through _field_at.
+    rhs = getattr(ivp.field, "rhs", None)
+    f = rhs or (lambda x, t: _field_at(ivp.field, np.array(x), t).tolist())
     means = np.empty((n_out + 1, ivp.dim, 2))
     # The state and the stages are lists of floats: float64 arithmetic on two
     # or three numbers costs less in Python than in numpy ufunc calls, and

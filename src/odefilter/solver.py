@@ -46,7 +46,7 @@ from .filtering import (
     _passthrough,
 )
 
-# Tolerance of the grid checks: step counts (relative), record spacing and horizon (absolute).
+# Relative tolerance of the grid rule, ``_same_grid_point``: the one place that reads it.
 GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
@@ -148,8 +148,9 @@ class Trajectory:
         object.__setattr__(self, "segments", tuple(self.segments))
         if len({s.means.shape[1] for s in self.segments}) != 1:
             raise ContractViolation("segments must share one coordinate count")
-        steps = np.diff(self.times())
-        if len(steps) and not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= GRID_TOL)):
+        t = self.times()
+        step = t[1] - t[0] if len(t) > 1 else 1.0
+        if not (step > 0 and np.all(_same_grid_point(t, t[:1] + np.arange(len(t)) * step, step))):
             raise ContractViolation("record times must increase by one uniform step")
 
     def __len__(self) -> int:
@@ -185,11 +186,18 @@ def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
     return z
 
 
+def _same_grid_point(a, b, h):
+    """The grid rule: times a and b (floats or arrays) on a grid of step h are
+    one grid point when they differ by at most GRID_TOL times the larger of
+    |a|, |b| and h. Every grid check calls it."""
+    return np.abs(a - b) <= GRID_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), h)
+
+
 def _n_steps(span: float, h: float) -> int:
-    """The number of steps of h in span: a whole number >= 1, to GRID_TOL relative."""
+    """The number of steps of h in span: a whole number >= 1 by the grid rule, in units of h."""
     n = span / _finite_positive(h, "step size h")
     n_round = round(n) if np.isfinite(n) else 0
-    if n_round < 1 or abs(n - n_round) > GRID_TOL * max(1.0, abs(n)):
+    if n_round < 1 or not _same_grid_point(n, float(n_round), 1.0):
         raise ContractViolation(f"{span:g}/{h:g} = {n!r} is not an integer number of steps")
     return n_round
 
@@ -223,9 +231,9 @@ def solve(
     """
     _finite_nonnegative(R, "measurement noise R")
     t_end = ivp.T if t_end is None else _finite_positive(t_end, "t_end")
-    if t_end > ivp.T + GRID_TOL:
-        raise ContractViolation(f"t_end={t_end} exceeds problem horizon T={ivp.T}")
     n = _n_steps(t_end, h)
+    if t_end > ivp.T and not _same_grid_point(t_end, ivp.T, h):
+        raise ContractViolation(f"t_end={t_end} exceeds problem horizon T={ivp.T}")
 
     trans, proj = ssm.transition_builder(h), ssm.projections
     M, P = (np.asarray(a, dtype=float) for a in ssm.init(ivp))

@@ -92,9 +92,12 @@ def taylor_init(x0: float, dx0: float, q: int) -> GaussianBelief:
 
 
 def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
-    # The init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
-    # evaluation before the filter loop. The field gets a copy of x0, as it
-    # gets a fresh array at every step.
+    """The Taylor (integrated Brownian motion) prior as a ``StateSpaceModel``.
+
+    Its init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
+    evaluation before the filter loop. The field gets a copy of x0, as it
+    gets a fresh array at every step.
+    """
     return StateSpaceModel(
         transition_builder=lambda h: ibm_transition(h, params),
         projections=taylor_projections(params.q),

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -624,3 +625,27 @@ def test_svg_polylines_equal_the_per_point_formatting(means):
     means = np.array(means)
     data = CsvData(np.array([0.0, 0.5, 1.0]), means, np.zeros_like(means), -means, ["taylor"] * 3)
     assert polyline_points(render_svg(data)) == format_polyline_points(data)
+
+
+def test_csv_rejects_a_reference_one_small_step_late():
+    # at h = 1e-10 a whole step is far inside an absolute 1e-9
+    ivp = by_name("constant", T=1e-9)
+    traj = solve(taylor_state_space(TaylorParams(1, 1.0)), ivp, 1e-10, 0.0)
+    (segment,) = rk4_reference(ivp, 1e-10).segments
+    late = Trajectory((replace(segment, t=segment.t + 1e-10),))
+    with pytest.raises(ContractViolation, match=r"reference time 1e-10 differs from t=0$"):
+        trajectory_csv(traj, late)
+
+
+@pytest.mark.parametrize("top", ["1e308", "1.7976931348623157e308"])
+def test_plot_of_times_and_values_near_the_float_limit(tmp_path, top):
+    # tmax - tmin and ymax - ymin overflow float64; every point must still be finite
+    csv = tmp_path / "wide.csv"
+    rows = [f"{t},{top},-{top},0,0,taylor" for t in (f"-{top}", top)]
+    csv.write_text("\n".join(["t,mean_0,mean_1,std_0,std_1,phase"] + rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("plot", str(csv))[0] == 0
+    svg = (tmp_path / "wide.svg").read_text()
+    assert "nan" not in svg
+    assert polyline_points(svg) == ["64.00,38.91 824.00,38.91", "64.00,417.09 824.00,417.09"]

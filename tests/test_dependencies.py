@@ -1,8 +1,9 @@
 """The package imports nothing beyond numpy and the standard library, the
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
-place, the registered vector fields are float code, and every CLI usage
-error after parsing comes from the library."""
+place, one function reads the grid tolerance, the registered vector fields
+are float code, and every CLI usage error after parsing comes from the
+library."""
 
 import ast
 import pathlib
@@ -73,6 +74,27 @@ def test_only_the_solver_rounds_step_counts():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"
     }
     assert rounding == {"solver.py"}
+
+
+def grid_tolerance_readers(node, owner="<module>"):
+    """The innermost function or class around each read of GRID_TOL under node."""
+    for child in ast.iter_child_nodes(node):
+        if getattr(child, "id", getattr(child, "attr", None)) == "GRID_TOL":
+            if isinstance(child.ctx, ast.Load):
+                yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from grid_tolerance_readers(child, child.name if named else owner)
+
+
+def test_one_function_reads_the_grid_tolerance():
+    # the grid rule is solver._same_grid_point; every other grid check calls it
+    readers = {
+        (path.name, owner)
+        for path in PACKAGE.glob("*.py")
+        for owner in grid_tolerance_readers(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert readers == {("solver.py", "_same_grid_point")}
+    assert "GRID_TOL" not in set(imported_names(PACKAGE / "cli.py", "solver"))
 
 
 def test_registered_fields_are_float_code():

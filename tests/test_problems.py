@@ -296,3 +296,15 @@ def test_rk4_accepts_the_field_outputs_solve_accepts():
     (segment,) = rk4_reference(scalar, 0.01).segments
     (expected,) = rk4_reference(linear(T=1.0), 0.01).segments
     assert np.array_equal(segment.means, expected.means)
+
+
+def test_rk4_holds_every_stage_of_an_array_field_to_the_contract():
+    # a field that drops a component after t = 0.5 fails at that stage, rather
+    # than have coordinate 0 broadcast over coordinate 1
+    shrink = IVProblem(lambda x, t: -x if t < 0.5 else -x[:1], [1.0, 2.0], 1.0, "shrink")
+    for run in (
+        lambda: rk4_reference(shrink, 0.01, h_out=0.1),
+        lambda: solve(taylor_state_space(TaylorParams(1, 1.0)), shrink, 0.1, 0.0),
+    ):
+        with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
+            run()

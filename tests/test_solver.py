@@ -359,6 +359,27 @@ def test_trajectory_times_increase_by_one_step(t):
         Trajectory((segment,))
 
 
+def test_uneven_steps_of_small_times_are_rejected():
+    # steps of 1e-10 and 4e-10 differ by less than an absolute 1e-9
+    t, means, covs = np.array([0.0, 1e-10, 5e-10]), np.zeros((3, 1, 2)), np.zeros((3, 2, 2))
+    with pytest.raises(ContractViolation, match="uniform step"):
+        Trajectory((PhaseSegment("taylor", taylor_projections(1), t, means, covs),))
+
+
+def test_t_end_a_small_span_past_a_small_horizon_is_rejected():
+    # 0.9e-9 past T is inside an absolute 1e-9, yet nine steps past T
+    with pytest.raises(ContractViolation, match="exceeds problem horizon"):
+        solve(TAYLOR_Q1, constant(T=1e-9), 1e-10, 0.0, t_end=1.9e-9)
+
+
+def test_a_grid_of_large_times_is_one_uniform_grid():
+    # at t ~ 1e7 consecutive record times differ from h by ulps of 1e7, far above 1e-9
+    ivp, h = constant(T=1e7), 1e7 / 3000
+    assert len(solve(TAYLOR_Q1, ivp, h, 0.0)) == 3001
+    config = HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=0.75 * ivp.T, h=h)
+    assert hybrid_solve(config, ivp).phases().count("fourier") == 750
+
+
 @pytest.mark.parametrize(
     "means_shape,covs_shape,match",
     [
