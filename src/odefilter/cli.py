@@ -18,6 +18,7 @@ inserted between the stds and the phase.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -165,12 +166,14 @@ def render_svg(data: CsvData) -> str:
         tmin, tmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     # The axes run on halves of the times and quarters of the values (whose
     # range is padded), so that no span or padded end overflows; a power of
-    # two scales normal floats exactly.
+    # two scales normal floats exactly. A flat axis is widened by a half or a
+    # quarter, or, where rounding absorbs that, to the next float up.
     tmin, tmax, ymin, ymax = tmin / 2, tmax / 2, ymin / 4, ymax / 4
     if tmax == tmin:
-        tmax = tmin + 0.5
+        tmax = max(tmin + 0.5, math.nextafter(tmin, math.inf))
     if ymax == ymin:
-        ymin, ymax = ymin - 0.25, ymax + 0.25
+        ymin = ymin - 0.25
+        ymax = max(ymax + 0.25, math.nextafter(ymin, math.inf))
     pad = 0.05 * (ymax - ymin)
     ymin -= pad
     ymax += pad

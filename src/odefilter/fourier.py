@@ -36,6 +36,8 @@ class FourierParams:
         object.__setattr__(self, "J", _integer_at_least(self.J, 0, "J"))
         for name in ("w0", "l", "sigma2"):
             object.__setattr__(self, name, _finite_positive(getattr(self, name), name))
+        if not math.isfinite(self.J * self.w0):  # the top block's angular velocity
+            raise ContractViolation(f"J*w0 leaves float range at w0={self.w0:g}, J={self.J}")
 
     @property
     def dim(self) -> int:
@@ -88,7 +90,17 @@ def fourier_weights(params: FourierParams) -> np.ndarray:
 
 
 def _rotation(params: FourierParams, t) -> np.ndarray:
-    """Block-diagonal rotations A(t), block j turning by w0*j*t; shape t.shape + (D, D)."""
+    """Block-diagonal rotations A(t), block j turning by w0*j*t; shape t.shape + (D, D).
+
+    Raises ContractViolation when an angle leaves float range: the largest,
+    J*w0 times the largest |t|, rounds the way its own entry of theta does.
+    """
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(params.w0 * params.J * t_max):
+        raise ContractViolation(
+            f"Fourier angle j*w0*t leaves float range at w0={params.w0:g}, J={params.J}, "
+            f"t={t_max:g}"
+        )
     theta = np.multiply.outer(t, params.w0 * np.arange(params.J + 1))
     x = 2 * np.arange(params.J + 1)
     A = np.zeros(theta.shape[:-1] + (params.dim, params.dim))

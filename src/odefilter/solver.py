@@ -14,20 +14,25 @@ A solve is therefore two recursions. ``_covariance_schedule`` takes no
 field: it applies the predict map and each step's gain map (see
 ``filtering._cov_map``) to the covariance alone until the gain settles,
 which under the Taylor prior takes a few dozen steps; ``_affine_scan``
-fills the rest with powers of the frozen map, the two composed. Then one
-mean loop, the only code that calls the field, runs
-``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step.
+fills the rest with powers of the frozen map, the two composed. Then the
+mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
+``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and only
+through ``_field_at``.
 
-The mean loop makes no array temporaries per step: it predicts straight
-into its row of the output means and updates it there, through views and
-scratch buffers made once per solve. It makes the same kernel calls in the
-same order as a loop that allocates every intermediate, so its output is
-the same bit for bit.
+The mean recursion has two kernels, which take the same covariances and
+gains. A two-slot state (the q=1 Taylor prior, the J=0 Fourier prior) of at
+most FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python
+floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
+runs ``_array_mean_loop`` on numpy buffers made once per solve. On the
+package's two-slot priors both give the same means bit for bit. Larger
+states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
+floats cannot reproduce.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable
@@ -53,6 +58,11 @@ GRID_TOL = 1e-9
 GAIN_SETTLED_RTOL = 1e-14
 # Covariances the affine scan past the freeze maps in one batched product.
 SCAN_BLOCK = 256
+# The most coordinates whose two-slot means run on Python floats
+# (``_float_mean_loop``). Their cost per step grows faster with the
+# coordinate count than numpy's: on a q=1 solve of a linear field the float
+# loop is 2.4x as fast at 1 coordinate, 1-7 % faster at 10 and level at 11-12.
+FLOAT_LOOP_MAX_DIM = 10
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 
@@ -224,8 +234,9 @@ def solve(
     is exactly symmetric.
 
     The covariances and gains come from ``_covariance_schedule`` before any
-    mean moves; the loop that follows evaluates the field and updates the
-    means with those gains. A passthrough step (no finite S > 0, see
+    mean moves; the mean kernel that follows, on floats or on arrays by the
+    state and problem size, evaluates the field and updates the means with
+    those gains. A passthrough step (no finite S > 0, see
     ``filtering._joseph``) moves no mean and raises SingularUpdateError,
     with the step and t, unless every innovation vanishes.
     """
@@ -249,29 +260,79 @@ def solve(
         raise ContractViolation("init covariance must be exactly symmetric")
     A, H0, H = trans.A, proj.H0, proj.H
     covs, gains = _covariance_schedule(P, A, trans.Q, H, R, n)
+    # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
+    Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
+    loop = _float_mean_loop if D == 2 and ivp.dim <= FLOAT_LOOP_MAX_DIM else _array_mean_loop
+    means = loop(ivp.field, M, A, H0, H, R, h, covs, Ks)
+    segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
+    return Trajectory((segment,))
 
-    means = np.empty((n + 1, ivp.dim, D))
+
+def _array_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
+    """The means (n+1, d, D) of a solve from M (d, D), on numpy arrays.
+
+    Step k predicts ``m <- A m``, evaluates ``z = f(H0 m, k h)`` and updates
+    ``m <- m + (z - H m) K`` with the k-th gain of Ks; a None gain is a
+    passthrough, checked against covs[k]. The loop makes no array
+    temporaries per step: it predicts straight into its row of the output
+    means and updates it there, through views and scratch buffers made once
+    per solve. It makes the same kernel calls in the same order as a loop
+    that allocates every intermediate, so its output is the same bit for bit.
+    """
+    n, (d, D) = len(covs) - 1, M.shape
+    means = np.empty((n + 1, d, D))
     means[0] = M
     # The field gets inputs[k - 1], a row of its own, so it may keep or
     # overwrite its input without touching the means or a later input.
     columns, rows = means[..., None], means[..., None, :]
-    projected = np.empty((n, ivp.dim, 1))
-    inputs, hm, step = projected[..., 0], np.empty((ivp.dim, 1)), np.empty((ivp.dim, D))
-    # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
-    Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
+    projected = np.empty((n, d, 1))
+    inputs, hm, step = projected[..., 0], np.empty((d, 1)), np.empty((d, D))
     for k, K in enumerate(Ks, 1):
         t = k * h
         np.matmul(A, columns[k - 1], columns[k])  # the mean half of _predict
         M, row = means[k], rows[k]
         np.matmul(row, H0, projected[k - 1])  # _dot(M, H0), into the field's input
-        z = _field_at(ivp.field, inputs[k - 1], t)
+        z = _field_at(field, inputs[k - 1], t)
         if K is None:  # covs[k] is then the predicted covariance, so this is its S
             _passthrough(M, H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
         else:
             _gain_update(M, H, z, K, out=M, rows=row, hm=hm, step=step)
+    return means
 
-    segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
-    return Trajectory((segment,))
+
+def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
+    """``_array_mean_loop`` for a two-slot state, on Python floats.
+
+    Each coordinate is a pair ``(m0, m1)``, and every product and sum is
+    written in numpy's order: ``a00 m0 + a01 m1`` to predict, ``0.0 + m0 g0
+    + m1 g1`` for the H0 and H rows (numpy's sums start from +0.0), and
+    ``m + nu k`` to update. Numpy fuses a mat-vec's first product into its
+    sum, which Python floats cannot; in both built-in two-slot priors that
+    product is exact (A is [[1, h], [0, 1]] or the identity), so the means
+    are the array loop's bit for bit. The field gets a fresh array per step;
+    the means of every step go to one flat buffer of doubles, which becomes
+    the output array without a copy.
+    """
+    (a00, a01), (a10, a11) = A.tolist()
+    (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
+    flat = array("d", M.ravel().tolist())
+    pairs, last = list(zip(flat[0::2], flat[1::2])), None
+    for k, K in enumerate(Ks, 1):
+        t = k * h
+        pairs = [(a00 * m0 + a01 * m1, a10 * m0 + a11 * m1) for m0, m1 in pairs]
+        z = _field_at(field, np.array([0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs]), t)
+        if K is None:  # covs[k] is then the predicted covariance, so this is its S
+            _passthrough(np.array(pairs), H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
+        else:
+            if K is not last:  # past the freeze every step gets the same gain object
+                (k0, k1), last = K.tolist(), K
+            updated = []
+            for (m0, m1), zi in zip(pairs, z.tolist()):
+                nu = zi - (0.0 + m0 * e0 + m1 * e1)
+                updated.append((m0 + nu * k0, m1 + nu * k1))
+            pairs = updated
+        flat.extend(chain.from_iterable(pairs))
+    return np.frombuffer(flat).reshape((len(covs),) + M.shape)
 
 
 def _covariance_schedule(P0, A, Q, H, R, n):

@@ -649,3 +649,33 @@ def test_plot_of_times_and_values_near_the_float_limit(tmp_path, top):
     svg = (tmp_path / "wide.svg").read_text()
     assert "nan" not in svg
     assert polyline_points(svg) == ["64.00,38.91 824.00,38.91", "64.00,417.09 824.00,417.09"]
+
+
+@pytest.mark.parametrize(
+    "rows,points",
+    [
+        (["0,1e17,0,taylor", "1,1e17,0,taylor"], ["64.00,436.00 824.00,436.00"]),
+        (["1e17,1,0,taylor"], ["64.00,228.00"]),
+    ],
+    ids=["flat-values", "one-time"],
+)
+def test_plot_of_huge_flat_data_widens_the_flat_axis(tmp_path, rows, points):
+    # at 1e17 rounding absorbs the quarter (values) or half (times) a flat
+    # axis is widened by; the axis then runs to the next float up
+    csv = tmp_path / "flat.csv"
+    csv.write_text("\n".join(["t,mean_0,std_0,phase"] + rows) + "\n")
+    assert run("plot", str(csv))[0] == 0
+    assert polyline_points((tmp_path / "flat.svg").read_text()) == points
+
+
+@pytest.mark.parametrize("w0", ["1e308", "1e307"])
+def test_a_fourier_angle_beyond_float_range_exits_2(tmp_path, w0):
+    # at J=3, w0=1e308 overflows J*w0 and w0=1e307 the angle 3*w0*t of the
+    # training times; neither may write NaN rows
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run("solve", "--problem", "vdp", "--method", "hybrid", "--w0", w0, "-o", str(out))
+    assert code == 2
+    assert err.startswith("error:") and f"float range at w0={float(w0):g}, J=3" in err
+    assert not out.exists()

@@ -2,8 +2,8 @@
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
 place, one function reads the grid tolerance, the registered vector fields
-are float code, and every CLI usage error after parsing comes from the
-library."""
+are float code, the solver calls a field in one place, and every CLI usage
+error after parsing comes from the library."""
 
 import ast
 import pathlib
@@ -112,6 +112,25 @@ def test_registered_fields_are_float_code():
 
     tree = ast.parse((PACKAGE / "problems.py").read_text())
     assert set(owners(tree, ())) == {"_array_field.field", "rk4_reference.<lambda>"}
+
+
+def field_callers(node, owner="<module>"):
+    """The innermost function around each call of a name or attribute ``field`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "field":
+                yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from field_callers(child, getattr(child, "name", "<lambda>") if named else owner)
+
+
+def test_the_solver_calls_the_field_only_through_field_at():
+    # both mean kernels hand the field a fresh array through _field_at, which
+    # checks what it returns; neither reaches for the float form ``rhs``
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    assert set(field_callers(tree)) == {"_field_at"}
+    assert not [node.lineno for node in ast.walk(tree) if getattr(node, "attr", None) == "rhs"]
 
 
 def test_the_cli_raises_no_usage_error_of_its_own():

@@ -276,3 +276,19 @@ def test_params_validation():
         FourierParams(1, 1.0, 3.0, 0.0)
     with pytest.raises(ContractViolation):
         fourier_transition(0.0, FourierParams(1, 1.0, 3.0, 1.0))
+
+
+def test_an_angular_velocity_beyond_float_range_is_rejected():
+    # J*w0 = 3e308 overflows: the top block's rotation and derivative row would be NaN
+    with pytest.raises(ContractViolation, match=r"^J\*w0 leaves float range at w0=1e\+308, J=3$"):
+        FourierParams(3, 1e308, 3.0, 1.0)
+    assert FourierParams(1, 1e308, 3.0, 1.0).w0 == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_rotation_angle_beyond_float_range_is_rejected():
+    params = FourierParams(3, 1e307, 3.0, 1.0)
+    match = r"^Fourier angle j\*w0\*t leaves float range at w0=1e\+307, J=3, t=37.5$"
+    with pytest.raises(ContractViolation, match=match):
+        fourier_transition(37.5, params)
+    assert np.isfinite(fourier_transition(5.0, params).A).all()  # 3e307 * 5 is finite

@@ -733,6 +733,74 @@ def test_singular_update_passes_when_every_innovation_vanishes():
     assert np.array_equal(traj.value_means(), np.zeros((3, 2)))
 
 
+KERNELS = {"float": solver._float_mean_loop, "array": solver._array_mean_loop}
+
+
+def kernel_outcome(monkeypatch, kernel, ssm, ivp, h, R):
+    """The means' bytes of solve(ssm, ivp, h, R) with ``kernel`` as its mean
+    recursion, whatever the state size, or its error's type, message, step and t."""
+    with monkeypatch.context() as patch:
+        for name in ("_float_mean_loop", "_array_mean_loop"):
+            patch.setattr(solver, name, KERNELS[kernel])
+        try:
+            (seg,) = solve(ssm, ivp, h, R).segments
+        except (SingularUpdateError, DivergedSolveError) as err:
+            return type(err), str(err), getattr(err, "step", None), err.t
+    return seg.means.tobytes()
+
+
+TWO_SLOT_PRIORS = {
+    "q1": taylor_state_space(TaylorParams(1, 1.0)),
+    "J0": fourier_state_space(FourierParams(0, 1.0, 3.0, 1.0)),
+}
+TWO_SLOT_PROBLEMS = {
+    "linear": linear(T=1.0),
+    "cosine": cosine(T=2.0),
+    "vdp": replace(vdp(), T=2.0),
+    "fhn": replace(fhn(), T=2.0),
+}
+
+
+@pytest.mark.parametrize("h", [0.01, 0.001])
+@pytest.mark.parametrize("R", [0.0, 1e-6])
+@pytest.mark.parametrize("problem", list(TWO_SLOT_PROBLEMS))
+@pytest.mark.parametrize("prior", list(TWO_SLOT_PRIORS))
+def test_the_two_slot_kernels_agree_bitwise(monkeypatch, prior, problem, R, h):
+    # J=0 at R=0 has S = 0 and raises at step 1: both kernels raise the same error
+    args = TWO_SLOT_PRIORS[prior], TWO_SLOT_PROBLEMS[problem], h, R
+    expected = kernel_outcome(monkeypatch, "array", *args)
+    assert kernel_outcome(monkeypatch, "float", *args) == expected
+    assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
+
+
+@pytest.mark.parametrize(
+    "q,d,kernel",
+    [
+        (1, 1, "float"),
+        (1, solver.FLOAT_LOOP_MAX_DIM, "float"),
+        (1, solver.FLOAT_LOOP_MAX_DIM + 1, "array"),
+        (2, 1, "array"),
+    ],
+)
+def test_the_mean_kernel_follows_the_state_and_problem_size(monkeypatch, q, d, kernel):
+    ran = []
+
+    def spy(name, loop):
+        return lambda *args: ran.append(name) or loop(*args)
+
+    for name, loop in KERNELS.items():
+        monkeypatch.setattr(solver, f"_{name}_mean_loop", spy(name, loop))
+    B = np.eye(d, k=1) - np.eye(d, k=-1) - 0.1 * np.eye(d)
+    ivp = IVProblem(lambda x, t: B @ x, np.linspace(1.0, -1.0, d), 1.0, "coupled decay")
+    ssm = taylor_state_space(TaylorParams(q, 1.0))
+    solve(ssm, ivp, 0.01, 0.0)
+    assert ran == [kernel]
+    if q == 1:  # no benchmark workload runs a wide two-slot state: both kernels agree on it
+        monkeypatch.undo()
+        outcomes = [kernel_outcome(monkeypatch, k, ssm, ivp, 0.01, 0.0) for k in KERNELS]
+        assert outcomes[0] == outcomes[1]
+
+
 def test_malformed_init_is_rejected():
     ivp = replace(vdp(), T=1.0)
     M, P = TAYLOR_Q1.init(ivp)
