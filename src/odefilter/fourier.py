@@ -89,18 +89,23 @@ def fourier_weights(params: FourierParams) -> np.ndarray:
     return w
 
 
-def _rotation(params: FourierParams, t) -> np.ndarray:
-    """Block-diagonal rotations A(t), block j turning by w0*j*t; shape t.shape + (D, D).
-
-    Raises ContractViolation when an angle leaves float range: the largest,
-    J*w0 times the largest |t|, rounds the way its own entry of theta does.
-    """
-    t_max = float(np.max(np.abs(t), initial=0.0))
+def _check_angles(params: FourierParams, t_max: float) -> None:
+    """Raise ContractViolation when an angle j*w0*t with |t| <= t_max leaves
+    float range: the largest, J*w0*t_max, rounds the way its own entry of
+    ``_rotation``'s theta does."""
     if not math.isfinite(params.w0 * params.J * t_max):
         raise ContractViolation(
             f"Fourier angle j*w0*t leaves float range at w0={params.w0:g}, J={params.J}, "
             f"t={t_max:g}"
         )
+
+
+def _rotation(params: FourierParams, t) -> np.ndarray:
+    """Block-diagonal rotations A(t), block j turning by w0*j*t; shape t.shape + (D, D).
+
+    Raises ContractViolation when an angle leaves float range (``_check_angles``).
+    """
+    _check_angles(params, float(np.max(np.abs(t), initial=0.0)))
     theta = np.multiply.outer(t, params.w0 * np.arange(params.J + 1))
     x = 2 * np.arange(params.J + 1)
     A = np.zeros(theta.shape[:-1] + (params.dim, params.dim))

@@ -22,7 +22,7 @@ from .errors import (
     ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least, _is_finite
 )
 from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
-from .fourier import FourierParams, _rotation, fourier_init, fourier_projections
+from .fourier import FourierParams, _check_angles, _rotation, fourier_init, fourier_projections
 from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve
 from .taylor import TaylorParams, taylor_state_space
 
@@ -219,7 +219,10 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
         raise ContractViolation(
             f"prediction time T_p={config.T_p} must lie strictly inside (0, T={ivp.T})"
         )
-    _n_steps(ivp.T - config.T_p, config.h)  # a bad grid fails before the Taylor solve
+    # A bad grid or a rotation angle beyond float range fails before the Taylor
+    # solve: _train rotates by up to T_p, _extrapolate by up to T - T_p.
+    n_steps = max(_n_steps(config.T_p, config.h), _n_steps(ivp.T - config.T_p, config.h))
+    _check_angles(config.fourier, n_steps * config.h)
     taylor_traj = solve(
         taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p
     )

@@ -9,6 +9,11 @@ Each problem writes its vector field once, as float code
 ``rhs(x: list[float], t) -> list[float]``; ``_array_field`` turns it into the
 array ``field`` of its ``IVProblem``, which ``solve`` calls, and
 ``rk4_reference`` calls the float form directly.
+
+``rk4_reference`` runs its substeps in one of two kernels, picked from the
+problem's coordinate count: ``_rk4_pairs`` holds a two-coordinate state (both
+oscillators) as two floats, and ``_rk4_lists`` holds any other as a list.
+Both make the same field calls and give the same states bit for bit.
 """
 
 from __future__ import annotations
@@ -136,6 +141,11 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     ``_field_at``: the t = 0 evaluation always, and every stage of an array
     field, so a wrong component count raises ContractViolation as in
     ``solve``. A registered problem's float form runs unchecked past t = 0.
+
+    The substeps between two records run in ``_rk4_pairs`` when the problem
+    has d == 2 coordinates and in ``_rk4_lists`` otherwise. Both make four
+    field calls per substep, each on a list of floats, and the same float
+    operations in the same order, so they give the same means bit for bit.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -145,27 +155,13 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     # A registered problem's float form, or a wrapper that hands an array field
     # a fresh float64 array and holds every stage to its contract through _field_at.
     rhs = getattr(ivp.field, "rhs", None)
-    f = rhs or (lambda x, t: _field_at(ivp.field, np.array(x), t).tolist())
+    f = rhs or (lambda x, t: _field_at(ivp.field, np.array(x), t, floats=True))
+    kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
     means = np.empty((n_out + 1, ivp.dim, 2))
-    # The state and the stages are lists of floats: float64 arithmetic on two
-    # or three numbers costs less in Python than in numpy ufunc calls, and
-    # rounds the same.
     means[0, :, 0] = x = list(map(float, ivp.x0))
     means[0, :, 1] = _field_at(ivp.field, ivp.x0.copy(), 0.0)
-    half = 0.5 * h_ref
-    sixth = h_ref / 6.0
     for k in range(1, n_out + 1):
-        base = (k - 1) * substeps
-        for s in range(substeps):
-            t = (base + s) * h_ref
-            k1 = f(x, t)
-            k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
-            k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
-            k4 = f([a + h_ref * b for a, b in zip(x, k3)], t + h_ref)
-            x = [
-                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-            ]
+        x = kernel(f, x, (k - 1) * substeps, substeps, h_ref)
         t = k * h_out
         if not all(map(math.isfinite, x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
@@ -181,3 +177,42 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
         np.zeros((n_out + 1, 2, 2)),
     )
     return Trajectory((segment,))
+
+
+# The substep kernels of ``rk4_reference``: RK4 from the state x (a list of
+# floats) over substeps first, ..., first + n - 1 of step h, each at time
+# s*h, returning the new state. Float64 arithmetic on a few numbers costs
+# less in Python than in numpy ufunc calls, and rounds the same.
+
+
+def _rk4_lists(f, x: list, first: int, n: int, h: float) -> list:
+    """The kernel for any coordinate count: the state and stages are lists."""
+    half, sixth = 0.5 * h, h / 6.0
+    for s in range(first, first + n):
+        t = s * h
+        k1 = f(x, t)
+        k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
+        k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
+        k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+        x = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+    return x
+
+
+def _rk4_pairs(f, x: list, first: int, n: int, h: float) -> list:
+    """``_rk4_lists`` for two coordinates, held as two floats: the same
+    calls, each on a fresh list, and the same operations in the same order,
+    without the comprehensions and zips."""
+    half, sixth = 0.5 * h, h / 6.0
+    x1, x2 = x
+    for s in range(first, first + n):
+        t = s * h
+        a1, a2 = f([x1, x2], t)
+        b1, b2 = f([x1 + half * a1, x2 + half * a2], t + half)
+        c1, c2 = f([x1 + half * b1, x2 + half * b2], t + half)
+        d1, d2 = f([x1 + h * c1, x2 + h * c2], t + h)
+        x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+    return [x1, x2]

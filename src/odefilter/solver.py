@@ -185,15 +185,18 @@ class Trajectory:
         return np.concatenate([s.value_stds() for s in self.segments])
 
 
-def _field_at(field: VectorField, m: np.ndarray, t: float) -> np.ndarray:
+def _field_at(field: VectorField, m: np.ndarray, t: float, floats: bool = False):
+    """The field's output at (m, t) as a float64 vector, or with ``floats`` as
+    the list of its floats, once it has as many components as m and all are finite."""
     z = np.asarray(field(m, t), dtype=float).reshape(-1)
     if z.size != m.size:
         raise ContractViolation(
             f"vector field returned {z.size} components for a {m.size}-dimensional state"
         )
-    if not all(map(math.isfinite, z.tolist())):
+    values = z.tolist()
+    if not all(map(math.isfinite, values)):
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
-    return z
+    return values if floats else z
 
 
 def _same_grid_point(a, b, h):
@@ -309,9 +312,10 @@ def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
     ``m + nu k`` to update. Numpy fuses a mat-vec's first product into its
     sum, which Python floats cannot; in both built-in two-slot priors that
     product is exact (A is [[1, h], [0, 1]] or the identity), so the means
-    are the array loop's bit for bit. The field gets a fresh array per step;
-    the means of every step go to one flat buffer of doubles, which becomes
-    the output array without a copy.
+    are the array loop's bit for bit. The field gets a fresh array per step,
+    and ``_field_at`` hands back its output as floats; the means of every
+    step go to one flat buffer of doubles, which becomes the output array
+    without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
@@ -320,14 +324,15 @@ def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
     for k, K in enumerate(Ks, 1):
         t = k * h
         pairs = [(a00 * m0 + a01 * m1, a10 * m0 + a11 * m1) for m0, m1 in pairs]
-        z = _field_at(field, np.array([0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs]), t)
+        x = np.array([0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs])
+        z = _field_at(field, x, t, floats=True)
         if K is None:  # covs[k] is then the predicted covariance, so this is its S
             _passthrough(np.array(pairs), H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
         else:
             if K is not last:  # past the freeze every step gets the same gain object
                 (k0, k1), last = K.tolist(), K
             updated = []
-            for (m0, m1), zi in zip(pairs, z.tolist()):
+            for (m0, m1), zi in zip(pairs, z):
                 nu = zi - (0.0 + m0 * e0 + m1 * e1)
                 updated.append((m0 + nu * k0, m1 + nu * k1))
             pairs = updated

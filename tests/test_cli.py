@@ -668,6 +668,19 @@ def test_plot_of_huge_flat_data_widens_the_flat_axis(tmp_path, rows, points):
     assert polyline_points((tmp_path / "flat.svg").read_text()) == points
 
 
+def test_a_fourier_angle_beyond_float_range_exits_before_any_field_evaluation(monkeypatch):
+    calls = []
+
+    def counted_vdp(mu=5.0):
+        ivp = vdp(mu)
+        return replace(ivp, field=lambda x, t: calls.append(t) or ivp.field(x, t))
+
+    monkeypatch.setitem(problems.REGISTRY, "vdp", counted_vdp)
+    code, _, err = run("solve", "--problem", "vdp", "--method", "hybrid", "--w0", "1e307")
+    assert code == 2 and "float range at w0=1e+307, J=3, t=37.5" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("w0", ["1e308", "1e307"])
 def test_a_fourier_angle_beyond_float_range_exits_2(tmp_path, w0):
     # at J=3, w0=1e308 overflows J*w0 and w0=1e307 the angle 3*w0*t of the

@@ -306,6 +306,19 @@ def test_hybrid_structure_and_budget():
     assert [seg.phase for seg in traj.segments] == ["taylor", "fourier"]
 
 
+@pytest.mark.parametrize("T_p", [45.0, 5.0], ids=["training", "extrapolation"])
+def test_an_angle_beyond_float_range_fails_before_any_field_evaluation(T_p):
+    # 3 * 1e307 * 45 overflows: at T_p = 45 in the training, at T - T_p = 45
+    # in the extrapolation; 3 * 1e307 * 5 does not
+    counting = CountingField(vdp().field)
+    fourier = FourierParams(3, 1e307, 3.0, 1.0)
+    config = HybridConfig(TaylorParams(1, 1.0), fourier, T_p=T_p, h=0.01)
+    match = r"^Fourier angle j\*w0\*t leaves float range at w0=1e\+307, J=3, t=45$"
+    with pytest.raises(ContractViolation, match=match):
+        hybrid_solve(config, replace(vdp(), field=counting))
+    assert counting.calls == 0
+
+
 def test_hybrid_boundary_belief_is_trained_belief():
     config = HybridConfig(T_p=2.5, h=0.05, R=0.0, **PARAMS_51)
     ivp = cosine(T=5.0)

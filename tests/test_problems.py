@@ -22,7 +22,8 @@ from odefilter import (
     taylor_state_space,
     vdp,
 )
-from odefilter.problems import REGISTRY
+from odefilter import problems
+from odefilter.problems import REGISTRY, _array_field, _cube
 
 from conftest import numpy_fhn_field, numpy_rk4_means, numpy_vdp_field
 
@@ -308,3 +309,67 @@ def test_rk4_holds_every_stage_of_an_array_field_to_the_contract():
     ):
         with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
             run()
+
+
+def cubic_blowup(x, t):
+    return np.array([x[0] ** 3, x[1]])
+
+
+RK4_PAIR_INPUTS = {
+    "vdp": vdp(),
+    "fhn": fhn(),
+    "vdp-array": replace(vdp(), field=lambda x, t: vdp().field(x, t)),
+    "fhn-array": replace(fhn(), field=lambda x, t: fhn().field(x, t)),
+    # the array field fails its contract at a stage; the float form runs on
+    # to a non-finite state, which the record check catches
+    "blowup-array": IVProblem(cubic_blowup, [4.0, 1.0], 2.0, "blowup"),
+    "blowup-float": IVProblem(
+        _array_field(lambda x, t: [_cube(x[0]), x[1]]), [4.0, 1.0], 2.0, "blowup"
+    ),
+}
+
+
+def rk4_outcome(ivp, h_ref, h_out):
+    """The means of rk4_reference, or its error's type, message and t."""
+    try:
+        with np.errstate(all="ignore"):
+            (segment,) = rk4_reference(ivp, h_ref, h_out=h_out).segments
+    except (ContractViolation, DivergedSolveError) as err:
+        return type(err), str(err), getattr(err, "t", None)
+    return segment.means.tobytes()
+
+
+@pytest.mark.parametrize("substeps", [1, 10])
+@pytest.mark.parametrize("name", RK4_PAIR_INPUTS)
+def test_the_rk4_kernels_agree_bitwise(monkeypatch, name, substeps):
+    ivp = RK4_PAIR_INPUTS[name]
+    h_ref = ivp.T / 2000
+    pairs = rk4_outcome(ivp, h_ref, substeps * h_ref)
+    monkeypatch.setattr(problems, "_rk4_pairs", problems._rk4_lists)
+    lists = rk4_outcome(ivp, h_ref, substeps * h_ref)
+    assert pairs == lists
+    assert isinstance(pairs, bytes) == name.startswith(("vdp", "fhn"))
+
+
+@pytest.mark.parametrize("name", ["vdp", "fhn"])
+def test_the_rk4_kernels_run_on_their_own(name):
+    rhs = RK4_PAIR_INPUTS[name].field.rhs
+    x0 = RK4_PAIR_INPUTS[name].x0.tolist()
+    for first, n in ((0, 1), (0, 250), (37, 100)):
+        x = problems._rk4_pairs(rhs, x0, first, n, 1e-3)
+        assert same_bits(x, problems._rk4_lists(rhs, x0, first, n, 1e-3))
+        assert all(type(v) is float for v in x) and x != x0
+
+
+@pytest.mark.parametrize("d,kernel", [(1, "_rk4_lists"), (2, "_rk4_pairs"), (3, "_rk4_lists")])
+def test_the_rk4_kernel_follows_the_coordinate_count(monkeypatch, d, kernel):
+    ran = []
+
+    def spy(name):
+        run = getattr(problems, name)
+        return lambda *args: ran.append(name) or run(*args)
+
+    for name in ("_rk4_pairs", "_rk4_lists"):
+        monkeypatch.setattr(problems, name, spy(name))
+    rk4_reference(linear(x0=[1.0] * d, T=1.0), 0.01, h_out=0.1)
+    assert ran == [kernel] * 10
