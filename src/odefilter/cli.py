@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -106,19 +107,21 @@ def parse_trajectory_csv(text: str) -> CsvData:
         raise CsvFormatError(f"unexpected column layout {header!r}", line=1)
 
     n_cols = len(header)
-    rows = []
-    phases = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise CsvFormatError(f"expected {n_cols} columns, got {len(cells)}", line=lineno)
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError as err:
-            raise CsvFormatError(str(err), line=lineno) from None
-        phases.append(cells[-1])
+    rows = [line.split(",") for line in lines[1:]]
+    try:  # every cell in one conversion, with float()'s grammar, then the shape
+        data = np.array([cells[:-1] for cells in rows], dtype=float).reshape(len(rows), n_cols - 1)
+    except ValueError:  # the line loop finds the first bad line
+        floats = []
+        for lineno, cells in enumerate(rows, start=2):
+            if len(cells) != n_cols:
+                msg = f"expected {n_cols} columns, got {len(cells)}"
+                raise CsvFormatError(msg, line=lineno) from None
+            try:
+                floats.append([float(c) for c in cells[:-1]])
+            except ValueError as err:
+                raise CsvFormatError(str(err), line=lineno) from None
+        data = np.array(floats)
 
-    data = np.array(rows) if rows else np.empty((0, n_cols - 1))
     plotted = [i for i, name in enumerate(header[:-1]) if not name.startswith("std_")]
     bad = np.argwhere(~np.isfinite(data[:, plotted]))
     if bad.size:
@@ -129,7 +132,7 @@ def parse_trajectory_csv(text: str) -> CsvData:
         means=data[:, 1 : 1 + d],
         stds=data[:, 1 + d : 1 + 2 * d],
         refs=data[:, 1 + 2 * d : 1 + 3 * d] if has_ref else None,
-        phases=phases,
+        phases=[cells[-1] for cells in rows],
     )
 
 
@@ -223,11 +226,13 @@ def render_svg(data: CsvData) -> str:
         )
         parts.append(f'<text x="{x + 4:.2f}" y="{_MT + 14}" fill="#666">t={rule_t:.6g}</text>')
 
-    # sx and sy map whole columns with the arithmetic they apply to one value
-    xs = sx(data.t / 2).tolist()
+    # sx and sy map whole columns with the arithmetic they apply to one value;
+    # "%.2f,%.2f" % (x, y) is the x text, a comma and the y text
+    x_texts = list(map("%.2f,".__mod__, sx(data.t / 2).tolist()))
+    xy_format = " ".join(["%s%.2f"] * n)
 
     for _, values, color in series:
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, sy(values / 4).tolist())))
+        points = xy_format % tuple(chain.from_iterable(zip(x_texts, sy(values / 4).tolist())))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
 
     lx = _ML + 8

@@ -130,11 +130,11 @@ def _train(
         seg_rows = [(s, getattr(s.projections, kind)) for s in traj.segments]
         rows.append(getattr(proj, kind) @ A)
         z.append(np.concatenate([_dot(s.means, row) for s, row in seg_rows])[steps])
-        var.append(np.concatenate([s.covs @ row @ row for s, row in seg_rows])[steps])
-    rows, z, var = np.concatenate(rows), np.concatenate(z), np.concatenate(var)
-    if noise.kind == "fixed_jitter":
-        var = np.full(len(rows), noise.jitter)
-    elif np.any(var <= 0.0):
+        if noise.kind == "taylor_variance":
+            var.append(np.concatenate([s.covs @ row @ row for s, row in seg_rows])[steps])
+    rows, z = np.concatenate(rows), np.concatenate(z)
+    var = np.concatenate(var) if var else np.full(len(rows), noise.jitter)
+    if np.any(var <= 0.0):  # a fixed jitter is > 0
         bad = np.flatnonzero(var <= 0.0)[0]
         t_bad = t[steps][bad % len(A)]
         raise ContractViolation(f"taylor_variance: variance {var[bad]:g} at t={t_bad:g} is not > 0")

@@ -7,20 +7,25 @@ ground-truth trajectories the filters are judged against.
 
 Each problem writes its vector field once, as float code
 ``rhs(x: list[float], t) -> list[float]``; ``_array_field`` turns it into the
-array ``field`` of its ``IVProblem``, which ``solve`` calls, and
-``rk4_reference`` calls the float form directly.
+array ``field`` of its ``IVProblem``, which carries the float form as
+``field.rhs``. ``solve``'s array kernel and the Taylor init call the array
+field; ``solve``'s float kernel calls ``rhs`` through ``solver._field_at``,
+checked at every step, and ``rk4_reference`` calls ``rhs`` directly.
 
 ``rk4_reference`` runs its substeps in one of two kernels, picked from the
 problem's coordinate count: ``_rk4_pairs`` holds a two-coordinate state (both
 oscillators) as two floats, and ``_rk4_lists`` holds any other as a list.
-Both make the same field calls and give the same states bit for bit.
+Each runs the whole grid and yields the state at every record time; both
+make the same field calls and give the same states bit for bit.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from array import array
 from dataclasses import replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -35,7 +40,8 @@ def _array_field(rhs) -> VectorField:
     """The array field of a float form ``rhs(x: list[float], t) -> list[float]``:
     rhs of the input's floats, its list as an array.
 
-    The field carries rhs as ``field.rhs``, which ``rk4_reference`` calls.
+    The field carries rhs as ``field.rhs``, which ``rk4_reference`` and the
+    float kernel of ``solve`` call.
     """
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
@@ -142,10 +148,14 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     field, so a wrong component count raises ContractViolation as in
     ``solve``. A registered problem's float form runs unchecked past t = 0.
 
-    The substeps between two records run in ``_rk4_pairs`` when the problem
-    has d == 2 coordinates and in ``_rk4_lists`` otherwise. Both make four
+    The substeps run in ``_rk4_pairs`` when the problem has d == 2
+    coordinates and in ``_rk4_lists`` otherwise, one generator over the
+    whole grid that yields the state at each record time. Both make four
     field calls per substep, each on a list of floats, and the same float
     operations in the same order, so they give the same means bit for bit.
+    Each record is checked for finiteness here, then it and its derivative
+    (one more field call) go to flat buffers of doubles that become the
+    means.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -157,62 +167,63 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     rhs = getattr(ivp.field, "rhs", None)
     f = rhs or (lambda x, t: _field_at(ivp.field, np.array(x), t, floats=True))
     kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
-    means = np.empty((n_out + 1, ivp.dim, 2))
-    means[0, :, 0] = x = list(map(float, ivp.x0))
-    means[0, :, 1] = _field_at(ivp.field, ivp.x0.copy(), 0.0)
-    for k in range(1, n_out + 1):
-        x = kernel(f, x, (k - 1) * substeps, substeps, h_ref)
+    values = array("d", ivp.x0)
+    derivatives = array("d", _field_at(ivp.field, ivp.x0.copy(), 0.0, floats=True))
+    for k, x in enumerate(islice(kernel(f, list(values), 0, substeps, h_ref), n_out), 1):
         t = k * h_out
         if not all(map(math.isfinite, x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-        means[k, :, 0] = x
-        means[k, :, 1] = f(x, t)
+        values.extend(x)
+        derivatives.extend(f(x, t))
+    means = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
 
     projections = ProjectionPair([1.0, 0.0], [0.0, 1.0])
     segment = PhaseSegment(
         REFERENCE_PHASE,
         projections,
         np.arange(n_out + 1) * h_out,
-        means,
+        means.reshape(n_out + 1, ivp.dim, 2),
         np.zeros((n_out + 1, 2, 2)),
     )
     return Trajectory((segment,))
 
 
-# The substep kernels of ``rk4_reference``: RK4 from the state x (a list of
-# floats) over substeps first, ..., first + n - 1 of step h, each at time
-# s*h, returning the new state. Float64 arithmetic on a few numbers costs
-# less in Python than in numpy ufunc calls, and rounds the same.
+# The substep kernels of ``rk4_reference``: RK4 of step h from the state x (a
+# list of floats), substep s at time s*h from s = first on, yielding the state
+# after every n substeps, without end. Float64 arithmetic on a few numbers
+# costs less in Python than in numpy ufunc calls, and rounds the same.
 
 
-def _rk4_lists(f, x: list, first: int, n: int, h: float) -> list:
+def _rk4_lists(f, x: list, first: int, n: int, h: float):
     """The kernel for any coordinate count: the state and stages are lists."""
     half, sixth = 0.5 * h, h / 6.0
-    for s in range(first, first + n):
-        t = s * h
-        k1 = f(x, t)
-        k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
-        k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
-        k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
-        x = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
-    return x
+    for start in count(first, n):
+        for s in range(start, start + n):
+            t = s * h
+            k1 = f(x, t)
+            k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
+            k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
+            k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+            x = [
+                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+            ]
+        yield x
 
 
-def _rk4_pairs(f, x: list, first: int, n: int, h: float) -> list:
+def _rk4_pairs(f, x: list, first: int, n: int, h: float):
     """``_rk4_lists`` for two coordinates, held as two floats: the same
     calls, each on a fresh list, and the same operations in the same order,
     without the comprehensions and zips."""
     half, sixth = 0.5 * h, h / 6.0
     x1, x2 = x
-    for s in range(first, first + n):
-        t = s * h
-        a1, a2 = f([x1, x2], t)
-        b1, b2 = f([x1 + half * a1, x2 + half * a2], t + half)
-        c1, c2 = f([x1 + half * b1, x2 + half * b2], t + half)
-        d1, d2 = f([x1 + h * c1, x2 + h * c2], t + h)
-        x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-    return [x1, x2]
+    for start in count(first, n):
+        for s in range(start, start + n):
+            t = s * h
+            a1, a2 = f([x1, x2], t)
+            b1, b2 = f([x1 + half * a1, x2 + half * a2], t + half)
+            c1, c2 = f([x1 + half * b1, x2 + half * b2], t + half)
+            d1, d2 = f([x1 + h * c1, x2 + h * c2], t + h)
+            x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        yield [x1, x2]

@@ -26,7 +26,10 @@ floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
 runs ``_array_mean_loop`` on numpy buffers made once per solve. On the
 package's two-slot priors both give the same means bit for bit. Larger
 states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
-floats cannot reproduce.
+floats cannot reproduce. The float kernel hands its list of floats to a
+registered problem's float form ``field.rhs``, which ``_field_at`` looks up
+once per solve, and a fresh float64 array of it to any other field;
+``_field_at`` checks every output.
 """
 
 from __future__ import annotations
@@ -185,18 +188,33 @@ class Trajectory:
         return np.concatenate([s.value_stds() for s in self.segments])
 
 
-def _field_at(field: VectorField, m: np.ndarray, t: float, floats: bool = False):
+def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
     """The field's output at (m, t) as a float64 vector, or with ``floats`` as
-    the list of its floats, once it has as many components as m and all are finite."""
+    the list of its floats, once it has as many components as m and all are finite.
+
+    Without m, the same checked call of the field's float form ``field.rhs``
+    on a list of floats, or None for a field without one; a float kernel
+    looks it up once per solve and hands any other field a fresh float64 array.
+    """
+    if m is None:
+        rhs = getattr(field, "rhs", None)
+        return None if rhs is None else lambda x, t: _checked(rhs(x, t), len(x), t)
     z = np.asarray(field(m, t), dtype=float).reshape(-1)
-    if z.size != m.size:
-        raise ContractViolation(
-            f"vector field returned {z.size} components for a {m.size}-dimensional state"
-        )
     values = z.tolist()
+    if z.size != m.size or not all(map(math.isfinite, values)):
+        _checked(values, m.size, t)  # raises, and says which check failed
+    return values if floats else z
+
+
+def _checked(values: list, size: int, t: float) -> list:
+    """values, once they are size field components and all finite."""
+    if len(values) != size:
+        raise ContractViolation(
+            f"vector field returned {len(values)} components for a {size}-dimensional state"
+        )
     if not all(map(math.isfinite, values)):
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
-    return values if floats else z
+    return values
 
 
 def _same_grid_point(a, b, h):
@@ -312,20 +330,21 @@ def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
     ``m + nu k`` to update. Numpy fuses a mat-vec's first product into its
     sum, which Python floats cannot; in both built-in two-slot priors that
     product is exact (A is [[1, h], [0, 1]] or the identity), so the means
-    are the array loop's bit for bit. The field gets a fresh array per step,
-    and ``_field_at`` hands back its output as floats; the means of every
-    step go to one flat buffer of doubles, which becomes the output array
-    without a copy.
+    are the array loop's bit for bit. Each step's list of floats goes to the
+    float form of a registered problem, checked by ``_field_at``, or to any
+    other field as a fresh array. The means of every step go to one flat
+    buffer of doubles, which becomes the output array without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
+    f = _field_at(field)  # the float form, or None for an array field
     flat = array("d", M.ravel().tolist())
     pairs, last = list(zip(flat[0::2], flat[1::2])), None
     for k, K in enumerate(Ks, 1):
         t = k * h
         pairs = [(a00 * m0 + a01 * m1, a10 * m0 + a11 * m1) for m0, m1 in pairs]
-        x = np.array([0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs])
-        z = _field_at(field, x, t, floats=True)
+        x = [0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs]
+        z = f(x, t) if f else _field_at(field, np.array(x), t, floats=True)
         if K is None:  # covs[k] is then the predicted covariance, so this is its S
             _passthrough(np.array(pairs), H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
         else:

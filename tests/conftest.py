@@ -5,7 +5,9 @@ written from scratch (information form, explicit trig) so they share no code
 path with the filtering implementation they judge. The ``numpy_*`` and
 ``format_*`` functions are frozen copies of the straightforward numpy forms of
 the RK4 reference, the benchmark fields and the CSV/SVG text, which the
-faster package code must reproduce bit for bit; ``two_loop_affine_scan`` is a
+faster package code must reproduce bit for bit; ``line_loop_parse_csv`` is a
+frozen copy of the CSV parser that converts and checks one line at a time,
+whose arrays and errors the one-pass parser must reproduce; ``two_loop_affine_scan`` is a
 frozen copy of the covariance scan written as a doubling loop and a block
 loop, which the one-loop scan must reproduce bit for bit, and
 ``loop_ibm_transition`` a frozen copy of the IBM transition written as two
@@ -17,7 +19,8 @@ import math
 import numpy as np
 
 from odefilter import GaussianBelief, ProjectionPair, Trajectory
-from odefilter.cli import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W
+from odefilter.cli import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, CsvData, _csv_header
+from odefilter.errors import CsvFormatError
 from odefilter.solver import PhaseSegment
 
 PSD_RELATIVE_TOL = 1e-10
@@ -174,6 +177,47 @@ def format_trajectory_csv(traj: Trajectory, reference: Trajectory | None = None)
         cells.append(phase)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def line_loop_parse_csv(text: str) -> CsvData:
+    """The trajectory CSV parsed one line at a time, float() on each cell."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines:
+        raise CsvFormatError("empty file", line=1)
+    header = lines[0].split(",")
+    d = sum(1 for name in header if name.startswith("mean_"))
+    has_ref = "ref_0" in header
+    if d == 0 or header != _csv_header(d, has_ref):
+        raise CsvFormatError(f"unexpected column layout {header!r}", line=1)
+
+    n_cols = len(header)
+    rows = []
+    phases = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise CsvFormatError(f"expected {n_cols} columns, got {len(cells)}", line=lineno)
+        try:
+            rows.append([float(c) for c in cells[:-1]])
+        except ValueError as err:
+            raise CsvFormatError(str(err), line=lineno) from None
+        phases.append(cells[-1])
+
+    data = np.array(rows) if rows else np.empty((0, n_cols - 1))
+    plotted = [i for i, name in enumerate(header[:-1]) if not name.startswith("std_")]
+    bad = np.argwhere(~np.isfinite(data[:, plotted]))
+    if bad.size:
+        row, col = bad[0]
+        raise CsvFormatError(f"non-finite {header[plotted[col]]} value", line=row + 2)
+    return CsvData(
+        t=data[:, 0],
+        means=data[:, 1 : 1 + d],
+        stds=data[:, 1 + d : 1 + 2 * d],
+        refs=data[:, 1 + 2 * d : 1 + 3 * d] if has_ref else None,
+        phases=phases,
+    )
 
 
 def format_polyline_points(data) -> list[str]:

@@ -14,6 +14,7 @@ import pytest
 
 from odefilter import (
     ContractViolation,
+    CsvFormatError,
     FourierParams,
     HybridConfig,
     ProjectionPair,
@@ -42,7 +43,7 @@ from odefilter.cli import (
 )
 from odefilter.solver import PhaseSegment
 
-from conftest import format_polyline_points, format_trajectory_csv
+from conftest import format_polyline_points, format_trajectory_csv, line_loop_parse_csv
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -141,6 +142,16 @@ def test_solve_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def parse_outcome(parse, text):
+    """The bytes of every parsed column and the phases, or the error's type, message and line."""
+    try:
+        data = parse(text)
+    except CsvFormatError as err:
+        return type(err), str(err), err.line
+    columns = (data.t, data.means, data.stds, data.refs)
+    return [None if c is None else (c.shape, c.tobytes()) for c in columns], data.phases
+
+
 def test_plot_round_trips_every_solve_output(tmp_path):
     for problem, method in (("constant", "taylor"), ("cosine", "hybrid")):
         out = tmp_path / f"{problem}.csv"
@@ -149,6 +160,9 @@ def test_plot_round_trips_every_solve_output(tmp_path):
         if method == "hybrid":
             args += ["--Tp", "1.5"]
         assert run(*args)[0] == 0
+        assert parse_outcome(parse_trajectory_csv, out.read_text()) == parse_outcome(
+            line_loop_parse_csv, out.read_text()
+        )
         svg = tmp_path / f"{problem}.svg"
         assert run("plot", str(out), "-o", str(svg))[0] == 0
         text = svg.read_text()
@@ -261,6 +275,63 @@ def test_plot_non_finite_cell_reports_line(tmp_path, column, value):
     assert code == 2
     assert err.startswith("error: line 4") and column in err
     assert not (tmp_path / "bad.svg").exists()
+
+
+CSV_HEADER = "t,mean_0,mean_1,std_0,std_1,ref_0,ref_1,phase"
+CSV_ROWS = [f"{k / 10},{k},-{k}.5,0.25,0.5,{k}.125,-{k},taylor" for k in range(5)]
+
+
+def csv_with(edits: dict, rows=CSV_ROWS) -> str:
+    """The CSV of rows with edits {(row, column): cell}; a column None replaces the whole row."""
+    rows = [row.split(",") for row in rows]
+    for (row, column), cell in edits.items():
+        if column is None:
+            rows[row] = cell.split(",")
+        else:
+            rows[row][column] = cell
+    return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+
+
+SHORT_ROW = "0.1,1,2,0,0,1,taylor"
+MALFORMED_CSVS = {
+    **{
+        f"bad-cell-row{row}-col{col}": csv_with({(row, col): "oops"})
+        for row in (0, 2, 4)
+        for col in range(7)
+    },
+    "short-before-bad": csv_with({(1, None): SHORT_ROW, (3, 2): "oops"}),
+    "short-after-bad": csv_with({(1, 2): "oops", (3, None): SHORT_ROW}),
+    "long-row": csv_with({(2, None): CSV_ROWS[2] + ",extra"}),
+    "every-row-long": csv_with({}, [row + ",extra" for row in CSV_ROWS]),
+    "every-row-short": csv_with({}, [SHORT_ROW] * 3),
+    "every-row-empty": csv_with({}, ["", ""]),
+    "blank-line": csv_with({(2, None): ""}),
+    "blank-last-lines": "\n".join([CSV_HEADER, *CSV_ROWS, "", ""]) + "\n",
+    "non-finite-then-bad": csv_with({(1, 0): "nan", (3, 5): "oops"}),
+    "header-only": CSV_HEADER + "\n",
+    **{
+        f"{value}-row{row}-col{col}": csv_with({(row, col): value})
+        for value in ("nan", "inf", "-inf")
+        for row in (0, 4)
+        for col in range(7)
+    },
+    **{
+        f"cell{cell!r}-col{col}": csv_with({(2, col): cell})
+        for cell in ("1_000", " 1.5 ", "infinity", "-0", "0x1p3", "", "1__0", "-nan")
+        for col in range(7)
+    },
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CSVS)
+def test_the_one_pass_parse_matches_the_line_loop(name):
+    # the same arrays, or the same error at the same line, on well-formed,
+    # malformed and float()-grammar cells alike
+    text = MALFORMED_CSVS[name]
+    expected = parse_outcome(line_loop_parse_csv, text)
+    assert parse_outcome(parse_trajectory_csv, text) == expected
+    if name.startswith(("bad-cell", "short", "long", "every", "blank", "non-finite")):
+        assert expected[0] is CsvFormatError
 
 
 def test_plot_accepts_non_finite_stds(tmp_path):

@@ -125,12 +125,30 @@ def field_callers(node, owner="<module>"):
         yield from field_callers(child, getattr(child, "name", "<lambda>") if named else owner)
 
 
+def float_form_readers(node, owner="<module>"):
+    """The innermost function around each read of the float form ``rhs`` under
+    node: an attribute ``.rhs``, or a ``getattr`` or ``hasattr`` of the name "rhs"."""
+    for child in ast.iter_child_nodes(node):
+        by_name = (
+            isinstance(child, ast.Call)
+            and getattr(child.func, "id", None) in ("getattr", "hasattr")
+            and any(isinstance(arg, ast.Constant) and arg.value == "rhs" for arg in child.args)
+        )
+        if by_name or getattr(child, "attr", None) == "rhs":
+            yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from float_form_readers(child, getattr(child, "name", "<lambda>") if named else owner)
+
+
 def test_the_solver_calls_the_field_only_through_field_at():
-    # both mean kernels hand the field a fresh array through _field_at, which
-    # checks what it returns; neither reaches for the float form ``rhs``
+    # both mean kernels reach the field through _field_at, which checks what it
+    # returns; only _field_at reads a registered problem's float form ``rhs``
     tree = ast.parse((PACKAGE / "solver.py").read_text())
     assert set(field_callers(tree)) == {"_field_at"}
-    assert not [node.lineno for node in ast.walk(tree) if getattr(node, "attr", None) == "rhs"]
+    assert set(float_form_readers(tree)) == {"_field_at"}
+    # the rule sees a read by name as well as by attribute
+    for read in ('getattr(field, "rhs", None)', 'hasattr(field, "rhs")', "field.rhs"):
+        assert set(float_form_readers(ast.parse(f"def loop(field):\n    {read}"))) == {"loop"}
 
 
 def test_the_cli_raises_no_usage_error_of_its_own():

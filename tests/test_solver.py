@@ -49,6 +49,7 @@ from odefilter.filtering import (
     _passthrough,
     _predict,
 )
+from odefilter.problems import _array_field, _cube
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
@@ -799,6 +800,75 @@ def test_the_mean_kernel_follows_the_state_and_problem_size(monkeypatch, q, d, k
         monkeypatch.undo()
         outcomes = [kernel_outcome(monkeypatch, k, ssm, ivp, 0.01, 0.0) for k in KERNELS]
         assert outcomes[0] == outcomes[1]
+
+
+def solve_outcome(ssm, ivp, h, R):
+    """The means' bytes of solve(ssm, ivp, h, R), or its error's type, message, step and t."""
+    try:
+        with np.errstate(all="ignore"):
+            (seg,) = solve(ssm, ivp, h, R).segments
+    except (ContractViolation, SingularUpdateError, DivergedSolveError) as err:
+        return type(err), str(err), getattr(err, "step", None), getattr(err, "t", None)
+    return seg.means.tobytes()
+
+
+def without_float_form(field):
+    """field behind a plain array function, which carries no float form ``rhs``."""
+    return lambda x, t: field(x, t)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.001])
+@pytest.mark.parametrize("R", [0.0, 1e-6])
+@pytest.mark.parametrize("problem", list(TWO_SLOT_PROBLEMS))
+@pytest.mark.parametrize("prior", list(TWO_SLOT_PRIORS))
+def test_the_float_form_and_the_array_field_agree_bitwise(prior, problem, R, h):
+    # the float kernel calls a registered problem's rhs on its floats, and an
+    # array field on a fresh array: the same means, or the same error
+    ssm, ivp = TWO_SLOT_PRIORS[prior], TWO_SLOT_PROBLEMS[problem]
+    expected = solve_outcome(ssm, replace(ivp, field=without_float_form(ivp.field)), h, R)
+    assert solve_outcome(ssm, ivp, h, R) == expected
+    assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
+
+
+def test_a_float_form_of_the_wrong_size_is_a_contract_violation():
+    # the Taylor init's t = 0 evaluation passes, the first step's does not
+    field = _array_field(lambda x, t: [0.0] * (2 if t == 0 else 3))
+    outcomes = [
+        solve_outcome(TAYLOR_Q1, IVProblem(f, [1.0, 0.0], 1.0, "wrong size"), 0.01, 0.0)
+        for f in (field, without_float_form(field))
+    ]
+    assert outcomes[0] == outcomes[1]
+    message = "vector field returned 3 components for a 2-dimensional state"
+    assert outcomes[0] == (ContractViolation, message, None, None)
+
+
+def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t():
+    field = _array_field(lambda x, t: [_cube(x[0]), x[1]])
+    outcomes = [
+        solve_outcome(TAYLOR_Q1, IVProblem(f, [4.0, 1.0], 1.0, "blowup"), 0.01, 0.0)
+        for f in (field, without_float_form(field))
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is DivergedSolveError and 0.0 < outcomes[0][3] < 1.0
+
+
+def test_the_float_kernel_calls_the_float_form_once_per_step():
+    rhs_times, array_times = [], []
+
+    def rhs(x, t):
+        rhs_times.append(t)
+        return [-v for v in x]
+
+    registered = _array_field(rhs)
+
+    def field(x, t):
+        array_times.append(t)
+        return registered(x, t)
+
+    field.rhs = rhs
+    solve(TAYLOR_Q1, IVProblem(field, [1.0, 2.0], 1.0, "spy"), 0.1, 0.0)
+    assert array_times == [0.0]  # the Taylor init's evaluation; no step calls the array field
+    assert rhs_times == [0.0] + [k * 0.1 for k in range(1, 11)]
 
 
 def test_malformed_init_is_rejected():
