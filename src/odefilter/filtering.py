@@ -10,10 +10,9 @@ leading coordinate axis, ``(d, D)``, next to one covariance ``(D, D)``
 shared by all coordinates, and also accepts a single mean ``(D,)``. The
 update is split in two: ``_joseph`` conditions the covariance alone and
 yields the gain, which never depends on the data; ``_gain_update`` moves the
-means with that gain, into buffers the caller owns if it passes them. Each
-coordinate's mean is multiplied on its own, as a lone vector would be, so
-batching changes no bits. Each covariance step is one map, ``_cov_map``:
-predict with ``(A, Q)``, update with ``_gain_map``.
+means with that gain. Each coordinate's mean is multiplied on its own, as a
+lone vector would be, so batching changes no bits. Each covariance step is
+one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
 """
 
 from __future__ import annotations
@@ -57,21 +56,9 @@ def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
     return (A @ M[..., None])[..., 0], _cov_map(P, A, Q)
 
 
-def _gain_update(
-    M: np.ndarray, h: np.ndarray, z, K: np.ndarray, out=None, rows=None, hm=None, step=None
-) -> np.ndarray:
-    """Means ``m + (z - h m) K`` per coordinate, for the gain K of ``_joseph``.
-
-    A loop may pass what it made once, so that the update allocates
-    nothing: ``out`` receives the means (M itself will do), ``rows`` is M's
-    row view ``M[..., None, :]``, ``hm`` (M's shape with a last axis of 1)
-    receives ``h m`` and then the innovations ``z - h m``, and ``step`` (M's
-    shape) their products with K. The bits are the same either way.
-    """
-    hm = np.matmul(M[..., None, :] if rows is None else rows, h, hm)  # as _dot sums
-    nu = hm[..., 0]
-    np.subtract(z, nu, nu)
-    return np.add(M, np.multiply(hm, K, step), out)
+def _gain_update(M: np.ndarray, h: np.ndarray, z, K: np.ndarray) -> np.ndarray:
+    """Means ``m + (z - h m) K`` per coordinate, for the gain K of ``_joseph``."""
+    return M + (z - _dot(M, h))[..., None] * K
 
 
 def _joseph(P: np.ndarray, h: np.ndarray, R: float):

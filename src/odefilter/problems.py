@@ -169,7 +169,7 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
     values = array("d", ivp.x0)
     derivatives = array("d", _field_at(ivp.field, ivp.x0.copy(), 0.0, floats=True))
-    for k, x in enumerate(islice(kernel(f, list(values), 0, substeps, h_ref), n_out), 1):
+    for k, x in enumerate(islice(kernel(f, list(values), substeps, h_ref), n_out), 1):
         t = k * h_out
         if not all(map(math.isfinite, x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
@@ -189,15 +189,15 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
 
 
 # The substep kernels of ``rk4_reference``: RK4 of step h from the state x (a
-# list of floats), substep s at time s*h from s = first on, yielding the state
+# list of floats), substep s at time s*h from s = 0 on, yielding the state
 # after every n substeps, without end. Float64 arithmetic on a few numbers
 # costs less in Python than in numpy ufunc calls, and rounds the same.
 
 
-def _rk4_lists(f, x: list, first: int, n: int, h: float):
+def _rk4_lists(f, x: list, n: int, h: float):
     """The kernel for any coordinate count: the state and stages are lists."""
     half, sixth = 0.5 * h, h / 6.0
-    for start in count(first, n):
+    for start in count(0, n):
         for s in range(start, start + n):
             t = s * h
             k1 = f(x, t)
@@ -211,13 +211,13 @@ def _rk4_lists(f, x: list, first: int, n: int, h: float):
         yield x
 
 
-def _rk4_pairs(f, x: list, first: int, n: int, h: float):
+def _rk4_pairs(f, x: list, n: int, h: float):
     """``_rk4_lists`` for two coordinates, held as two floats: the same
     calls, each on a fresh list, and the same operations in the same order,
     without the comprehensions and zips."""
     half, sixth = 0.5 * h, h / 6.0
     x1, x2 = x
-    for start in count(first, n):
+    for start in count(0, n):
         for s in range(start, start + n):
             t = s * h
             a1, a2 = f([x1, x2], t)

@@ -23,7 +23,7 @@ The mean recursion has two kernels, which take the same covariances and
 gains. A two-slot state (the q=1 Taylor prior, the J=0 Fourier prior) of at
 most FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python
 floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
-runs ``_array_mean_loop`` on numpy buffers made once per solve. On the
+runs ``_array_mean_loop``, the plain recursion on numpy arrays. On the
 package's two-slot priors both give the same means bit for bit. Larger
 states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
 floats cannot reproduce. The float kernel hands its list of floats to a
@@ -294,30 +294,20 @@ def _array_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
 
     Step k predicts ``m <- A m``, evaluates ``z = f(H0 m, k h)`` and updates
     ``m <- m + (z - H m) K`` with the k-th gain of Ks; a None gain is a
-    passthrough, checked against covs[k]. The loop makes no array
-    temporaries per step: it predicts straight into its row of the output
-    means and updates it there, through views and scratch buffers made once
-    per solve. It makes the same kernel calls in the same order as a loop
-    that allocates every intermediate, so its output is the same bit for bit.
+    passthrough, checked against covs[k]. Each step's field input is a fresh
+    array, so the field may keep or overwrite it.
     """
-    n, (d, D) = len(covs) - 1, M.shape
-    means = np.empty((n + 1, d, D))
+    means = np.empty((len(covs),) + M.shape)
     means[0] = M
-    # The field gets inputs[k - 1], a row of its own, so it may keep or
-    # overwrite its input without touching the means or a later input.
-    columns, rows = means[..., None], means[..., None, :]
-    projected = np.empty((n, d, 1))
-    inputs, hm, step = projected[..., 0], np.empty((d, 1)), np.empty((d, D))
     for k, K in enumerate(Ks, 1):
         t = k * h
-        np.matmul(A, columns[k - 1], columns[k])  # the mean half of _predict
-        M, row = means[k], rows[k]
-        np.matmul(row, H0, projected[k - 1])  # _dot(M, H0), into the field's input
-        z = _field_at(field, inputs[k - 1], t)
+        M = (A @ M[..., None])[..., 0]  # the mean half of _predict
+        z = _field_at(field, _dot(M, H0), t)
         if K is None:  # covs[k] is then the predicted covariance, so this is its S
             _passthrough(M, H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
         else:
-            _gain_update(M, H, z, K, out=M, rows=row, hm=hm, step=step)
+            M = _gain_update(M, H, z, K)
+        means[k] = M
     return means
 
 

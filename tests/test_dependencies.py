@@ -2,12 +2,15 @@
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
 place, one function reads the grid tolerance, the registered vector fields
-are float code, the solver calls a field in one place, and every CLI usage
-error after parsing comes from the library."""
+are float code, the solver calls a field in one place, every CLI usage
+error after parsing comes from the library, and the package stays within its
+code-line budget."""
 
 import ast
+import io
 import pathlib
 import sys
+import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "odefilter"
 
@@ -160,3 +163,36 @@ def test_the_cli_raises_no_usage_error_of_its_own():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "error"
     ]
     assert not calls
+
+
+# The most code lines the package may have, counted by ``code_lines``. Raising
+# it takes a CHANGES.md line that gives the new count and why the lines are needed.
+CODE_LINE_BUDGET = 1117
+
+LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_lines(source):
+    """The lines of source that hold a token other than layout, a comment or a
+    docstring: a string that is a statement of its own."""
+    tokens = [
+        tok
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENDMARKER)
+    ]
+    lines = set()
+    for before, tok, after in zip([None] + tokens, tokens, tokens[1:]):
+        docstring = (
+            tok.type == tokenize.STRING
+            and (before is None or before.type in LAYOUT)
+            and after.type == tokenize.NEWLINE
+        )
+        if tok.type not in LAYOUT and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def test_the_package_stays_within_its_code_line_budget():
+    assert code_lines('"""doc"""\n# note\n\nx = 1  # set\ny = """a\nb"""\n') == 3
+    count = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert count <= CODE_LINE_BUDGET

@@ -110,6 +110,12 @@ def test_update_composes_the_covariance_and_mean_kernels():
         out = update(GaussianBelief(mean, cov), MeasurementModel(h, 0.2), z)
         assert np.array_equal(out.cov, P)
         assert np.array_equal(out.mean, _gain_update(mean, h, z, K))
+    # a stack of means moves row by row as each lone mean would, bit for bit
+    means, zs = rng.normal(size=(6, 4)), rng.normal(size=6)
+    stacked = _gain_update(means, h, zs, K)
+    assert stacked.shape == means.shape
+    for row, m, z in zip(stacked, means, zs):
+        assert np.array_equal(row, _gain_update(m, h, float(z), K))
 
 
 @pytest.mark.parametrize("G", ["spd", "zero"])

@@ -354,12 +354,12 @@ def test_the_rk4_kernels_agree_bitwise(monkeypatch, name, substeps):
 
 @pytest.mark.parametrize("name", ["vdp", "fhn"])
 def test_the_rk4_kernels_run_on_their_own(name):
-    # each kernel yields the state after every n substeps from substep first on
+    # each kernel yields the state after every n substeps from substep 0 on
     rhs = RK4_PAIR_INPUTS[name].field.rhs
     x0 = RK4_PAIR_INPUTS[name].x0.tolist()
-    for first, n in ((0, 1), (0, 250), (37, 100)):
-        pairs = list(islice(problems._rk4_pairs(rhs, x0, first, n, 1e-3), 3))
-        lists = list(islice(problems._rk4_lists(rhs, x0, first, n, 1e-3), 3))
+    for n in (1, 250):
+        pairs = list(islice(problems._rk4_pairs(rhs, x0, n, 1e-3), 3))
+        lists = list(islice(problems._rk4_lists(rhs, x0, n, 1e-3), 3))
         assert same_bits(pairs, lists)
         for x, before in zip(pairs, [x0] + pairs):
             assert all(type(v) is float for v in x) and x != before

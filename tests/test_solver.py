@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -943,6 +944,22 @@ def test_returned_covariances_belong_to_the_trajectory_alone():
     del first
     gc.collect()
     assert stack() is None
+
+
+def test_the_array_mean_loop_holds_no_per_step_array_beyond_the_means():
+    # a q=2 solve of 32 coordinates runs the array kernel; past its outputs it
+    # may hold a few steps' temporaries, but nothing with one entry per step
+    n, d = 4000, 32
+    ivp = linear(x0=[1.0] * d, T=2.0)
+    ssm = taylor_state_space(TaylorParams(2, 1.0))
+    tracemalloc.start()
+    try:
+        (seg,) = solve(ssm, ivp, 2.0 / n, 0.0).segments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seg.means.shape == (n + 1, d, 3)
+    assert peak - (seg.means.nbytes + seg.covs.nbytes + seg.t.nbytes) < n * d * 8 / 2
 
 
 def _per_covariance_stds(seg):
