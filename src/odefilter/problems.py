@@ -6,11 +6,13 @@ convergence and Fourier-training checks. ``rk4_reference`` provides the
 ground-truth trajectories the filters are judged against.
 
 Each problem writes its vector field once, as float code
-``rhs(x: list[float], t) -> list[float]``; ``_array_field`` turns it into the
-array ``field`` of its ``IVProblem``, which carries the float form as
-``field.rhs``. ``solve``'s array kernel and the Taylor init call the array
-field; ``solve``'s float kernel calls ``rhs`` through ``solver._field_at``,
-checked at every step, and ``rk4_reference`` calls ``rhs`` directly.
+``rhs(t, *x) -> sequence of floats`` that takes the time and then one float
+per coordinate; ``_array_field`` turns it into the array ``field`` of its
+``IVProblem``, which carries the float form as ``field.rhs`` and the number
+of coordinates it takes as ``field.dim`` (None for any). ``solve``'s array
+kernel and the Taylor init call the array field; ``solve``'s float kernel
+calls ``rhs`` through ``solver._field_at``, checked at every step, and
+``rk4_reference`` calls ``rhs`` directly.
 
 ``rk4_reference`` runs its substeps in one of two kernels, picked from the
 problem's coordinate count: ``_rk4_pairs`` holds a two-coordinate state (both
@@ -36,39 +38,39 @@ from .solver import IVProblem, PhaseSegment, Trajectory, VectorField, _field_at,
 REFERENCE_PHASE = "reference"
 
 
-def _array_field(rhs) -> VectorField:
-    """The array field of a float form ``rhs(x: list[float], t) -> list[float]``:
-    rhs of the input's floats, its list as an array.
+def _array_field(rhs, dim: int | None = None) -> VectorField:
+    """The array field of a float form ``rhs(t, *x) -> sequence of floats``:
+    rhs of t and the input's floats, as an array.
 
     The field carries rhs as ``field.rhs``, which ``rk4_reference`` and the
-    float kernel of ``solve`` call.
+    float kernel of ``solve`` call, and as ``field.dim`` the number of
+    coordinates rhs takes, which ``IVProblem`` holds x0 to; None takes any.
     """
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array(rhs(x.tolist(), t))
+        return np.array(rhs(t, *x.tolist()))
 
-    field.rhs = rhs
+    field.rhs, field.dim = rhs, dim
     return field
 
 
-def _cube(v: float) -> float:
-    """v**3, overflowing to +-inf as numpy does where Python raises OverflowError."""
-    try:
-        return v**3
-    except OverflowError:
-        return math.copysign(math.inf, v)
-
-
 def vdp(mu: float = 5.0) -> IVProblem:
-    """Van der Pol oscillator in Lienard form, d(x1)/dt = mu(x1 - x1^3/3 - x2)."""
+    """Van der Pol oscillator in Lienard form, d(x1)/dt = mu(x1 - x1^3/3 - x2).
+
+    Its float form, as fhn's, cubes x1 as numpy does: where Python raises
+    OverflowError, the cube is +-inf.
+    """
     if not _is_finite(mu) or mu == 0:
         raise ContractViolation(f"vdp requires a finite mu != 0, got {mu}")
 
-    def rhs(x: list, t: float) -> list:
-        x1, x2 = x
-        return [mu * (x1 - _cube(x1) / 3.0 - x2), x1 / mu]
+    def rhs(t: float, x1: float, x2: float) -> tuple:
+        try:
+            c = x1**3
+        except OverflowError:
+            c = math.copysign(math.inf, x1)
+        return mu * (x1 - c / 3.0 - x2), x1 / mu
 
-    return IVProblem(field=_array_field(rhs), x0=[1.0, -1.0], T=50.0, name="vdp")
+    return IVProblem(field=_array_field(rhs, 2), x0=[1.0, -1.0], T=50.0, name="vdp")
 
 
 def fhn(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0) -> IVProblem:
@@ -79,17 +81,20 @@ def fhn(I: float = 0.5, a: float = 0.7, b: float = 1.0, tau: float = 10.0) -> IV
     if not all(map(_is_finite, (I, a, b, tau))) or tau == 0:
         raise ContractViolation(f"fhn requires finite I, a, b and tau != 0, got {(I, a, b, tau)}")
 
-    def rhs(x: list, t: float) -> list:
-        x1, x2 = x
-        return [x1 - _cube(x1) / 3.0 - x2 + I, (x1 + a - b * x2) / tau]
+    def rhs(t: float, x1: float, x2: float) -> tuple:
+        try:
+            c = x1**3
+        except OverflowError:
+            c = math.copysign(math.inf, x1)
+        return x1 - c / 3.0 - x2 + I, (x1 + a - b * x2) / tau
 
-    return IVProblem(field=_array_field(rhs), x0=[1.0, 0.1], T=50.0, name="fhn")
+    return IVProblem(field=_array_field(rhs, 2), x0=[1.0, 0.1], T=50.0, name="fhn")
 
 
 def linear(x0: float = 1.0, T: float = 2.0) -> IVProblem:
     """Linear decay dx/dt = -x; exact solution x0 * exp(-t)."""
 
-    def rhs(x: list, t: float) -> list:
+    def rhs(t: float, *x: float) -> list:
         return [-v for v in x]
 
     return IVProblem(field=_array_field(rhs), x0=[x0], T=T, name="linear")
@@ -98,7 +103,7 @@ def linear(x0: float = 1.0, T: float = 2.0) -> IVProblem:
 def constant(c: float = 1.0, T: float = 2.0) -> IVProblem:
     """Zero field; the solution stays at c."""
 
-    def rhs(x: list, t: float) -> list:
+    def rhs(t: float, *x: float) -> list:
         return [0.0] * len(x)
 
     return IVProblem(field=_array_field(rhs), x0=[c], T=T, name="constant")
@@ -107,10 +112,10 @@ def constant(c: float = 1.0, T: float = 2.0) -> IVProblem:
 def cosine(T: float = 20.0) -> IVProblem:
     """Time-forced problem dx/dt = -sin(t), x(0) = 1; exact solution cos(t)."""
 
-    def rhs(x: list, t: float) -> list:
-        return [-math.sin(t)]
+    def rhs(t: float, x: float) -> tuple:
+        return (-math.sin(t),)
 
-    return IVProblem(field=_array_field(rhs), x0=[1.0], T=T, name="cosine")
+    return IVProblem(field=_array_field(rhs, 1), x0=[1.0], T=T, name="cosine")
 
 
 REGISTRY = {"vdp": vdp, "fhn": fhn, "linear": linear, "constant": constant, "cosine": cosine}
@@ -146,16 +151,18 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     ``reference``. The field's outputs follow ``solve``'s contract through
     ``_field_at``: the t = 0 evaluation always, and every stage of an array
     field, so a wrong component count raises ContractViolation as in
-    ``solve``. A registered problem's float form runs unchecked past t = 0.
+    ``solve``. A registered problem's float form ``rhs(t, *x)`` runs
+    unchecked past t = 0; an array field is called through a wrapper of the
+    same signature.
 
     The substeps run in ``_rk4_pairs`` when the problem has d == 2
     coordinates and in ``_rk4_lists`` otherwise, one generator over the
     whole grid that yields the state at each record time. Both make four
-    field calls per substep, each on a list of floats, and the same float
-    operations in the same order, so they give the same means bit for bit.
-    Each record is checked for finiteness here, then it and its derivative
-    (one more field call) go to flat buffers of doubles that become the
-    means.
+    field calls per substep, each ``f(t, *x)`` on the state's floats, and the
+    same float operations in the same order, so they give the same means bit
+    for bit. Each record is checked for finiteness here, then it and its
+    derivative (one more field call) go to flat buffers of doubles that
+    become the means.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -165,7 +172,7 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     # A registered problem's float form, or a wrapper that hands an array field
     # a fresh float64 array and holds every stage to its contract through _field_at.
     rhs = getattr(ivp.field, "rhs", None)
-    f = rhs or (lambda x, t: _field_at(ivp.field, np.array(x), t, floats=True))
+    f = rhs or (lambda t, *x: _field_at(ivp.field, np.array(x), t, floats=True))
     kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
     values = array("d", ivp.x0)
     derivatives = array("d", _field_at(ivp.field, ivp.x0.copy(), 0.0, floats=True))
@@ -174,24 +181,20 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
         if not all(map(math.isfinite, x)):
             raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
         values.extend(x)
-        derivatives.extend(f(x, t))
-    means = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
+        derivatives.extend(f(t, *x))
+    flat = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
 
+    times = np.arange(n_out + 1) * h_out
+    means, covs = flat.reshape(n_out + 1, ivp.dim, 2), np.zeros((n_out + 1, 2, 2))
     projections = ProjectionPair([1.0, 0.0], [0.0, 1.0])
-    segment = PhaseSegment(
-        REFERENCE_PHASE,
-        projections,
-        np.arange(n_out + 1) * h_out,
-        means.reshape(n_out + 1, ivp.dim, 2),
-        np.zeros((n_out + 1, 2, 2)),
-    )
-    return Trajectory((segment,))
+    return Trajectory((PhaseSegment(REFERENCE_PHASE, projections, times, means, covs),))
 
 
-# The substep kernels of ``rk4_reference``: RK4 of step h from the state x (a
-# list of floats), substep s at time s*h from s = 0 on, yielding the state
-# after every n substeps, without end. Float64 arithmetic on a few numbers
-# costs less in Python than in numpy ufunc calls, and rounds the same.
+# The substep kernels of ``rk4_reference``: RK4 of step h of the field
+# ``f(t, *x)`` from the state x (a list of floats), substep s at time s*h from
+# s = 0 on, yielding the state after every n substeps, without end. Float64
+# arithmetic on a few numbers costs less in Python than in numpy ufunc calls,
+# and rounds the same.
 
 
 def _rk4_lists(f, x: list, n: int, h: float):
@@ -200,10 +203,10 @@ def _rk4_lists(f, x: list, n: int, h: float):
     for start in count(0, n):
         for s in range(start, start + n):
             t = s * h
-            k1 = f(x, t)
-            k2 = f([a + half * b for a, b in zip(x, k1)], t + half)
-            k3 = f([a + half * b for a, b in zip(x, k2)], t + half)
-            k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+            k1 = f(t, *x)
+            k2 = f(t + half, *[a + half * b for a, b in zip(x, k1)])
+            k3 = f(t + half, *[a + half * b for a, b in zip(x, k2)])
+            k4 = f(t + h, *[a + h * b for a, b in zip(x, k3)])
             x = [
                 a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
@@ -213,17 +216,19 @@ def _rk4_lists(f, x: list, n: int, h: float):
 
 def _rk4_pairs(f, x: list, n: int, h: float):
     """``_rk4_lists`` for two coordinates, held as two floats: the same
-    calls, each on a fresh list, and the same operations in the same order,
-    without the comprehensions and zips."""
+    calls, each ``f(t, x1, x2)`` with no list built, and the same operations
+    in the same order, without the comprehensions and zips. The stage time
+    t + half is computed once per substep."""
     half, sixth = 0.5 * h, h / 6.0
     x1, x2 = x
     for start in count(0, n):
         for s in range(start, start + n):
             t = s * h
-            a1, a2 = f([x1, x2], t)
-            b1, b2 = f([x1 + half * a1, x2 + half * a2], t + half)
-            c1, c2 = f([x1 + half * b1, x2 + half * b2], t + half)
-            d1, d2 = f([x1 + h * c1, x2 + h * c2], t + h)
+            th = t + half
+            a1, a2 = f(t, x1, x2)
+            b1, b2 = f(th, x1 + half * a1, x2 + half * a2)
+            c1, c2 = f(th, x1 + half * b1, x2 + half * b2)
+            d1, d2 = f(t + h, x1 + h * c1, x2 + h * c2)
             x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         yield [x1, x2]

@@ -26,9 +26,9 @@ floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
 runs ``_array_mean_loop``, the plain recursion on numpy arrays. On the
 package's two-slot priors both give the same means bit for bit. Larger
 states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
-floats cannot reproduce. The float kernel hands its list of floats to a
-registered problem's float form ``field.rhs``, which ``_field_at`` looks up
-once per solve, and a fresh float64 array of it to any other field;
+floats cannot reproduce. The float kernel hands its floats to a registered
+problem's float form ``field.rhs(t, *x)``, which ``_field_at`` looks up once
+per solve, and a fresh float64 array of them to any other field;
 ``_field_at`` checks every output.
 """
 
@@ -88,7 +88,11 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class IVProblem:
-    """Initial value problem dx/dt = field(x, t), x(0) = x0, on [0, T]."""
+    """Initial value problem dx/dt = field(x, t), x(0) = x0, on [0, T].
+
+    A field that says how many coordinates it takes, as ``field.dim`` (a
+    registered problem's does; None takes any), gets an x0 of that size.
+    """
 
     field: VectorField
     x0: np.ndarray
@@ -103,6 +107,9 @@ class IVProblem:
         object.__setattr__(self, "x0", np.asarray(x0, dtype=float).reshape(-1))
         if not (self.x0.size and np.isfinite(self.x0).all()):
             raise ContractViolation(f"initial value x0 must be non-empty and finite, got {self.x0}")
+        dim = getattr(self.field, "dim", None)
+        if dim not in (None, self.x0.size):
+            raise ContractViolation(f"{self.name} takes an x0 of size {dim}, got {self.x0.size}")
         object.__setattr__(self, "T", _finite_positive(self.T, "time horizon T"))
 
     @property
@@ -192,13 +199,14 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
     """The field's output at (m, t) as a float64 vector, or with ``floats`` as
     the list of its floats, once it has as many components as m and all are finite.
 
-    Without m, the same checked call of the field's float form ``field.rhs``
-    on a list of floats, or None for a field without one; a float kernel
-    looks it up once per solve and hands any other field a fresh float64 array.
+    Without m, the same checked call ``(x, t)`` of the field's float form
+    ``field.rhs(t, *x)`` on a list of floats, or None for a field without one;
+    a float kernel looks it up once per solve and hands any other field a
+    fresh float64 array.
     """
     if m is None:
         rhs = getattr(field, "rhs", None)
-        return None if rhs is None else lambda x, t: _checked(rhs(x, t), len(x), t)
+        return None if rhs is None else lambda x, t: _checked(rhs(t, *x), len(x), t)
     z = np.asarray(field(m, t), dtype=float).reshape(-1)
     values = z.tolist()
     if z.size != m.size or not all(map(math.isfinite, values)):

@@ -142,6 +142,14 @@ def numpy_rk4_means(f, x0, h_ref: float, h_out: float, n_out: int) -> np.ndarray
     return means
 
 
+def float_cube(v: float) -> float:
+    """v**3 on a Python float, +-inf where Python raises OverflowError, as numpy gives."""
+    try:
+        return v**3
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def numpy_vdp_field(mu: float):
     def field(x, t):
         x1, x2 = x

@@ -24,9 +24,9 @@ from odefilter import (
     vdp,
 )
 from odefilter import problems
-from odefilter.problems import REGISTRY, _array_field, _cube
+from odefilter.problems import REGISTRY, _array_field
 
-from conftest import numpy_fhn_field, numpy_rk4_means, numpy_vdp_field
+from conftest import float_cube, numpy_fhn_field, numpy_rk4_means, numpy_vdp_field
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -222,9 +222,13 @@ def test_fields_equal_the_numpy_scalar_forms_bitwise(pair):
     ivp, reference = pair
     rng = np.random.default_rng(7)
     states = rng.normal(size=(20000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(20000, 2))
-    nan, inf = math.nan, math.inf
-    special = [
-        [1e200, 0.5], [-1e200, 0.5], [1e200, -1e200], [0.5, 1e200],  # x1**3 overflows
+    nan, inf, big = math.nan, math.inf, 1.7976931348623157e308
+    overflows = [  # x1**3 overflows: 5.7e102 is just past the edge, 5.6e102 just short of it
+        [1e200, 0.5], [-1e200, 0.5], [1e200, -1e200],
+        [5.7e102, 0.5], [-5.7e102, 0.5], [big, 0.5], [-big, 0.5],
+    ]
+    special = overflows + [
+        [5.6e102, 0.5], [-5.6e102, 0.5], [0.5, 1e200],
         [nan, 1.0], [1.0, nan], [inf, 0.0], [-inf, 0.0], [0.0, -0.0], [-0.0, 0.0],
     ]
     states = np.concatenate([states, special])
@@ -233,7 +237,7 @@ def test_fields_equal_the_numpy_scalar_forms_bitwise(pair):
     got = [ivp.field(x, 0.0) for x in states]
     assert same_bits(got, expected)
     # an overflowing cube is inf, not OverflowError, so a diverging solve stays typed
-    assert all(np.isinf(ivp.field(np.array(x), 0.0)[0]) for x in special[:3])
+    assert all(np.isinf(ivp.field(np.array(x), 0.0)[0]) for x in overflows)
 
 
 @pytest.mark.parametrize("pair", FIELD_PAIRS.values(), ids=FIELD_PAIRS.keys())
@@ -275,6 +279,55 @@ def test_rk4_call_count_and_aliased_field_outputs():
     for field in (returns_its_input, returns_a_cached_array):
         (segment,) = rk4_reference(replace(ivp, field=field), 0.01, h_out=0.05).segments
         assert np.array_equal(segment.means, expected.means)
+
+
+def test_rk4_calls_a_float_form_when_it_calls_an_array_field():
+    # t = 0, four stage calls per substep and one derivative per record, on
+    # the float path as on the array path that field_evals counts
+    float_times, array_times = [], []
+
+    def rhs(t, x1, x2):
+        float_times.append(t)
+        return x2, -x1
+
+    def array(x, t):
+        array_times.append(t)
+        return np.array([x[1], -x[0]])
+
+    ivp = IVProblem(_array_field(rhs, 2), [1.0, 0.0], 1.0, "harmonic")
+    (float_path,) = rk4_reference(ivp, 0.01, h_out=0.05).segments
+    (array_path,) = rk4_reference(replace(ivp, field=array), 0.01, h_out=0.05).segments
+    assert same_bits(float_path.means, array_path.means)
+    h, half, substeps, expected = 0.01, 0.5 * 0.01, 5, [0.0]
+    for k in range(1, 21):
+        for t in (s * h for s in range((k - 1) * substeps, k * substeps)):
+            expected += [t, t + half, t + half, t + h]
+        expected.append(k * 0.05)
+    assert len(expected) == 4 * substeps * 20 + 20 + 1
+    assert float_times == array_times == expected
+
+
+@pytest.mark.parametrize("name,size", [("vdp", 2), ("fhn", 2), ("cosine", 1)])
+def test_a_registered_problem_takes_only_an_x0_of_its_size(name, size):
+    ivp = by_name(name)
+    for wrong in (n for n in (size - 1, size + 1) if n):
+        message = f"{name} takes an x0 of size {size}, got {wrong}"
+        with pytest.raises(ContractViolation, match=message):
+            replace(ivp, x0=[1.0] * wrong)
+    # the check runs at construction, before the field is ever called
+    calls = []
+    spy = _array_field(lambda t, *x: calls.append(t) or x, size)
+    with pytest.raises(ContractViolation, match=f"takes an x0 of size {size}, got {size + 1}"):
+        IVProblem(spy, [1.0] * (size + 1), 1.0, name)
+    assert not calls
+
+
+@pytest.mark.parametrize("factory", [linear, constant])
+def test_linear_and_constant_take_an_x0_of_any_size(factory):
+    for d in (1, 2, 3):
+        ivp = replace(factory(), x0=[0.5] * d)
+        (segment,) = rk4_reference(ivp, 0.01, h_out=0.1).segments
+        assert segment.means.shape == (21, d, 2)
 
 
 def test_rk4_rejects_a_field_output_of_the_wrong_size_as_solve_does():
@@ -325,7 +378,7 @@ RK4_PAIR_INPUTS = {
     # to a non-finite state, which the record check catches
     "blowup-array": IVProblem(cubic_blowup, [4.0, 1.0], 2.0, "blowup"),
     "blowup-float": IVProblem(
-        _array_field(lambda x, t: [_cube(x[0]), x[1]]), [4.0, 1.0], 2.0, "blowup"
+        _array_field(lambda t, x1, x2: (float_cube(x1), x2)), [4.0, 1.0], 2.0, "blowup"
     ),
 }
 

@@ -50,11 +50,11 @@ from odefilter.filtering import (
     _passthrough,
     _predict,
 )
-from odefilter.problems import _array_field, _cube
+from odefilter.problems import _array_field
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
-from conftest import extended_precision_ibm_filter, random_spd, two_loop_affine_scan
+from conftest import extended_precision_ibm_filter, float_cube, random_spd, two_loop_affine_scan
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -833,7 +833,7 @@ def test_the_float_form_and_the_array_field_agree_bitwise(prior, problem, R, h):
 
 def test_a_float_form_of_the_wrong_size_is_a_contract_violation():
     # the Taylor init's t = 0 evaluation passes, the first step's does not
-    field = _array_field(lambda x, t: [0.0] * (2 if t == 0 else 3))
+    field = _array_field(lambda t, *x: [0.0] * (2 if t == 0 else 3))
     outcomes = [
         solve_outcome(TAYLOR_Q1, IVProblem(f, [1.0, 0.0], 1.0, "wrong size"), 0.01, 0.0)
         for f in (field, without_float_form(field))
@@ -844,7 +844,7 @@ def test_a_float_form_of_the_wrong_size_is_a_contract_violation():
 
 
 def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t():
-    field = _array_field(lambda x, t: [_cube(x[0]), x[1]])
+    field = _array_field(lambda t, x1, x2: (float_cube(x1), x2))
     outcomes = [
         solve_outcome(TAYLOR_Q1, IVProblem(f, [4.0, 1.0], 1.0, "blowup"), 0.01, 0.0)
         for f in (field, without_float_form(field))
@@ -856,7 +856,7 @@ def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t():
 def test_the_float_kernel_calls_the_float_form_once_per_step():
     rhs_times, array_times = [], []
 
-    def rhs(x, t):
+    def rhs(t, *x):
         rhs_times.append(t)
         return [-v for v in x]
 
