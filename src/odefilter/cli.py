@@ -110,17 +110,16 @@ def parse_trajectory_csv(text: str) -> CsvData:
     rows = [line.split(",") for line in lines[1:]]
     try:  # every cell in one conversion, with float()'s grammar, then the shape
         data = np.array([cells[:-1] for cells in rows], dtype=float).reshape(len(rows), n_cols - 1)
-    except ValueError:  # the line loop finds the first bad line
-        floats = []
+    except ValueError:  # numpy reads cells as float() does: the line loop finds the bad line
         for lineno, cells in enumerate(rows, start=2):
             if len(cells) != n_cols:
                 msg = f"expected {n_cols} columns, got {len(cells)}"
                 raise CsvFormatError(msg, line=lineno) from None
             try:
-                floats.append([float(c) for c in cells[:-1]])
+                [float(c) for c in cells[:-1]]
             except ValueError as err:
                 raise CsvFormatError(str(err), line=lineno) from None
-        data = np.array(floats)
+        raise  # a failure no line shows
 
     plotted = [i for i, name in enumerate(header[:-1]) if not name.startswith("std_")]
     bad = np.argwhere(~np.isfinite(data[:, plotted]))

@@ -14,16 +14,19 @@ A solve is therefore two recursions. ``_covariance_schedule`` takes no
 field: it applies the predict map and each step's gain map (see
 ``filtering._cov_map``) to the covariance alone until the gain settles,
 which under the Taylor prior takes a few dozen steps; ``_affine_scan``
-fills the rest with powers of the frozen map, the two composed. Then the
-mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
-``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and only
-through ``_field_at``.
+fills the rest with powers of the frozen map, the two composed. It hands
+on one ``(K, S)`` per step up to the freeze, the gain and innovation
+variance of ``filtering._joseph`` (K is None on a passthrough), and the
+frozen entry holds for every later step. Then the mean recursion runs
+``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step; it
+alone evaluates the field, only through ``_field_at``, and sees no
+covariance: a passthrough's S comes with its step.
 
-The mean recursion has two kernels, which take the same covariances and
-gains. A two-slot state (the q=1 Taylor prior, the J=0 Fourier prior) of at
-most FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python
-floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
-runs ``_array_mean_loop``, the plain recursion on numpy arrays. On the
+The mean recursion has two kernels, which take the same steps. A two-slot
+state (the q=1 Taylor prior, the J=0 Fourier prior) of at most
+FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python floats,
+which skips numpy's per-call cost on 2x2 arrays; every other shape runs
+``_array_mean_loop``, the plain recursion on numpy arrays. On the
 package's two-slot priors both give the same means bit for bit. Larger
 states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
 floats cannot reproduce. The float kernel hands its floats to a registered
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -262,12 +265,14 @@ def solve(
     fit the transition and projections, are finite, and that the covariance
     is exactly symmetric.
 
-    The covariances and gains come from ``_covariance_schedule`` before any
-    mean moves; the mean kernel that follows, on floats or on arrays by the
-    state and problem size, evaluates the field and updates the means with
-    those gains. A passthrough step (no finite S > 0, see
-    ``filtering._joseph``) moves no mean and raises SingularUpdateError,
-    with the step and t, unless every innovation vanishes.
+    The covariances and one ``(K, S)`` per step up to the gain freeze come
+    from ``_covariance_schedule`` before any mean moves; the frozen entry is
+    repeated for the remaining steps. The mean kernel that follows, on floats
+    or on arrays by the state and problem size, evaluates the field and
+    updates the means with those gains. A passthrough step (K is None: no
+    finite S > 0, see ``filtering._joseph``) moves no mean and raises
+    SingularUpdateError, with the step, t and its S, unless every innovation
+    vanishes.
     """
     _finite_nonnegative(R, "measurement noise R")
     t_end = ivp.T if t_end is None else _finite_positive(t_end, "t_end")
@@ -288,63 +293,63 @@ def solve(
     if not np.array_equal(P, P.T):
         raise ContractViolation("init covariance must be exactly symmetric")
     A, H0, H = trans.A, proj.H0, proj.H
-    covs, gains = _covariance_schedule(P, A, trans.Q, H, R, n)
-    # Step k uses gains[k-1], the last gain holds past them, and a NaN row is a passthrough.
-    Ks = chain((None if np.isnan(K[0]) else K for K in gains), repeat(gains[-1], n - len(gains)))
+    covs, steps = _covariance_schedule(P, A, trans.Q, H, R, n)
+    steps += [steps[-1]] * (n - len(steps))  # the frozen (K, S) holds past the freeze
     loop = _float_mean_loop if D == 2 and ivp.dim <= FLOAT_LOOP_MAX_DIM else _array_mean_loop
-    means = loop(ivp.field, M, A, H0, H, R, h, covs, Ks)
+    means = loop(ivp.field, M, A, H0, H, h, steps)
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
     return Trajectory((segment,))
 
 
-def _array_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
+def _array_mean_loop(field, M, A, H0, H, h, steps):
     """The means (n+1, d, D) of a solve from M (d, D), on numpy arrays.
 
     Step k predicts ``m <- A m``, evaluates ``z = f(H0 m, k h)`` and updates
-    ``m <- m + (z - H m) K`` with the k-th gain of Ks; a None gain is a
-    passthrough, checked against covs[k]. Each step's field input is a fresh
-    array, so the field may keep or overwrite it.
+    ``m <- m + (z - H m) K`` with the k-th ``(K, S)`` of steps, one per step;
+    a None K is a passthrough, which hands its S to ``_passthrough``. Each
+    step's field input is a fresh array, so the field may keep or overwrite it.
     """
-    means = np.empty((len(covs),) + M.shape)
+    means = np.empty((len(steps) + 1,) + M.shape)
     means[0] = M
-    for k, K in enumerate(Ks, 1):
+    for k, (K, S) in enumerate(steps, 1):
         t = k * h
         M = (A @ M[..., None])[..., 0]  # the mean half of _predict
         z = _field_at(field, _dot(M, H0), t)
-        if K is None:  # covs[k] is then the predicted covariance, so this is its S
-            _passthrough(M, H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
+        if K is None:
+            _passthrough(M, H, z, S, step=k, t=t)
         else:
             M = _gain_update(M, H, z, K)
         means[k] = M
     return means
 
 
-def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
+def _float_mean_loop(field, M, A, H0, H, h, steps):
     """``_array_mean_loop`` for a two-slot state, on Python floats.
 
     Each coordinate is a pair ``(m0, m1)``, and every product and sum is
     written in numpy's order: ``a00 m0 + a01 m1`` to predict, ``0.0 + m0 g0
     + m1 g1`` for the H0 and H rows (numpy's sums start from +0.0), and
-    ``m + nu k`` to update. Numpy fuses a mat-vec's first product into its
-    sum, which Python floats cannot; in both built-in two-slot priors that
-    product is exact (A is [[1, h], [0, 1]] or the identity), so the means
-    are the array loop's bit for bit. Each step's list of floats goes to the
-    float form of a registered problem, checked by ``_field_at``, or to any
-    other field as a fresh array. The means of every step go to one flat
-    buffer of doubles, which becomes the output array without a copy.
+    ``m + nu k`` to update, with the same ``(K, S)`` steps. Numpy fuses a
+    mat-vec's first product into its sum, which Python floats cannot; in
+    both built-in two-slot priors that product is exact (A is [[1, h], [0, 1]]
+    or the identity), so the means are the array loop's bit for bit. Each
+    step's list of floats goes to the float form of a registered problem,
+    checked by ``_field_at``, or to any other field as a fresh array. The
+    means of every step go to one flat buffer of doubles, which becomes the
+    output array without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
     f = _field_at(field)  # the float form, or None for an array field
     flat = array("d", M.ravel().tolist())
     pairs, last = list(zip(flat[0::2], flat[1::2])), None
-    for k, K in enumerate(Ks, 1):
+    for k, (K, S) in enumerate(steps, 1):
         t = k * h
         pairs = [(a00 * m0 + a01 * m1, a10 * m0 + a11 * m1) for m0, m1 in pairs]
         x = [0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs]
         z = f(x, t) if f else _field_at(field, np.array(x), t, floats=True)
-        if K is None:  # covs[k] is then the predicted covariance, so this is its S
-            _passthrough(np.array(pairs), H, z, float(H @ (covs[k] @ H)) + R, step=k, t=t)
+        if K is None:
+            _passthrough(np.array(pairs), H, z, S, step=k, t=t)
         else:
             if K is not last:  # past the freeze every step gets the same gain object
                 (k0, k1), last = K.tolist(), K
@@ -354,36 +359,36 @@ def _float_mean_loop(field, M, A, H0, H, R, h, covs, Ks):
                 updated.append((m0 + nu * k0, m1 + nu * k1))
             pairs = updated
         flat.extend(chain.from_iterable(pairs))
-    return np.frombuffer(flat).reshape((len(covs),) + M.shape)
+    return np.frombuffer(flat).reshape((len(steps) + 1,) + M.shape)
 
 
 def _covariance_schedule(P0, A, Q, H, R, n):
-    """Covariances (n+1, D, D) and gains (s, D) of an n-step solve from P0.
+    """Covariances (n+1, D, D) of an n-step solve from P0, and its steps: one
+    ``(K, S)`` per step up to and including the freeze at step s.
 
     Runs predict and Joseph update on the covariance alone, which never sees
     the data, until two consecutive gains agree entry by entry to
-    GAIN_SETTLED_RTOL at step s. A passthrough (see ``_joseph``) has no gain,
-    never counts, and leaves a NaN row; no real gain holds a NaN. Step
-    k <= s uses gains[k-1]; the last gain holds for every later step, whose
-    covariances follow the frozen map, predict composed with the gain map:
-    ``F = (I - K H) A``, ``G = (I - K H) Q (I - K H)^T + R K K^T``, filled
-    by ``_affine_scan``. A gain that never settles gives s = n.
+    GAIN_SETTLED_RTOL at step s. Each entry is the gain and innovation
+    variance of ``_joseph``; a passthrough's K is None, and it neither settles
+    nor is settled on. The frozen entry, steps[s-1], holds for every later
+    step, whose covariances follow the frozen map, predict composed with the
+    gain map: ``F = (I - K H) A``, ``G = (I - K H) Q (I - K H)^T + R K K^T``,
+    filled by ``_affine_scan``. A gain that never settles gives s = n.
     """
     covs = np.empty((n + 1,) + P0.shape)
-    gains = np.full((n, len(H)), np.nan)
-    covs[0] = P = P0
+    covs[0] = P0
+    steps, K = [], None
     for k in range(1, n + 1):
-        P, K, _ = _joseph(_cov_map(P, A, Q), H, R)  # the covariance half of _predict
-        covs[k] = P
-        if K is None:
+        last = K  # step k-1's gain, None after a passthrough or before step 1
+        covs[k], K, S = _joseph(_cov_map(covs[k - 1], A, Q), H, R)  # predict, then update
+        steps.append((K, S))
+        if K is None or last is None:  # no two consecutive gains to compare
             continue
-        gains[k - 1] = K
-        # the NaN row of a passthrough agrees with no gain, so it never counts
-        if k > 1 and np.all(np.abs(K - gains[k - 2]) <= GAIN_SETTLED_RTOL * np.abs(K)):
+        if np.all(np.abs(K - last) <= GAIN_SETTLED_RTOL * np.abs(K)):
             IKH, RKK = _gain_map(K, H, R)
             _affine_scan(covs[k:], IKH @ A, _cov_map(Q, IKH, RKK))
-            return covs, gains[:k].copy()
-    return covs, gains
+            return covs, steps
+    return covs, steps
 
 
 def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -469,7 +470,8 @@ def coupled_linear(T=2.0):
 
 
 def schedule(ssm, h, R, n):
-    """The covariances and gains of an n-step solve under ssm; they never see the field."""
+    """The covariances and the (K, S) steps up to the freeze of an n-step solve
+    under ssm; they never see the field."""
     trans, proj = ssm.transition_builder(h), ssm.projections
     _, P0 = ssm.init(constant(c=0.0))
     return solver._covariance_schedule(P0, trans.A, trans.Q, proj.H, R, n)
@@ -628,10 +630,10 @@ def test_passthrough_updates_do_not_freeze_the_gain():
     (seg,) = solve(ssm, ivp, h, 0.0).segments
     # the first real gains come at steps 4 and 5; this chain's gain is the
     # same from its first, so it freezes there and not on the missing ones
-    _, gains = schedule(ssm, h, 0.0, 500)
-    settled = len(gains)
+    _, steps = schedule(ssm, h, 0.0, 500)
+    settled = len(steps)
     assert settled == 5
-    assert np.all(np.isnan(gains[:3])) and not np.any(np.isnan(gains[3:]))
+    assert [K is None for K, _ in steps] == [True, True, True, False, False]
     ref = reference_solve(ssm, ivp, h, 0.0)
     ref_means = np.array([[b.mean for b in rec] for rec in ref])
     ref_covs = np.array([rec[0].cov for rec in ref])
@@ -666,10 +668,10 @@ def frozen_map(ssm, h, R, n):
     """The covariance at the step an n-step schedule freezes its gain, and the
     frozen map (F, G) the scan applies from there."""
     trans, proj = ssm.transition_builder(h), ssm.projections
-    covs, gains = schedule(ssm, h, R, n)
-    assert len(gains) < n, "the gain never settled"
-    IKH, RKK = _gain_map(gains[-1], proj.H, R)
-    return covs[len(gains)], IKH @ trans.A, _cov_map(trans.Q, IKH, RKK)
+    covs, steps = schedule(ssm, h, R, n)
+    assert len(steps) < n, "the gain never settled"
+    IKH, RKK = _gain_map(steps[-1][0], proj.H, R)
+    return covs[len(steps)], IKH @ trans.A, _cov_map(trans.Q, IKH, RKK)
 
 
 # Both sides of the end of doubling (SCAN_BLOCK = 256) and of later blocks.
@@ -698,15 +700,21 @@ def test_affine_scan_equals_the_two_loop_scan_at_every_block_edge(q, R):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_covariance_beyond_float_range_is_a_passthrough():
+def test_covariance_beyond_float_range_is_a_passthrough(monkeypatch):
     # sigma2 = 1e308 overflows the first predicted covariance: S is inf or
     # NaN, no gain exists, and a nonzero innovation is a singular update
     ssm = taylor_state_space(TaylorParams(1, 1e308))
     with pytest.raises(SingularUpdateError) as exc:
         solve(ssm, linear(T=8.0), 2.0, 0.0)
     assert (exc.value.step, exc.value.t) == (1, 2.0)
-    _, gains = schedule(ssm, 2.0, 0.0, 4)
-    assert np.all(np.isnan(gains))
+    _, steps = schedule(ssm, 2.0, 0.0, 4)
+    assert len(steps) == 4 and all(K is None for K, _ in steps)
+    S = predicted_innovation_variance(ssm, linear(T=8.0), 2.0, 0.0)
+    assert not 0.0 < S < np.inf
+    for kernel in KERNELS:
+        outcome = kernel_outcome(monkeypatch, kernel, ssm, linear(T=8.0), 2.0, 0.0)
+        assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 2.0)
+        assert message_S(outcome[1]) == format(S, "g")
     # on a zero field every innovation vanishes, so the means stay put
     traj = solve(ssm, constant(c=1.0, T=8.0), 2.0, 0.0)
     assert np.array_equal(traj.value_means(), np.ones((5, 1)))
@@ -717,8 +725,19 @@ def test_covariance_beyond_float_range_is_a_passthrough():
 SINGULAR_SSM = fourier_state_space(FourierParams(0, 1.0, 3.0, 1.0))
 
 
+def predicted_innovation_variance(ssm, ivp, h, R):
+    """S of ``_joseph`` on the first predicted covariance of solve(ssm, ivp, h, R)."""
+    trans, proj = ssm.transition_builder(h), ssm.projections
+    return _joseph(_cov_map(ssm.init(ivp)[1], trans.A, trans.Q), proj.H, R)[2]
+
+
+def message_S(message):
+    """The ``S=`` field of a SingularUpdateError's message."""
+    return re.search(r"\bS=(\S+) ", message).group(1)
+
+
 @pytest.mark.parametrize("coordinate", [0, 1])
-def test_singular_update_checks_every_coordinate(coordinate):
+def test_singular_update_checks_every_coordinate(monkeypatch, coordinate):
     value = np.zeros(2)
     value[coordinate] = 1e-6
     ivp = IVProblem(lambda x, t: value, np.zeros(2), 1.0, "one-sided")
@@ -726,6 +745,13 @@ def test_singular_update_checks_every_coordinate(coordinate):
         solve(SINGULAR_SSM, ivp, 0.5, 0.0)
     assert exc.value.step == 1
     assert exc.value.t == 0.5
+    # both kernels report the S that _joseph gave the passthrough step
+    S = predicted_innovation_variance(SINGULAR_SSM, ivp, 0.5, 0.0)
+    assert S == 0.0
+    for kernel in KERNELS:
+        outcome = kernel_outcome(monkeypatch, kernel, SINGULAR_SSM, ivp, 0.5, 0.0)
+        assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 0.5)
+        assert message_S(outcome[1]) == format(S, "g")
 
 
 def test_singular_update_passes_when_every_innovation_vanishes():
