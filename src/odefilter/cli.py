@@ -210,14 +210,10 @@ def render_svg(data: CsvData) -> str:
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">{4 * vy:.6g}</text>'
         )
 
-    rule_t = None
-    if n > 0:
-        first = data.phases[0]
-        for k, phase in enumerate(data.phases):
-            if phase != first:
-                rule_t = data.t[k - 1]
-                break
-    if rule_t is not None:
+    # the first record whose phase differs from the first record's; 0 when none does
+    switch = next((k for k, phase in enumerate(data.phases) if phase != data.phases[0]), 0)
+    if switch:
+        rule_t = data.t[switch - 1]
         x = sx(rule_t / 2)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MT}" x2="{x:.2f}" y2="{_MT + ph}" '

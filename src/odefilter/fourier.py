@@ -128,10 +128,8 @@ def fourier_projections(params: FourierParams) -> ProjectionPair:
     (odd indices), with the y_0 slot left at zero since the constant term
     has no derivative.
     """
-    D = params.dim
-    H0 = np.zeros(D)
-    H0[0::2] = 1.0
-    H = np.zeros(D)
+    H0 = np.tile([1.0, 0.0], params.J + 1)
+    H = np.zeros(params.dim)
     H[3::2] = -np.arange(1, params.J + 1) * params.w0
     return ProjectionPair(H0, H)
 

@@ -26,13 +26,20 @@ The mean recursion has two kernels, which take the same steps. A two-slot
 state (the q=1 Taylor prior, the J=0 Fourier prior) of at most
 FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python floats,
 which skips numpy's per-call cost on 2x2 arrays; every other shape runs
-``_array_mean_loop``, the plain recursion on numpy arrays. On the
-package's two-slot priors both give the same means bit for bit. Larger
-states stay on numpy: its small mat-vecs fuse multiply-adds, which Python
-floats cannot reproduce. The float kernel hands its floats to a registered
-problem's float form ``field.rhs(t, *x)``, which ``_field_at`` looks up once
-per solve, and a fresh float64 array of them to any other field;
-``_field_at`` checks every output.
+``_array_mean_loop`` on numpy arrays. On the package's two-slot priors both
+give the same means bit for bit. Larger states stay on numpy: its small
+mat-vecs fuse multiply-adds, which Python floats cannot reproduce. The float
+kernel hands its floats to a registered problem's float form
+``field.rhs(t, *x)``, which ``_field_at`` looks up once per solve, and a
+fresh float64 array of them to any other field; ``_field_at`` checks every
+output.
+
+Past the freeze each step of the mean recursion is one fixed linear map and
+one field call. The array kernel runs it, for states of three or more
+slots, as one product ``W = M B`` per step, whose columns hold the predicted
+means, the field input ``H0 A m`` and ``H A m``, and an update in innovation
+form. Up to the freeze, and for two-slot states throughout, it runs the
+step form, so those means are the full recursion's bit for bit.
 """
 
 from __future__ import annotations
@@ -306,20 +313,38 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
 
     Step k predicts ``m <- A m``, evaluates ``z = f(H0 m, k h)`` and updates
     ``m <- m + (z - H m) K`` with the k-th ``(K, S)`` of steps, one per step;
-    a None K is a passthrough, which hands its S to ``_passthrough``. Each
-    step's field input is a fresh array, so the field may keep or overwrite it.
+    a None K is a passthrough, which hands its S to ``_passthrough``.
+
+    Past the freeze, where a step's ``(K, S)`` is the previous step's object,
+    a state of three or more slots takes the step as one product ``W = M B``
+    with ``B = [A^T | (H0 A)^T | (H A)^T]``: its columns are the predicted
+    means, the field input and ``H A m``. The update stays in innovation
+    form, ``A m + (z - H A m) K``: the composed map ``(I - K H) A m + K z``
+    adds two large terms whose sum carries the small innovation, and loses
+    too many of its bits on the top derivatives. These means sum in another
+    order than the step form's, so they differ from it by rounding alone.
+    Steps up to the freeze, and every step of a two-slot state, keep the
+    step form, so those means are the full recursion's and
+    ``_float_mean_loop``'s bit for bit. Each step's field input is a fresh
+    array or a column of one, so the field may keep or overwrite it.
     """
+    B = np.column_stack([A.T, H0 @ A, H @ A]) if len(A) > 2 else None
     means = np.empty((len(steps) + 1,) + M.shape)
-    means[0] = M
-    for k, (K, S) in enumerate(steps, 1):
-        t = k * h
+    means[0], last = M, None
+    for k, step in enumerate(steps, 1):
+        t, (K, S) = k * h, step
+        if step is last and B is not None:  # past the freeze: one product per step
+            W = M @ B
+            z = _field_at(field, W[:, -2], t)
+            M = means[k] = W[:, :-2] + (z - W[:, -1])[:, None] * K
+            continue
         M = (A @ M[..., None])[..., 0]  # the mean half of _predict
         z = _field_at(field, _dot(M, H0), t)
         if K is None:
             _passthrough(M, H, z, S, step=k, t=t)
         else:
             M = _gain_update(M, H, z, K)
-        means[k] = M
+        means[k], last = M, step
     return means
 
 
