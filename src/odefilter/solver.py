@@ -14,13 +14,15 @@ A solve is therefore two recursions. ``_covariance_schedule`` takes no
 field: it applies the predict map and each step's gain map (see
 ``filtering._cov_map``) to the covariance alone until the gain settles,
 which under the Taylor prior takes a few dozen steps; ``_affine_scan``
-fills the rest with powers of the frozen map, the two composed. It hands
-on one ``(K, S)`` per step up to the freeze, the gain and innovation
-variance of ``filtering._joseph`` (K is None on a passthrough), and the
-frozen entry holds for every later step. Then the mean recursion runs
-``m <- A m``, ``z = f(H0 m, t)`` and ``m <- m + (z - H m) K_k`` per step; it
-alone evaluates the field, only through ``_field_at``, and sees no
-covariance: a passthrough's S comes with its step.
+fills the rest with powers of the frozen map, the two composed, by plain
+doubling: one batched product per doubling, whose temporaries peak below
+twice the covariance stack's bytes. It hands on one ``(K, S)`` per step up
+to the freeze, the gain and innovation variance of ``filtering._joseph`` (K
+is None on a passthrough), and the frozen entry holds for every later step.
+Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
+``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, only
+through ``_field_at``, and sees no covariance: a passthrough's S comes with
+its step.
 
 The mean recursion has two kernels, which take the same steps. A two-slot
 state (the q=1 Taylor prior, the J=0 Fourier prior) of at most
@@ -69,12 +71,12 @@ GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
 GAIN_SETTLED_RTOL = 1e-14
-# Covariances the affine scan past the freeze maps in one batched product.
-SCAN_BLOCK = 256
 # The most coordinates whose two-slot means run on Python floats
 # (``_float_mean_loop``). Their cost per step grows faster with the
-# coordinate count than numpy's: on a q=1 solve of a linear field the float
-# loop is 2.4x as fast at 1 coordinate, 1-7 % faster at 10 and level at 11-12.
+# coordinate count than numpy's: timed alone on q=1 steps of dx/dt = -x, the
+# float kernel is 3.6x as fast at 1 coordinate on a float form and 2.4x on
+# an array field, 1.5x and 1.07x at 10, and level at about 24 and 12
+# coordinates (README has the table).
 FLOAT_LOOP_MAX_DIM = 10
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
@@ -420,14 +422,13 @@ def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:
     """Fill covs[1:] in place with ``P[j+1] = F P[j] F^T + G`` from covs[0].
 
     L steps of the map are the map ``(F^L, C_L)``, and composing it with
-    itself gives ``(F^2L, F^L C_L F^LT + C_L)``. Each pass maps the L entries
-    before covs[j] to the next min(L, len(covs) - j) in one batched product,
-    then doubles L while it is below SCAN_BLOCK, the most one product holds.
+    itself gives ``(F^2L, F^L C_L F^LT + C_L)``. Each pass maps the first L
+    entries to the next min(L, len(covs) - L) in one batched product, then
+    doubles L. A pass's temporaries scale with the stack: on a 5000-long q=2
+    stack their peak is 1.23x the stack's bytes. Past L = 256 the decaying
+    entries of F^L can reach the subnormal range, which slows those passes.
     """
-    L, FL, CL, j = 1, F, G, 1
-    while j < len(covs):
-        m = min(L, len(covs) - j)
-        covs[j : j + m] = _cov_map(covs[j - L : j - L + m], FL, CL)
-        j += m
-        if L < SCAN_BLOCK:
-            L, FL, CL = 2 * L, FL @ FL, _cov_map(CL, FL, CL)
+    L, FL, CL = 1, F, G
+    while L < len(covs):
+        covs[L : 2 * L] = _cov_map(covs[: min(L, len(covs) - L)], FL, CL)
+        L, FL, CL = 2 * L, FL @ FL, _cov_map(CL, FL, CL)

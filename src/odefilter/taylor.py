@@ -64,11 +64,7 @@ def ibm_transition(h: float, params: TaylorParams) -> TransitionModel:
 def taylor_projections(q: int) -> ProjectionPair:
     """Value and derivative selectors for the stacked-derivative state."""
     q = _integer_at_least(q, 1, "q")
-    H0 = np.zeros(q + 1)
-    H0[0] = 1.0
-    H = np.zeros(q + 1)
-    H[1] = 1.0
-    return ProjectionPair(H0, H)
+    return ProjectionPair(*np.eye(q + 1)[:2])
 
 
 def _taylor_init(x0: np.ndarray, dx0: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ faster package code must reproduce bit for bit; ``line_loop_parse_csv`` is a
 frozen copy of the CSV parser that converts and checks one line at a time,
 whose arrays and errors the one-pass parser must reproduce; ``two_loop_affine_scan`` is a
 frozen copy of the covariance scan written as a doubling loop and a block
-loop, which the one-loop scan must reproduce bit for bit, and
+loop, which with one block as long as the stack is the plain doubling the
+scan must reproduce bit for bit, and
 ``loop_ibm_transition`` a frozen copy of the IBM transition written as two
 double loops, which the closed form must reproduce bit for bit.
 """

@@ -12,6 +12,8 @@ import pathlib
 import sys
 import tokenize
 
+from odefilter import filtering
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "odefilter"
 
 
@@ -47,7 +49,9 @@ def test_solver_builds_no_covariance_map_of_its_own():
     # the solver's covariance steps go through _cov_map and _gain_map
     names = set(imported_names(PACKAGE / "solver.py", "filtering"))
     assert {"_cov_map", "_gain_map"} <= names
-    assert not names & {"_identity", "_symmetrize"}
+    forbidden = {"_symmetrize"}
+    assert all(hasattr(filtering, name) for name in forbidden)  # a stale name never fails
+    assert not names & forbidden
 
 
 def relative_imports(path):
@@ -181,7 +185,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1116
+CODE_LINE_BUDGET = 1107
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 

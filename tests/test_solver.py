@@ -686,28 +686,43 @@ def frozen_map(ssm, h, R, n):
     return covs[len(steps)], IKH @ trans.A, _cov_map(trans.Q, IKH, RKK)
 
 
-# Both sides of the end of doubling (SCAN_BLOCK = 256) and of later blocks.
-SCAN_LENGTHS = [1, 2, 3, 255, 256, 257, 511, 512, 513, 1000]
+# Both sides of each doubling edge, where the last pass fills one, all or
+# all but one of its L entries, and a long solve's stack.
+SCAN_LENGTHS = [1, 2, 3] + [2**k + i for k in range(8, 13) for i in (-1, 0, 1)] + [5000]
 
 
 @pytest.mark.parametrize("R", [0.0, 1e-6])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_affine_scan_equals_the_two_loop_scan_at_every_block_edge(q, R):
+def test_affine_scan_equals_the_two_loop_scan_at_every_doubling_edge(q, R):
     # q=4 with R=1e-6 freezes only at step 744 of h=0.01
     P0, F, G = frozen_map(taylor_state_space(TaylorParams(q, 1.0)), 0.01, R, 1000)
-    assert solver.SCAN_BLOCK == 256
     for n in SCAN_LENGTHS:
         got = np.empty((n,) + P0.shape)
         got[0] = P0
         expected = got.copy()
         solver._affine_scan(got, F, G)
-        two_loop_affine_scan(expected, F, G, block=256)
+        two_loop_affine_scan(expected, F, G, block=n)
         assert np.array_equal(got, expected), n
     # and the scan is the map applied step by step, up to summation order
     P = P0
     for k, cov in enumerate(got[1:], 1):
         P = _cov_map(P, F, G)
         assert np.max(np.abs(cov - P)) <= 1e-12 * np.max(np.abs(P)), k
+
+
+def test_affine_scan_temporaries_stay_under_twice_the_stack():
+    # a pass maps up to half the stack at once; its temporaries peak at
+    # about 1.23x the stack's bytes on a 5000-long q=2 stack
+    P0, F, G = frozen_map(taylor_state_space(TaylorParams(2, 1.0)), 0.01, 0.0, 1000)
+    covs = np.empty((5000,) + P0.shape)
+    covs[0] = P0
+    tracemalloc.start()
+    try:
+        solver._affine_scan(covs, F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * covs.nbytes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
