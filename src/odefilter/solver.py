@@ -24,17 +24,18 @@ Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 through ``_field_at``, and sees no covariance: a passthrough's S comes with
 its step.
 
-The mean recursion has two kernels, which take the same steps. A two-slot
-state (the q=1 Taylor prior, the J=0 Fourier prior) of at most
-FLOAT_LOOP_MAX_DIM coordinates runs ``_float_mean_loop`` on Python floats,
-which skips numpy's per-call cost on 2x2 arrays; every other shape runs
-``_array_mean_loop`` on numpy arrays. On the package's two-slot priors both
-give the same means bit for bit. Larger states stay on numpy: its small
-mat-vecs fuse multiply-adds, which Python floats cannot reproduce. The float
-kernel hands its floats to a registered problem's float form
-``field.rhs(t, *x)``, which ``_field_at`` looks up once per solve, and a
-fresh float64 array of them to any other field; ``_field_at`` checks every
-output.
+The mean recursion has three kernels, which take the same steps. A
+two-slot state (the q=1 Taylor prior, the J=0 Fourier prior) of two
+coordinates, as the paper's oscillators have, runs ``_pair_mean_loop`` on
+four local floats; one of one coordinate, or of three to FLOAT_LOOP_MAX_DIM,
+runs ``_float_mean_loop`` on a list of float pairs. Both skip numpy's
+per-call cost on 2x2 arrays; every other shape runs ``_array_mean_loop`` on
+numpy arrays. On the package's two-slot priors all three give the same
+means bit for bit. Larger states stay on numpy: its small mat-vecs fuse
+multiply-adds, which Python floats cannot reproduce. The float kernels hand
+their floats to a registered problem's float form ``field.rhs(t, *x)``,
+which ``_field_at`` looks up once per solve, and a fresh float64 array of
+them to any other field; ``_field_at`` checks every output.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel runs it, for states of three or more
@@ -71,13 +72,16 @@ GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
 GAIN_SETTLED_RTOL = 1e-14
-# The most coordinates whose two-slot means run on Python floats
-# (``_float_mean_loop``). Their cost per step grows faster with the
-# coordinate count than numpy's: timed alone on q=1 steps of dx/dt = -x, the
-# float kernel is 3.6x as fast at 1 coordinate on a float form and 2.4x on
-# an array field, 1.5x and 1.07x at 10, and level at about 24 and 12
-# coordinates (README has the table).
+# The most coordinates whose two-slot means run on Python floats: two run
+# ``_pair_mean_loop``, one and three to this many ``_float_mean_loop``. The
+# list kernel's cost per step grows faster with the coordinate count than
+# numpy's: timed alone on q=1 steps of dx/dt = -x, it is 3.4x as fast as the
+# array kernel at 1 coordinate on a float form and 2.5x on an array field,
+# 1.5x and 1.1x at 10, and level between 16 and 24 coordinates on the float
+# form (README has the table).
 FLOAT_LOOP_MAX_DIM = 10
+# numpy has one float64 dtype object, so ``_field_at`` tests it with ``is``.
+FLOAT64 = np.dtype(float)
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 
@@ -212,14 +216,16 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
     the list of its floats, once it has as many components as m and all are finite.
 
     Without m, the same checked call ``(x, t)`` of the field's float form
-    ``field.rhs(t, *x)`` on a list of floats, or None for a field without one;
-    a float kernel looks it up once per solve and hands any other field a
+    ``field.rhs(t, *x)`` on a sequence of floats, or None for a field without
+    one; a float kernel looks it up once per solve and hands any other field a
     fresh float64 array.
     """
     if m is None:
         rhs = getattr(field, "rhs", None)
         return None if rhs is None else lambda x, t: _checked(rhs(t, *x), len(x), t)
-    z = np.asarray(field(m, t), dtype=float).reshape(-1)
+    z = field(m, t)
+    if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
+        z = np.asarray(z, dtype=float).reshape(-1)
     values = z.tolist()
     if z.size != m.size or not all(map(math.isfinite, values)):
         _checked(values, m.size, t)  # raises, and says which check failed
@@ -304,7 +310,9 @@ def solve(
     A, H0, H = trans.A, proj.H0, proj.H
     covs, steps = _covariance_schedule(P, A, trans.Q, H, R, n)
     steps += [steps[-1]] * (n - len(steps))  # the frozen (K, S) holds past the freeze
-    loop = _float_mean_loop if D == 2 and ivp.dim <= FLOAT_LOOP_MAX_DIM else _array_mean_loop
+    loop = _array_mean_loop
+    if D == 2 and ivp.dim <= FLOAT_LOOP_MAX_DIM:
+        loop = _pair_mean_loop if ivp.dim == 2 else _float_mean_loop
     means = loop(ivp.field, M, A, H0, H, h, steps)
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
     return Trajectory((segment,))
@@ -387,6 +395,39 @@ def _float_mean_loop(field, M, A, H0, H, h, steps):
             pairs = updated
         flat.extend(chain.from_iterable(pairs))
     return np.frombuffer(flat).reshape((len(steps) + 1,) + M.shape)
+
+
+def _pair_mean_loop(field, M, A, H0, H, h, steps):
+    """``_float_mean_loop`` for a two-slot state of two coordinates.
+
+    The slots of the coordinates are four local floats, ``(p0, p1)`` and
+    ``(q0, q1)``, and every product and sum is written in
+    ``_float_mean_loop``'s order, so the means are its bit for bit. The two
+    floats go to a registered problem's float form, or to any other field as
+    a fresh float64 array, both through ``_field_at``.
+    """
+    (a00, a01), (a10, a11) = A.tolist()
+    (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
+    f, last = _field_at(field), None  # the float form, or None for an array field
+    (p0, p1), (q0, q1) = M.tolist()
+    flat = array("d", (p0, p1, q0, q1))
+    for k, (K, S) in enumerate(steps, 1):
+        t = k * h
+        p0, p1 = a00 * p0 + a01 * p1, a10 * p0 + a11 * p1
+        q0, q1 = a00 * q0 + a01 * q1, a10 * q0 + a11 * q1
+        x1, x2 = 0.0 + p0 * c0 + p1 * c1, 0.0 + q0 * c0 + q1 * c1
+        z1, z2 = f((x1, x2), t) if f else _field_at(field, np.array((x1, x2)), t, floats=True)
+        if K is None:
+            _passthrough(np.array(((p0, p1), (q0, q1))), H, [z1, z2], S, step=k, t=t)
+        else:
+            if K is not last:  # past the freeze every step gets the same gain object
+                (k0, k1), last = K.tolist(), K
+            nu = z1 - (0.0 + p0 * e0 + p1 * e1)
+            p0, p1 = p0 + nu * k0, p1 + nu * k1
+            nu = z2 - (0.0 + q0 * e0 + q1 * e1)
+            q0, q1 = q0 + nu * k0, q1 + nu * k1
+        flat.extend((p0, p1, q0, q1))
+    return np.frombuffer(flat).reshape(len(steps) + 1, 2, 2)
 
 
 def _covariance_schedule(P0, A, Q, H, R, n):

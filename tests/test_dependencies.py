@@ -148,8 +148,8 @@ def float_form_readers(node, owner="<module>"):
 
 
 def test_the_solver_calls_the_field_only_through_field_at():
-    # both mean kernels reach the field through _field_at, which checks what it
-    # returns; only _field_at reads a registered problem's float form ``rhs``
+    # every mean kernel reaches the field through _field_at, which checks what
+    # it returns; only _field_at reads a registered problem's float form ``rhs``
     tree = ast.parse((PACKAGE / "solver.py").read_text())
     assert set(field_callers(tree)) == {"_field_at"}
     assert set(float_form_readers(tree)) == {"_field_at"}
@@ -159,13 +159,13 @@ def test_the_solver_calls_the_field_only_through_field_at():
 
 
 def test_the_mean_recursion_sees_no_covariance():
-    # both mean kernels take the same parameters, one (K, S) per step among
-    # them, and reach neither the covariances, R nor the covariance maps
+    # the three mean kernels take the same parameters, one (K, S) per step
+    # among them, and reach neither the covariances, R nor the covariance maps
     tree = ast.parse((PACKAGE / "solver.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    kernels = [functions["_array_mean_loop"], functions["_float_mean_loop"]]
+    kernels = [functions[f"_{name}_mean_loop"] for name in ("array", "float", "pair")]
     params = [[arg.arg for arg in kernel.args.args + kernel.args.kwonlyargs] for kernel in kernels]
-    assert params[0] == params[1]
+    assert all(p == params[0] for p in params)
     assert not {"covs", "R"} & set(params[0])
     for kernel in kernels:
         names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(kernel)}
@@ -185,7 +185,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1107
+CODE_LINE_BUDGET = 1135
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 

@@ -738,10 +738,11 @@ def test_covariance_beyond_float_range_is_a_passthrough(monkeypatch):
     assert len(steps) == 4 and all(K is None for K, _ in steps)
     S = predicted_innovation_variance(ssm, linear(T=8.0), 2.0, 0.0)
     assert not 0.0 < S < np.inf
-    for kernel in KERNELS:
-        outcome = kernel_outcome(monkeypatch, kernel, ssm, linear(T=8.0), 2.0, 0.0)
-        assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 2.0)
-        assert message_S(outcome[1]) == format(S, "g")
+    for ivp in (linear(T=8.0), linear(x0=[1.0, 2.0], T=8.0)):
+        for kernel in kernels_for(ivp):
+            outcome = kernel_outcome(monkeypatch, kernel, ssm, ivp, 2.0, 0.0)
+            assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 2.0)
+            assert message_S(outcome[1]) == format(S, "g")
     # on a zero field every innovation vanishes, so the means stay put
     traj = solve(ssm, constant(c=1.0, T=8.0), 2.0, 0.0)
     assert np.array_equal(traj.value_means(), np.ones((5, 1)))
@@ -772,13 +773,16 @@ def test_singular_update_checks_every_coordinate(monkeypatch, coordinate):
         solve(SINGULAR_SSM, ivp, 0.5, 0.0)
     assert exc.value.step == 1
     assert exc.value.t == 0.5
-    # both kernels report the S that _joseph gave the passthrough step
+    # every kernel reports the S that _joseph gave the passthrough step, on
+    # an array field and on a float form
     S = predicted_innovation_variance(SINGULAR_SSM, ivp, 0.5, 0.0)
     assert S == 0.0
-    for kernel in KERNELS:
-        outcome = kernel_outcome(monkeypatch, kernel, SINGULAR_SSM, ivp, 0.5, 0.0)
-        assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 0.5)
-        assert message_S(outcome[1]) == format(S, "g")
+    float_form = replace(ivp, field=_array_field(lambda t, *x: value.tolist()))
+    for problem in (ivp, float_form):
+        for kernel in KERNELS:
+            outcome = kernel_outcome(monkeypatch, kernel, SINGULAR_SSM, problem, 0.5, 0.0)
+            assert outcome[0] is SingularUpdateError and outcome[2:] == (1, 0.5)
+            assert message_S(outcome[1]) == format(S, "g")
 
 
 def test_singular_update_passes_when_every_innovation_vanishes():
@@ -788,20 +792,25 @@ def test_singular_update_passes_when_every_innovation_vanishes():
     assert np.array_equal(traj.value_means(), np.zeros((3, 2)))
 
 
-KERNELS = {"float": solver._float_mean_loop, "array": solver._array_mean_loop}
+KERNELS = {
+    "float": solver._float_mean_loop,
+    "array": solver._array_mean_loop,
+    "pair": solver._pair_mean_loop,
+}
+
+
+def kernels_for(ivp):
+    """The kernels that can run ivp: the pair kernel takes two coordinates only."""
+    return [kernel for kernel in KERNELS if kernel != "pair" or ivp.dim == 2]
 
 
 def kernel_outcome(monkeypatch, kernel, ssm, ivp, h, R):
-    """The means' bytes of solve(ssm, ivp, h, R) with ``kernel`` as its mean
-    recursion, whatever the state size, or its error's type, message, step and t."""
+    """``solve_outcome`` with ``kernel`` as the mean recursion, whatever the
+    state and problem size."""
     with monkeypatch.context() as patch:
-        for name in ("_float_mean_loop", "_array_mean_loop"):
-            patch.setattr(solver, name, KERNELS[kernel])
-        try:
-            (seg,) = solve(ssm, ivp, h, R).segments
-        except (SingularUpdateError, DivergedSolveError) as err:
-            return type(err), str(err), getattr(err, "step", None), err.t
-    return seg.means.tobytes()
+        for name in KERNELS:
+            patch.setattr(solver, f"_{name}_mean_loop", KERNELS[kernel])
+        return solve_outcome(ssm, ivp, h, R)
 
 
 TWO_SLOT_PRIORS = {
@@ -810,6 +819,7 @@ TWO_SLOT_PRIORS = {
 }
 TWO_SLOT_PROBLEMS = {
     "linear": linear(T=1.0),
+    "linear2": linear(x0=[1.0, -0.5], T=1.0),
     "cosine": cosine(T=2.0),
     "vdp": replace(vdp(), T=2.0),
     "fhn": replace(fhn(), T=2.0),
@@ -821,17 +831,22 @@ TWO_SLOT_PROBLEMS = {
 @pytest.mark.parametrize("problem", list(TWO_SLOT_PROBLEMS))
 @pytest.mark.parametrize("prior", list(TWO_SLOT_PRIORS))
 def test_the_two_slot_kernels_agree_bitwise(monkeypatch, prior, problem, R, h):
-    # J=0 at R=0 has S = 0 and raises at step 1: both kernels raise the same error
-    args = TWO_SLOT_PRIORS[prior], TWO_SLOT_PROBLEMS[problem], h, R
-    expected = kernel_outcome(monkeypatch, "array", *args)
-    assert kernel_outcome(monkeypatch, "float", *args) == expected
+    # J=0 at R=0 has S = 0 and raises at step 1: every kernel raises the same
+    # error, on the float form and on an array field
+    ssm, ivp = TWO_SLOT_PRIORS[prior], TWO_SLOT_PROBLEMS[problem]
+    expected = kernel_outcome(monkeypatch, "array", ssm, ivp, h, R)
     assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
+    for field in (ivp.field, without_float_form(ivp.field)):
+        for kernel in kernels_for(ivp):
+            outcome = kernel_outcome(monkeypatch, kernel, ssm, replace(ivp, field=field), h, R)
+            assert outcome == expected, kernel
 
 
 @pytest.mark.parametrize(
     "q,d,kernel",
     [
         (1, 1, "float"),
+        (1, 2, "pair"),
         (1, solver.FLOAT_LOOP_MAX_DIM, "float"),
         (1, solver.FLOAT_LOOP_MAX_DIM + 1, "array"),
         (2, 1, "array"),
@@ -850,10 +865,11 @@ def test_the_mean_kernel_follows_the_state_and_problem_size(monkeypatch, q, d, k
     ssm = taylor_state_space(TaylorParams(q, 1.0))
     solve(ssm, ivp, 0.01, 0.0)
     assert ran == [kernel]
-    if q == 1:  # no benchmark workload runs a wide two-slot state: both kernels agree on it
+    if q == 1:  # no benchmark workload runs a wide two-slot state: the kernels agree on it
         monkeypatch.undo()
-        outcomes = [kernel_outcome(monkeypatch, k, ssm, ivp, 0.01, 0.0) for k in KERNELS]
-        assert outcomes[0] == outcomes[1]
+        outcomes = [kernel_outcome(monkeypatch, k, ssm, ivp, 0.01, 0.0) for k in kernels_for(ivp)]
+        assert isinstance(outcomes[0], bytes)
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 def solve_outcome(ssm, ivp, h, R):
@@ -884,26 +900,76 @@ def test_the_float_form_and_the_array_field_agree_bitwise(prior, problem, R, h):
     assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
 
 
-def test_a_float_form_of_the_wrong_size_is_a_contract_violation():
+def outcomes_of_every_kernel(monkeypatch, field, x0, name):
+    """kernel_outcome of a q=1 solve at h=0.01 by each kernel, on field and on
+    field behind a plain array function, keyed by (kernel, field kind)."""
+    problems = {"float form": field, "array field": without_float_form(field)}
+    problems = {kind: IVProblem(f, x0, 1.0, name) for kind, f in problems.items()}
+    return {
+        (kernel, kind): kernel_outcome(monkeypatch, kernel, TAYLOR_Q1, ivp, 0.01, 0.0)
+        for kernel in KERNELS
+        for kind, ivp in problems.items()
+    }
+
+
+def test_a_float_form_of_the_wrong_size_is_a_contract_violation(monkeypatch):
     # the Taylor init's t = 0 evaluation passes, the first step's does not
     field = _array_field(lambda t, *x: [0.0] * (2 if t == 0 else 3))
-    outcomes = [
-        solve_outcome(TAYLOR_Q1, IVProblem(f, [1.0, 0.0], 1.0, "wrong size"), 0.01, 0.0)
-        for f in (field, without_float_form(field))
-    ]
-    assert outcomes[0] == outcomes[1]
+    outcomes = outcomes_of_every_kernel(monkeypatch, field, [1.0, 0.0], "wrong size")
+    ivp = IVProblem(field, [1.0, 0.0], 1.0, "wrong size")
+    outcomes["solve"] = solve_outcome(TAYLOR_Q1, ivp, 0.01, 0.0)
     message = "vector field returned 3 components for a 2-dimensional state"
-    assert outcomes[0] == (ContractViolation, message, None, None)
+    for key, outcome in outcomes.items():
+        assert outcome == (ContractViolation, message, None, None), key
 
 
-def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t():
-    field = _array_field(lambda t, x1, x2: (float_cube(x1), x2))
-    outcomes = [
-        solve_outcome(TAYLOR_Q1, IVProblem(f, [4.0, 1.0], 1.0, "blowup"), 0.01, 0.0)
-        for f in (field, without_float_form(field))
-    ]
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is DivergedSolveError and 0.0 < outcomes[0][3] < 1.0
+def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t(monkeypatch):
+    # either component may go non-finite first
+    blowups = {
+        "first": (_array_field(lambda t, x1, x2: (float_cube(x1), x2)), [4.0, 1.0]),
+        "second": (_array_field(lambda t, x1, x2: (x1, float_cube(x2))), [1.0, 4.0]),
+    }
+    for which, (field, x0) in blowups.items():
+        outcomes = outcomes_of_every_kernel(monkeypatch, field, x0, "blowup")
+        expected = solve_outcome(TAYLOR_Q1, IVProblem(field, x0, 1.0, "blowup"), 0.01, 0.0)
+        assert expected[0] is DivergedSolveError and 0.0 < expected[3] < 1.0, which
+        for key, outcome in outcomes.items():
+            assert outcome == expected, (which, key)
+
+
+# Outputs other than a 1-D float64 array, each with the outcome _field_at
+# gives it: it converts them to one, and checks the size and finiteness.
+OUTPUT_FORMS = {
+    "list": (lambda z, t: z.tolist(), bytes),
+    "tuple": (lambda z, t: tuple(z.tolist()), bytes),
+    "int array": (lambda z, t: z.astype(int), bytes),
+    "float32 array": (lambda z, t: z.astype(np.float32), bytes),
+    "big-endian array": (lambda z, t: z.astype(">f8"), bytes),
+    "column": (lambda z, t: z.reshape(2, 1), bytes),
+    "long column": (lambda z, t: np.append(z, 0.0).reshape(3, 1), ContractViolation),
+    "list going NaN": (lambda z, t: [z[0], math.nan if t > 0.5 else z[1]], DivergedSolveError),
+}
+
+
+@pytest.mark.parametrize("form", list(OUTPUT_FORMS))
+def test_every_field_output_form_keeps_its_outcome_in_every_kernel(monkeypatch, form):
+    # each form gives the outcome of the 1-D float64 array it converts to
+    shape, kind = OUTPUT_FORMS[form]
+
+    def shaped(x, t):
+        return shape(t - 3.0 * x, t)
+
+    def converted(x, t):
+        return np.asarray(shaped(x, t), dtype=float).reshape(-1)
+
+    ivp = IVProblem(converted, [1.0, -2.0], 1.0, form)
+    expected = solve_outcome(TAYLOR_Q1, ivp, 0.01, 0.0)
+    assert isinstance(expected, bytes) if kind is bytes else expected[0] is kind
+    for field in (converted, shaped):
+        for kernel in KERNELS:
+            problem = replace(ivp, field=field)
+            outcome = kernel_outcome(monkeypatch, kernel, TAYLOR_Q1, problem, 0.01, 0.0)
+            assert outcome == expected, (kernel, field.__name__)
 
 
 def test_the_float_kernel_calls_the_float_form_once_per_step():
