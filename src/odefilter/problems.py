@@ -10,7 +10,7 @@ Each problem writes its vector field once, as float code
 per coordinate; ``_array_field`` turns it into the array ``field`` of its
 ``IVProblem``, which carries the float form as ``field.rhs`` and the number
 of coordinates it takes as ``field.dim`` (None for any). ``solve``'s array
-kernel and the Taylor init call the array field; ``solve``'s float kernel
+kernel and the Taylor init call the array field; ``solve``'s pair kernel
 calls ``rhs`` through ``solver._field_at``, checked at every step, and
 ``rk4_reference`` calls ``rhs`` directly.
 
@@ -43,7 +43,7 @@ def _array_field(rhs, dim: int | None = None) -> VectorField:
     rhs of t and the input's floats, as an array.
 
     The field carries rhs as ``field.rhs``, which ``rk4_reference`` and the
-    float kernel of ``solve`` call, and as ``field.dim`` the number of
+    pair kernel of ``solve`` call, and as ``field.dim`` the number of
     coordinates rhs takes, which ``IVProblem`` holds x0 to; None takes any.
     """
 

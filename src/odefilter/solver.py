@@ -24,18 +24,15 @@ Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 through ``_field_at``, and sees no covariance: a passthrough's S comes with
 its step.
 
-The mean recursion has three kernels, which take the same steps. A
-two-slot state (the q=1 Taylor prior, the J=0 Fourier prior) of two
-coordinates, as the paper's oscillators have, runs ``_pair_mean_loop`` on
-four local floats; one of one coordinate, or of three to FLOAT_LOOP_MAX_DIM,
-runs ``_float_mean_loop`` on a list of float pairs. Both skip numpy's
-per-call cost on 2x2 arrays; every other shape runs ``_array_mean_loop`` on
-numpy arrays. On the package's two-slot priors all three give the same
-means bit for bit. Larger states stay on numpy: its small mat-vecs fuse
-multiply-adds, which Python floats cannot reproduce. The float kernels hand
-their floats to a registered problem's float form ``field.rhs(t, *x)``,
-which ``_field_at`` looks up once per solve, and a fresh float64 array of
-them to any other field; ``_field_at`` checks every output.
+The mean recursion has two kernels, which take the same steps. A two-slot
+state (the q=1 Taylor prior, the J=0 Fourier prior) of two coordinates, as
+the paper's oscillators have, runs ``_pair_mean_loop`` on four local
+floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
+runs ``_array_mean_loop`` on numpy arrays. On the package's two-slot priors
+both give the same means bit for bit. The pair kernel hands its two floats
+to a registered problem's float form ``field.rhs(t, x1, x2)``, which
+``_field_at`` looks up once per solve, and a fresh float64 array of them to
+any other field; ``_field_at`` checks every output.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel runs it, for states of three or more
@@ -50,7 +47,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -72,14 +68,6 @@ GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
 GAIN_SETTLED_RTOL = 1e-14
-# The most coordinates whose two-slot means run on Python floats: two run
-# ``_pair_mean_loop``, one and three to this many ``_float_mean_loop``. The
-# list kernel's cost per step grows faster with the coordinate count than
-# numpy's: timed alone on q=1 steps of dx/dt = -x, it is 3.4x as fast as the
-# array kernel at 1 coordinate on a float form and 2.5x on an array field,
-# 1.5x and 1.1x at 10, and level between 16 and 24 coordinates on the float
-# form (README has the table).
-FLOAT_LOOP_MAX_DIM = 10
 # numpy has one float64 dtype object, so ``_field_at`` tests it with ``is``.
 FLOAT64 = np.dtype(float)
 
@@ -217,7 +205,7 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
 
     Without m, the same checked call ``(x, t)`` of the field's float form
     ``field.rhs(t, *x)`` on a sequence of floats, or None for a field without
-    one; a float kernel looks it up once per solve and hands any other field a
+    one; the pair kernel looks it up once per solve and hands any other field a
     fresh float64 array.
     """
     if m is None:
@@ -310,9 +298,7 @@ def solve(
     A, H0, H = trans.A, proj.H0, proj.H
     covs, steps = _covariance_schedule(P, A, trans.Q, H, R, n)
     steps += [steps[-1]] * (n - len(steps))  # the frozen (K, S) holds past the freeze
-    loop = _array_mean_loop
-    if D == 2 and ivp.dim <= FLOAT_LOOP_MAX_DIM:
-        loop = _pair_mean_loop if ivp.dim == 2 else _float_mean_loop
+    loop = _pair_mean_loop if D == 2 and ivp.dim == 2 else _array_mean_loop
     means = loop(ivp.field, M, A, H0, H, h, steps)
     segment = PhaseSegment(ssm.label, proj, np.arange(n + 1) * h, means, covs)
     return Trajectory((segment,))
@@ -334,8 +320,8 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
     too many of its bits on the top derivatives. These means sum in another
     order than the step form's, so they differ from it by rounding alone.
     Steps up to the freeze, and every step of a two-slot state, keep the
-    step form, so those means are the full recursion's and
-    ``_float_mean_loop``'s bit for bit. Each step's field input is a fresh
+    step form, so those means are the full recursion's bit for bit, and on
+    two coordinates ``_pair_mean_loop``'s. Each step's field input is a fresh
     array or a column of one, so the field may keep or overwrite it.
     """
     B = np.column_stack([A.T, H0 @ A, H @ A]) if len(A) > 2 else None
@@ -358,53 +344,21 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
     return means
 
 
-def _float_mean_loop(field, M, A, H0, H, h, steps):
-    """``_array_mean_loop`` for a two-slot state, on Python floats.
-
-    Each coordinate is a pair ``(m0, m1)``, and every product and sum is
-    written in numpy's order: ``a00 m0 + a01 m1`` to predict, ``0.0 + m0 g0
-    + m1 g1`` for the H0 and H rows (numpy's sums start from +0.0), and
-    ``m + nu k`` to update, with the same ``(K, S)`` steps. Numpy fuses a
-    mat-vec's first product into its sum, which Python floats cannot; in
-    both built-in two-slot priors that product is exact (A is [[1, h], [0, 1]]
-    or the identity), so the means are the array loop's bit for bit. Each
-    step's list of floats goes to the float form of a registered problem,
-    checked by ``_field_at``, or to any other field as a fresh array. The
-    means of every step go to one flat buffer of doubles, which becomes the
-    output array without a copy.
-    """
-    (a00, a01), (a10, a11) = A.tolist()
-    (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
-    f = _field_at(field)  # the float form, or None for an array field
-    flat = array("d", M.ravel().tolist())
-    pairs, last = list(zip(flat[0::2], flat[1::2])), None
-    for k, (K, S) in enumerate(steps, 1):
-        t = k * h
-        pairs = [(a00 * m0 + a01 * m1, a10 * m0 + a11 * m1) for m0, m1 in pairs]
-        x = [0.0 + m0 * c0 + m1 * c1 for m0, m1 in pairs]
-        z = f(x, t) if f else _field_at(field, np.array(x), t, floats=True)
-        if K is None:
-            _passthrough(np.array(pairs), H, z, S, step=k, t=t)
-        else:
-            if K is not last:  # past the freeze every step gets the same gain object
-                (k0, k1), last = K.tolist(), K
-            updated = []
-            for (m0, m1), zi in zip(pairs, z):
-                nu = zi - (0.0 + m0 * e0 + m1 * e1)
-                updated.append((m0 + nu * k0, m1 + nu * k1))
-            pairs = updated
-        flat.extend(chain.from_iterable(pairs))
-    return np.frombuffer(flat).reshape((len(steps) + 1,) + M.shape)
-
-
 def _pair_mean_loop(field, M, A, H0, H, h, steps):
-    """``_float_mean_loop`` for a two-slot state of two coordinates.
+    """``_array_mean_loop`` for a two-slot state of two coordinates, on
+    Python floats.
 
     The slots of the coordinates are four local floats, ``(p0, p1)`` and
-    ``(q0, q1)``, and every product and sum is written in
-    ``_float_mean_loop``'s order, so the means are its bit for bit. The two
-    floats go to a registered problem's float form, or to any other field as
-    a fresh float64 array, both through ``_field_at``.
+    ``(q0, q1)``, and every product and sum is written in numpy's order:
+    ``a00 p0 + a01 p1`` to predict, ``0.0 + p0 g0 + p1 g1`` for the H0 and H
+    rows (numpy's sums start from +0.0), and ``p + nu k`` to update, with the
+    same ``(K, S)`` steps. Numpy fuses a mat-vec's first product into its
+    sum, which Python floats cannot; in both built-in two-slot priors that
+    product is exact (A is [[1, h], [0, 1]] or the identity), so the means
+    are the array kernel's bit for bit. The two floats go to a registered
+    problem's float form, or to any other field as a fresh float64 array,
+    both through ``_field_at``. The means of every step go to one flat
+    buffer of doubles, which becomes the output array without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()

@@ -9,6 +9,7 @@ library, and the package stays within its code-line budget."""
 import ast
 import io
 import pathlib
+import re
 import sys
 import tokenize
 
@@ -159,11 +160,16 @@ def test_the_solver_calls_the_field_only_through_field_at():
 
 
 def test_the_mean_recursion_sees_no_covariance():
-    # the three mean kernels take the same parameters, one (K, S) per step
-    # among them, and reach neither the covariances, R nor the covariance maps
+    # the two mean kernels, found by name, take the same parameters, one
+    # (K, S) per step among them, and reach neither the covariances, R nor
+    # the covariance maps
     tree = ast.parse((PACKAGE / "solver.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    kernels = [functions[f"_{name}_mean_loop"] for name in ("array", "float", "pair")]
+    kernels = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and re.fullmatch(r"_\w+_mean_loop", node.name)
+    ]
+    assert sorted(kernel.name for kernel in kernels) == ["_array_mean_loop", "_pair_mean_loop"]
     params = [[arg.arg for arg in kernel.args.args + kernel.args.kwonlyargs] for kernel in kernels]
     assert all(p == params[0] for p in params)
     assert not {"covs", "R"} & set(params[0])
@@ -185,7 +191,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1135
+CODE_LINE_BUDGET = 1108
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 
