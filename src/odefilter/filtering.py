@@ -1,10 +1,5 @@
 """Linear-Gaussian predict and update primitives.
 
-Every state space model in this package drives the same two operations:
-``predict`` pushes a Gaussian belief through a linear transition with
-additive noise, ``update`` conditions it on a scalar measurement. Both are
-pure functions; beliefs are never mutated in place.
-
 The maths lives once, in array kernels. ``_predict`` takes means with a
 leading coordinate axis, ``(d, D)``, next to one covariance ``(D, D)``
 shared by all coordinates, and also accepts a single mean ``(D,)``. The
@@ -13,6 +8,15 @@ yields the gain, which never depends on the data; ``_gain_update`` moves the
 means with that gain. Each coordinate's mean is multiplied on its own, as a
 lone vector would be, so batching changes no bits. Each covariance step is
 one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
+
+``solve`` runs these kernels, not the wrappers below: its
+``_covariance_schedule`` steps the shared covariance through ``_cov_map``
+and ``_joseph``, and its mean kernels move the means with the gains that
+yields. ``predict`` and ``update`` are the per-belief API on one
+``GaussianBelief``, kept for the tests and ``benchmark/tracing.py``:
+``predict`` pushes a belief through a linear transition with additive
+noise, ``update`` conditions it on a scalar measurement. Both are pure
+functions; beliefs are never mutated in place.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@ covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
 place, one function reads the grid tolerance, the registered vector fields
 are float code, the solver calls a field in one place, its mean recursion
-sees no covariance, every CLI usage error after parsing comes from the
+sees no covariance, the solve, the hybrid solve and the CLI run without the
+per-belief wrappers, every CLI usage error after parsing comes from the
 library, and the package stays within its code-line budget."""
 
 import ast
@@ -13,6 +14,7 @@ import re
 import sys
 import tokenize
 
+import odefilter
 from odefilter import filtering
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "odefilter"
@@ -53,6 +55,45 @@ def test_solver_builds_no_covariance_map_of_its_own():
     forbidden = {"_symmetrize"}
     assert all(hasattr(filtering, name) for name in forbidden)  # a stale name never fails
     assert not names & forbidden
+
+
+# The per-belief API, kept for the tests and the benchmark's replay until the
+# array kernels replace it; the solve, the hybrid solve and the CLI run without it.
+PER_BELIEF_WRAPPERS = {
+    "GaussianBelief",
+    "MeasurementModel",
+    "predict",
+    "update",
+    "taylor_init",
+    "train_fourier",
+    "predict_forward",
+}
+
+
+def names_in(node):
+    """Every name, attribute and imported name (before any ``as``) under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.alias):
+            yield child.name
+        else:
+            yield getattr(child, "id", getattr(child, "attr", None))
+
+
+def test_the_solve_paths_name_no_per_belief_wrapper():
+    assert all(hasattr(odefilter, name) for name in PER_BELIEF_WRAPPERS)  # a stale name never fails
+    for module in ("solver.py", "cli.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        assert not set(names_in(tree)) & PER_BELIEF_WRAPPERS, module
+    tree = ast.parse((PACKAGE / "hybrid.py").read_text())
+    (hybrid_solve,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "hybrid_solve"
+    ]
+    assert not set(names_in(hybrid_solve)) & {"train_fourier", "predict_forward"}
+    # the rule sees a name by import, by attribute and by reference
+    use = "from .filtering import update as u\nfiltering.predict(b)\nGaussianBelief(m, P)"
+    assert set(names_in(ast.parse(use))) >= {"update", "predict", "GaussianBelief"}
 
 
 def relative_imports(path):

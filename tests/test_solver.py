@@ -518,7 +518,13 @@ def test_shared_covariance_loop_matches_per_coordinate_reference(ivp, q, h, bitw
 
 
 def full_recursion(ssm, ivp, h, R):
-    """Predict and Joseph update of means and covariance on every step, never freezing the gain."""
+    """Predict and Joseph update of means and covariance on every step, never
+    freezing the gain: the reference of the solve tests.
+
+    Its means and covariances are ``reference_solve``'s, the per-belief loop
+    of the public predict/update, bit for bit in every coordinate, which
+    ``test_reference_solve_is_the_full_recursion_bit_for_bit`` pins.
+    """
     trans, proj = ssm.transition_builder(h), ssm.projections
     M, P = ssm.init(ivp)
     means, covs = [M], [P]
@@ -550,10 +556,64 @@ FREEZE_PROBLEMS = {
 }
 # Every problem at every q, and a 32-coordinate chain, the benchmark's shape,
 # at the q >= 2 that take the one-product step past the freeze. The chain's
-# short span still passes the freeze at h=0.001 and keeps the per-coordinate
-# reference loop near 0.5 s a case.
+# short span still passes the freeze at h=0.001.
 FREEZE_CASES = [(p, q) for p in FREEZE_PROBLEMS if p != "chain32" for q in (1, 2, 3, 4)]
 FREEZE_CASES += [("chain32", 2), ("chain32", 3)]
+
+
+def passthrough_chain():
+    """(ssm, ivp, h) of a shift chain with noise on the top slot only, from a
+    zero belief, at h=0.01: the noise reaches the measured slot 1 at step 4,
+    so at R=0 updates 1-3 see S = 0 and zero innovations, and pass through
+    with no gain."""
+    h, D = 0.01, 5
+    A = np.eye(D) + h * np.eye(D, k=1)
+    Q = np.zeros((D, D))
+    Q[-1, -1] = h
+    ssm = replace(
+        taylor_state_space(TaylorParams(D - 1, 1.0)),
+        transition_builder=lambda step: TransitionModel(A, Q),
+        init=lambda ivp: (np.zeros((ivp.dim, D)), np.zeros((D, D))),
+    )
+
+    def field(x, t):
+        return -x + (np.sin(t) if t > 0.035 else 0.0)
+
+    return ssm, IVProblem(field, np.zeros(1), 5.0, "forced"), h
+
+
+# The solve tests' shapes at h=0.01: the freeze matrix but the chain at q=3
+# and vdp at q=4, which diverges at R=0 (t=0.56), where full_recursion raises
+# and the per-belief loop, which checks no field output, runs on through the
+# overflow; the J=3 Fourier prior on cosine; and the passthrough chain.
+EQUIVALENCE_CASES = {
+    f"{p}-q{q}": (taylor_state_space(TaylorParams(q, 1.0)), FREEZE_PROBLEMS[p], 0.01)
+    for p, q in FREEZE_CASES
+    if (p, q) not in {("vdp", 4), ("chain32", 3)}
+}
+EQUIVALENCE_CASES["cosine-J3"] = (fourier_state_space(FOURIER), cosine(T=10.0), 0.01)
+EQUIVALENCE_CASES["passthrough"] = passthrough_chain()
+
+
+@pytest.mark.parametrize("R", [0.0, 1e-6])
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_reference_solve_is_the_full_recursion_bit_for_bit(case, R):
+    # the premise of the solve tests, which judge solve by full_recursion alone
+    ssm, ivp, h = EQUIVALENCE_CASES[case]
+    if (case, R) == ("cosine-J3", 0.0):
+        # zero diffusion and no measurement noise: both stop at the same
+        # singular update, and only the solver's message names its step
+        with pytest.raises(SingularUpdateError) as ref_err:
+            reference_solve(ssm, ivp, h, R)
+        with pytest.raises(SingularUpdateError) as full_err:
+            full_recursion(ssm, ivp, h, R)
+        assert str(full_err.value) == f"{ref_err.value} at step 7 (t=0.07)"
+        return
+    means, covs = full_recursion(ssm, ivp, h, R)
+    ref = reference_solve(ssm, ivp, h, R)
+    assert np.array_equal(means, np.array([[b.mean for b in rec] for rec in ref]))
+    ref_covs = np.array([[b.cov for b in rec] for rec in ref])
+    assert np.array_equal(np.broadcast_to(covs[:, None], ref_covs.shape), ref_covs)
 
 
 @pytest.mark.parametrize("h", [0.01, 0.001])
@@ -581,22 +641,22 @@ def test_settled_gain_matches_the_full_recursion(problem, q, R, h):
     if q == 1:
         assert np.array_equal(seg.means, full_means)
 
-    ref = reference_solve(ssm, ivp, h, R)
-    for cov, rec in zip(seg.covs, ref):
+    for cov, full_cov in zip(seg.covs, full_covs):
         assert np.array_equal(cov, cov.T)
-        assert np.max(np.abs(cov - rec[0].cov)) <= 1e-12 * np.max(np.abs(rec[0].cov))
-    # Means: within 1e-12 of each coordinate's scale of the public loop, plus
-    # twice that loop's float64 rounding error in the component, measured
-    # against the same filter run in extended precision: two float64 runs,
-    # each that close to the exact filter, may sit on either side of it. The
-    # rounding term is ~1e-15 on the value and derivative but ~1e-9 relative
-    # on the top derivatives at q=4, h=0.001, where the covariance condition
-    # number is ~1e30 and a last-bit change in the gain moves them that far.
-    ref_means = np.array([[b.mean for b in rec] for rec in ref])
+        assert np.max(np.abs(cov - full_cov)) <= 1e-12 * np.max(np.abs(full_cov))
+    # Means: within 1e-12 of each coordinate's scale of full_recursion (the
+    # per-belief loop's bits, see
+    # test_reference_solve_is_the_full_recursion_bit_for_bit), plus twice its
+    # float64 rounding error in the component, measured against the same
+    # filter run in extended precision: two float64 runs, each that close to
+    # the exact filter, may sit on either side of it. The rounding term is
+    # ~1e-15 on the value and derivative but ~1e-9 relative on the top
+    # derivatives at q=4, h=0.001, where the covariance condition number is
+    # ~1e30 and a last-bit change in the gain moves them that far.
     exact = extended_precision_ibm_filter(q, h, R, ivp.field, ivp.x0, n, INIT_JITTER)
-    rounding = np.max(np.abs(ref_means - exact), axis=0)
-    scale = np.max(np.abs(ref_means), axis=(0, 2))[:, None]
-    assert np.all(np.max(np.abs(seg.means - ref_means), axis=0) <= 1e-12 * scale + 2 * rounding)
+    rounding = np.max(np.abs(full_means - exact), axis=0)
+    scale = np.max(np.abs(full_means), axis=(0, 2))[:, None]
+    assert np.all(np.max(np.abs(seg.means - full_means), axis=0) <= 1e-12 * scale + 2 * rounding)
 
 
 def test_fourier_prior_never_freezes():
@@ -605,9 +665,9 @@ def test_fourier_prior_never_freezes():
     ivp = cosine(T=10.0)
     (seg,) = solve(ssm, ivp, 0.01, 1e-6).segments
     assert settled_step(ssm, 0.01, 1e-6, 1000) == 1000
-    ref = reference_solve(ssm, ivp, 0.01, 1e-6)
-    assert np.array_equal(seg.means, np.array([[b.mean for b in rec] for rec in ref]))
-    assert np.array_equal(seg.covs, np.array([rec[0].cov for rec in ref]))
+    full_means, full_covs = full_recursion(ssm, ivp, 0.01, 1e-6)
+    assert np.array_equal(seg.means, full_means)
+    assert np.array_equal(seg.covs, full_covs)
 
 
 def test_divergence_past_the_freeze_carries_time():
@@ -622,23 +682,8 @@ def test_divergence_past_the_freeze_carries_time():
 
 
 def test_passthrough_updates_do_not_freeze_the_gain():
-    # A shift chain with noise on the top slot only, from a zero belief: the
-    # noise reaches the measured slot 1 at step 4, so updates 1-3 see S = 0
-    # and zero innovations, and pass through with no gain.
-    h, D = 0.01, 5
-    A = np.eye(D) + h * np.eye(D, k=1)
-    Q = np.zeros((D, D))
-    Q[-1, -1] = h
-    ssm = replace(
-        taylor_state_space(TaylorParams(D - 1, 1.0)),
-        transition_builder=lambda step: TransitionModel(A, Q),
-        init=lambda ivp: (np.zeros((ivp.dim, D)), np.zeros((D, D))),
-    )
-
-    def field(x, t):
-        return -x + (np.sin(t) if t > 0.035 else 0.0)
-
-    ivp = IVProblem(field, np.zeros(1), 5.0, "forced")
+    # updates 1-3 of the passthrough chain see S = 0 and pass through
+    ssm, ivp, h = passthrough_chain()
     (seg,) = solve(ssm, ivp, h, 0.0).segments
     # the first real gains come at steps 4 and 5; this chain's gain is the
     # same from its first, so it freezes there and not on the missing ones
@@ -646,9 +691,7 @@ def test_passthrough_updates_do_not_freeze_the_gain():
     settled = len(steps)
     assert settled == 5
     assert [K is None for K, _ in steps] == [True, True, True, False, False]
-    ref = reference_solve(ssm, ivp, h, 0.0)
-    ref_means = np.array([[b.mean for b in rec] for rec in ref])
-    ref_covs = np.array([rec[0].cov for rec in ref])
+    ref_means, ref_covs = full_recursion(ssm, ivp, h, 0.0)
     assert np.all(ref_covs[1:4, 1, 1] == 0.0)  # S = 0: passthroughs
     assert np.array_equal(seg.means[: settled + 1], ref_means[: settled + 1])
     assert np.array_equal(seg.covs[: settled + 1], ref_covs[: settled + 1])
@@ -825,9 +868,14 @@ TWO_SLOT_PROBLEMS = {
 }
 
 
+# The problems the pair kernel can run; on the others only the array kernel
+# runs, and test_the_float_form_and_the_array_field_agree_bitwise covers them.
+PAIR_PROBLEMS = [name for name, ivp in TWO_SLOT_PROBLEMS.items() if ivp.dim == 2]
+
+
 @pytest.mark.parametrize("h", [0.01, 0.001])
 @pytest.mark.parametrize("R", [0.0, 1e-6])
-@pytest.mark.parametrize("problem", list(TWO_SLOT_PROBLEMS))
+@pytest.mark.parametrize("problem", PAIR_PROBLEMS)
 @pytest.mark.parametrize("prior", list(TWO_SLOT_PRIORS))
 def test_the_two_slot_kernels_agree_bitwise(monkeypatch, prior, problem, R, h):
     # J=0 at R=0 has S = 0 and raises at step 1: every kernel raises the same
@@ -836,7 +884,7 @@ def test_the_two_slot_kernels_agree_bitwise(monkeypatch, prior, problem, R, h):
     expected = kernel_outcome(monkeypatch, "array", ssm, ivp, h, R)
     assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
     for field in (ivp.field, without_float_form(ivp.field)):
-        for kernel in kernels_for(ivp):
+        for kernel in KERNELS:
             outcome = kernel_outcome(monkeypatch, kernel, ssm, replace(ivp, field=field), h, R)
             assert outcome == expected, kernel
 
