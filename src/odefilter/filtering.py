@@ -13,10 +13,11 @@ one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
 ``_covariance_schedule`` steps the shared covariance through ``_cov_map``
 and ``_joseph``, and its mean kernels move the means with the gains that
 yields. ``predict`` and ``update`` are the per-belief API on one
-``GaussianBelief``, kept for the tests and ``benchmark/tracing.py``:
-``predict`` pushes a belief through a linear transition with additive
-noise, ``update`` conditions it on a scalar measurement. Both are pure
-functions; beliefs are never mutated in place.
+``GaussianBelief``, kept for ``benchmark/tracing.py`` and for their own
+tests in ``tests/test_per_belief_api.py``: ``predict`` pushes a belief
+through a linear transition with additive noise, ``update`` conditions it
+on a scalar measurement. Both are pure functions; beliefs are never
+mutated in place.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, SingularUpdateError, _finite_nonnegative
+from .errors import ContractViolation, SingularUpdateError, _finite_nonnegative, _is_finite
 
 # Innovations at or below this magnitude are treated as exactly zero when the
 # innovation variance vanishes (deterministic perfect measurement).
@@ -87,7 +88,7 @@ def _passthrough(M: np.ndarray, h: np.ndarray, z, S: float, step=None, t=None) -
     A solve passes the step and its time t, which the error then carries.
     """
     worst = float(np.max(np.abs(z - _dot(M, h))))
-    if worst > ZERO_INNOVATION_TOL:
+    if not worst <= ZERO_INNOVATION_TOL:  # a NaN innovation fails it too
         where = "" if step is None else f" at step {step} (t={t:g})"
         msg = f"singular update: innovation variance S={S:g} with innovation {worst:g}{where}"
         raise SingularUpdateError(msg, step=step, t=t)
@@ -194,12 +195,14 @@ def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> Gaussian
     measurement, gain 0 by the pseudo-inverse convention); otherwise a
     ``SingularUpdateError`` is raised. A NaN or infinite innovation
     variance, which only a covariance beyond float range yields, is treated
-    the same way.
+    the same way. A z that is not a finite number is a ``ContractViolation``.
     """
     if meas.H.size != belief.dim:
         raise ContractViolation(
             f"measurement dimension {meas.H.size} does not match belief dimension {belief.dim}"
         )
+    if not _is_finite(z):
+        raise ContractViolation(f"measurement z={z} must be a finite number")
     cov, K, S = _joseph(belief.cov, meas.H, meas.R)
     if K is None:
         _passthrough(belief.mean, meas.H, float(z), S)

@@ -102,24 +102,19 @@ class HybridConfig:
             raise ContractViolation(f"train_policy {kinds[0]}, train_noise {kinds[1]} need R > 0")
 
 
-def _train(
-    prior: GaussianBelief,
-    traj: Trajectory,
-    params: FourierParams,
-    policy: TrainPolicy,
-    noise: TrainNoise,
-) -> tuple[np.ndarray, np.ndarray]:
+def _train(m0, P0, traj, params, policy, noise):
     """Fourier posterior means (d, D) and shared covariance at the trajectory's last time.
 
-    The state at grid time t_k is A(t_k - t_0) x, so training regresses the
-    state x at the first time on rows H0 A(t_k - t_0) (and H A(t_k - t_0))
-    shared by all coordinates. With the prior x = m0 + L0 u, u ~ N(0, I),
+    Every coordinate starts from the prior N(m0, P0) of the state x at the
+    trajectory's first time t_0. The state at grid time t_k is
+    A(t_k - t_0) x, so training regresses x on rows H0 A(t_k - t_0) (and
+    H A(t_k - t_0)) shared by all coordinates. With the prior x = m0 + L0 u, u ~ N(0, I),
     one Householder QR of the whitened system [I, 0; w rows L0, w (z - rows
     m0)] gives the posterior of u (square-root information form) for all
     coordinates at once; it is then rotated to the last time.
     """
-    if prior.dim != params.dim:
-        raise ContractViolation(f"prior dimension {prior.dim} != Fourier dimension {params.dim}")
+    if len(m0) != params.dim:
+        raise ContractViolation(f"prior dimension {len(m0)} != Fourier dimension {params.dim}")
     t = traj.times()
     stride = policy.stride if policy.kind == "values_stride" else None
     steps = slice(stride, None, stride)  # values_stride: stride, 2*stride, ...
@@ -140,13 +135,13 @@ def _train(
         raise ContractViolation(f"taylor_variance: variance {var[bad]:g} at t={t_bad:g} is not > 0")
 
     D = params.dim
-    lam, V = np.linalg.eigh(prior.cov)
-    L0 = V * np.sqrt(np.maximum(lam, 0.0))  # L0 L0^T = prior.cov, also when singular
+    lam, V = np.linalg.eigh(P0)
+    L0 = V * np.sqrt(np.maximum(lam, 0.0))  # L0 L0^T = P0, also when singular
     w = 1.0 / np.sqrt(var)[:, None]
-    whitened = np.hstack((w * (rows @ L0), w * (z - (rows @ prior.mean)[:, None])))
+    whitened = np.hstack((w * (rows @ L0), w * (z - (rows @ m0)[:, None])))
     R = np.linalg.qr(np.vstack((np.eye(D, whitened.shape[1]), whitened)), mode="r")
     A_end = _rotation(params, t[-1] - t[0])
-    M = (prior.mean[:, None] + L0 @ np.linalg.solve(R[:D, :D], R[:D, D:])).T @ A_end.T
+    M = (m0[:, None] + L0 @ np.linalg.solve(R[:D, :D], R[:D, D:])).T @ A_end.T
     S = A_end @ np.linalg.solve(R[:D, :D].T, L0.T).T  # A_end L0 R^-1
     return M, _symmetrize(S @ S.T)
 
@@ -182,7 +177,9 @@ def train_fourier(
         raise ContractViolation(
             f"coordinate {coordinate} outside the trajectory's {taylor_traj.dim} coordinates"
         )
-    M, P = _train(prior, taylor_traj, params, policy or TrainPolicy(), noise or TrainNoise())
+    M, P = _train(
+        prior.mean, prior.cov, taylor_traj, params, policy or TrainPolicy(), noise or TrainNoise()
+    )
     return GaussianBelief(M[coordinate], P)
 
 
@@ -227,6 +224,8 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
         taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p
     )
     prior = fourier_init(config.fourier)
-    M, P = _train(prior, taylor_traj, config.fourier, config.train_policy, config.train_noise)
+    M, P = _train(
+        prior.mean, prior.cov, taylor_traj, config.fourier, config.train_policy, config.train_noise
+    )
     tail = _extrapolate(M, P, config.fourier, config.h, config.T_p, ivp.T)
     return Trajectory(taylor_traj.segments + (tail,))

@@ -13,15 +13,18 @@ loop, which with one block as long as the stack is the plain doubling the
 scan must reproduce bit for bit, and
 ``loop_ibm_transition`` a frozen copy of the IBM transition written as two
 double loops, which the closed form must reproduce bit for bit.
+``joseph_update`` is no oracle: it strings the update kernels together, so
+that a test can condition one mean and covariance on one measurement.
 """
 
 import math
 
 import numpy as np
 
-from odefilter import GaussianBelief, ProjectionPair, Trajectory
+from odefilter import ProjectionPair, Trajectory
 from odefilter.cli import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, CsvData, _csv_header
 from odefilter.errors import CsvFormatError
+from odefilter.filtering import _gain_update, _joseph, _passthrough
 from odefilter.solver import PhaseSegment
 
 PSD_RELATIVE_TOL = 1e-10
@@ -35,10 +38,6 @@ def assert_covariance_hygiene(cov: np.ndarray):
     assert eig.min() >= -PSD_RELATIVE_TOL * largest, f"covariance not PSD: {eig}"
 
 
-def assert_belief_hygiene(belief: GaussianBelief):
-    assert_covariance_hygiene(belief.cov)
-
-
 def assert_trajectory_hygiene(traj: Trajectory) -> int:
     """Checks every stored covariance (one per grid point, shared by all
     coordinates); returns how many were checked."""
@@ -48,6 +47,20 @@ def assert_trajectory_hygiene(traj: Trajectory) -> int:
             assert_covariance_hygiene(cov)
         checked += len(seg.covs)
     return checked
+
+
+def joseph_update(m, P, h, R, z):
+    """The mean and covariance ``(m, P)`` conditioned on the scalar ``z ~ N(h x, R)``.
+
+    ``_joseph`` conditions P and yields the gain; ``_gain_update`` then moves
+    m, or, when there is no gain, ``_passthrough`` checks that the innovation
+    vanishes and m and P come back as they are.
+    """
+    P, K, S = _joseph(P, h, R)
+    if K is None:
+        _passthrough(m, h, z, S)
+        return m, P
+    return _gain_update(m, h, z, K), P
 
 
 def batch_gaussian_posterior(m0, P0, rows, zs, rvars):
@@ -69,7 +82,7 @@ def extended_precision_ibm_filter(q: int, h: float, R: float, field, x0, n: int,
     measurements, run in np.longdouble from the closed-form A and Q.
 
     Measures how far float64 rounding alone moves a filter's means; the
-    initial covariance is jitter * I, as in taylor_init.
+    initial covariance is jitter * I, as in the Taylor init.
     """
     ld = np.longdouble
     D = q + 1

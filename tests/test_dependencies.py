@@ -3,9 +3,10 @@ covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
 place, one function reads the grid tolerance, the registered vector fields
 are float code, the solver calls a field in one place, its mean recursion
-sees no covariance, the solve, the hybrid solve and the CLI run without the
-per-belief wrappers, every CLI usage error after parsing comes from the
-library, and the package stays within its code-line budget."""
+sees no covariance, the solve, the hybrid solve, the CLI and every test
+module but one run without the per-belief wrappers, every CLI usage error
+after parsing comes from the library, and the package stays within its
+code-line budget."""
 
 import ast
 import io
@@ -57,8 +58,9 @@ def test_solver_builds_no_covariance_map_of_its_own():
     assert not names & forbidden
 
 
-# The per-belief API, kept for the tests and the benchmark's replay until the
-# array kernels replace it; the solve, the hybrid solve and the CLI run without it.
+# The per-belief API, kept for its own tests and the benchmark's replay until
+# the array kernels replace it; the solve, the hybrid solve, the CLI and every
+# other test module run without it.
 PER_BELIEF_WRAPPERS = {
     "GaussianBelief",
     "MeasurementModel",
@@ -94,6 +96,19 @@ def test_the_solve_paths_name_no_per_belief_wrapper():
     # the rule sees a name by import, by attribute and by reference
     use = "from .filtering import update as u\nfiltering.predict(b)\nGaussianBelief(m, P)"
     assert set(names_in(ast.parse(use))) >= {"update", "predict", "GaussianBelief"}
+
+
+def test_only_the_per_belief_api_tests_name_a_per_belief_wrapper():
+    # tests/test_per_belief_api.py goes with the wrappers; every other test
+    # module checks the maths on the array kernels, so it outlives them
+    tests = pathlib.Path(__file__).resolve().parent
+    named = {
+        path.name: set(names_in(ast.parse(path.read_text()))) & PER_BELIEF_WRAPPERS
+        for path in sorted(tests.glob("*.py"))
+        if path.name != "test_per_belief_api.py"
+    }
+    assert len(named) > 10
+    assert not {name: found for name, found in named.items() if found}
 
 
 def relative_imports(path):
@@ -253,7 +268,7 @@ def code_lines(source):
             and after.type == tokenize.NEWLINE
         )
         if tok.type not in LAYOUT and not docstring:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
+            lines |= set(range(tok.start[0], tok.end[0] + 1))
     return len(lines)
 
 

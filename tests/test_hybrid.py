@@ -9,25 +9,21 @@ import pytest
 from odefilter import (
     ContractViolation,
     FourierParams,
-    GaussianBelief,
     HybridConfig,
     TaylorParams,
-    Trajectory,
     TrainNoise,
     TrainPolicy,
     cosine,
     fhn,
     fourier_init,
     fourier_projections,
-    fourier_transition,
     hybrid_solve,
-    predict,
-    predict_forward,
     solve,
     taylor_state_space,
-    train_fourier,
     vdp,
 )
+
+from odefilter.hybrid import _extrapolate, _train
 
 from conftest import (
     assert_trajectory_hygiene,
@@ -55,11 +51,17 @@ class CountingField:
         return self.field(x, t)
 
 
+def prior_arrays(params):
+    """The mean and covariance of ``fourier_init``'s prior."""
+    prior = fourier_init(params)
+    return prior.mean, prior.cov
+
+
 def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coordinate=0):
     """Independent oracle: dense batch regression over X(0), rotated to T_p."""
     policy = policy or TrainPolicy()
     noise = noise or TrainNoise()
-    prior = prior or fourier_init(params)
+    m0, P0 = prior or prior_arrays(params)
     (seg,) = traj.segments
     proj_tay = seg.projections
     proj_four = fourier_projections(params)
@@ -89,7 +91,7 @@ def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coor
                 else noise.jitter
             )
 
-    m0, P0 = batch_gaussian_posterior(prior.mean, prior.cov, rows, zs, rvars)
+    m0, P0 = batch_gaussian_posterior(m0, P0, rows, zs, rvars)
     t_p = seg.t[-1]
     A_end = rotation_matrix(params.J, params.w0, t_p)
     return A_end @ m0, A_end @ P0 @ A_end.T
@@ -98,27 +100,27 @@ def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coor
 def test_train_on_constant_signal_single_observation():
     params = FourierParams(0, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(lambda t: 2.5, lambda t: 0.0, 0.1, 0)
-    trained = train_fourier(fourier_init(params), traj, 0, params)
-    assert trained.mean[0] == pytest.approx(2.5, rel=1e-9)
-    assert trained.cov[0, 0] <= 2e-10
+    M, P = _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise())
+    assert M[0, 0] == pytest.approx(2.5, rel=1e-9)
+    assert P[0, 0] <= 2e-10
 
 
 def test_empty_selection_returns_rotated_prior():
     params = FourierParams(2, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 10)
-    prior = fourier_init(params)
-    trained = train_fourier(prior, traj, 0, params, TrainPolicy("values_stride", stride=50))
-    assert np.array_equal(trained.mean, np.zeros(params.dim))
+    m0, P0 = prior_arrays(params)
+    M, P = _train(m0, P0, traj, params, TrainPolicy("values_stride", stride=50), TrainNoise())
+    assert np.array_equal(M[0], np.zeros(params.dim))
     # isotropic blocks are invariant under the rotation
-    assert np.allclose(trained.cov, prior.cov, atol=1e-15)
+    assert np.allclose(P, P0, atol=1e-15)
 
 
 def test_cosine_training_recovers_fourier_coefficients():
     # exact coefficients of cos(t): a_1 = 1, everything else 0
     params = FourierParams(3, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 125)
-    trained = train_fourier(fourier_init(params), traj, 0, params)
-    coeffs = rotation_matrix(params.J, params.w0, traj.times()[-1]).T @ trained.mean
+    M, _ = _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise())
+    coeffs = rotation_matrix(params.J, params.w0, traj.times()[-1]).T @ M[0]
     assert abs(coeffs[2] - 1.0) <= 5e-2
     assert abs(coeffs[3]) <= 5e-2
     others = np.concatenate([coeffs[:2], coeffs[4:]])
@@ -129,7 +131,7 @@ def random_prior(params):
     # a full, rotation-sensitive prior: unlike fourier_init's isotropic
     # blocks it tells a prior placed at t_0 from one placed at T_p
     rng = np.random.default_rng(7)
-    return GaussianBelief(rng.normal(size=params.dim), random_spd(rng, params.dim))
+    return rng.normal(size=params.dim), random_spd(rng, params.dim)
 
 
 TRAIN_OPTIONS = [
@@ -144,7 +146,7 @@ TRAIN_OPTIONS = [
     "policy,noise,make_prior",
     [
         pytest.param(policy, noise, make_prior, id=f"policy{i}-noise{i}{suffix}")
-        for make_prior, suffix in ((fourier_init, ""), (random_prior, "-random_prior"))
+        for make_prior, suffix in ((prior_arrays, ""), (random_prior, "-random_prior"))
         for i, (policy, noise) in enumerate(TRAIN_OPTIONS)
     ],
 )
@@ -158,10 +160,10 @@ def test_training_matches_batch_regression(policy, noise, make_prior):
         var=1e-6,
     )
     prior = make_prior(params)
-    trained = train_fourier(prior, traj, 0, params, policy, noise)
+    M, P = _train(*prior, traj, params, policy, noise)
     ref_mean, ref_cov = batch_trained_belief(params, traj, policy, noise, prior)
-    assert np.linalg.norm(trained.mean - ref_mean) <= 1e-6 * max(np.linalg.norm(ref_mean), 1e-12)
-    assert np.linalg.norm(trained.cov - ref_cov) <= 1e-6 * np.linalg.norm(ref_cov)
+    assert np.linalg.norm(M[0] - ref_mean) <= 1e-6 * max(np.linalg.norm(ref_mean), 1e-12)
+    assert np.linalg.norm(P - ref_cov) <= 1e-6 * np.linalg.norm(ref_cov)
 
 
 @pytest.mark.parametrize("problem", [vdp, fhn])
@@ -172,17 +174,17 @@ def test_training_exact_on_benchmark_runs(problem):
     config = HybridConfig(T_p=37.5, h=0.01, R=0.0, **PARAMS_51)
     ivp = problem()
     taylor = solve(taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p)
-    prior = fourier_init(config.fourier)
+    prior = prior_arrays(config.fourier)
+    M, P = _train(*prior, taylor, config.fourier, TrainPolicy(), TrainNoise())
     H0 = fourier_projections(config.fourier).H0
     for i in range(ivp.dim):
-        trained = train_fourier(prior, taylor, i, config.fourier)
         ref_mean, ref_cov = batch_trained_belief(config.fourier, taylor, coordinate=i)
-        assert np.linalg.norm(trained.mean - ref_mean) <= 1e-9 * np.linalg.norm(ref_mean)
-        assert np.linalg.norm(trained.cov - ref_cov) <= 1e-9 * np.linalg.norm(ref_cov)
+        assert np.linalg.norm(M[i] - ref_mean) <= 1e-9 * np.linalg.norm(ref_mean)
+        assert np.linalg.norm(P - ref_cov) <= 1e-9 * np.linalg.norm(ref_cov)
         # the never-observed y_0 slot keeps its prior variance and dominates
         # the norm above; the value variance is what the CSV std reports
         value_var = float(H0 @ ref_cov @ H0)
-        assert abs(float(H0 @ trained.cov @ H0) - value_var) <= 1e-9 * value_var
+        assert abs(float(H0 @ P @ H0) - value_var) <= 1e-9 * value_var
 
 
 def test_training_accepts_a_singular_prior():
@@ -190,10 +192,10 @@ def test_training_accepts_a_singular_prior():
     # batch regression on what the pinned block leaves of the signal
     params = FourierParams(1, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 40, var=1e-6)
-    prior = GaussianBelief(np.array([0.5, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]))
-    trained = train_fourier(prior, traj, 0, params)
-    assert np.array_equal(trained.mean[:2], [0.5, 0.0])
-    assert np.array_equal(trained.cov[:2], np.zeros((2, 4)))
+    prior = (np.array([0.5, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]))
+    M, P = _train(*prior, traj, params, TrainPolicy(), TrainNoise())
+    assert np.array_equal(M[0, :2], [0.5, 0.0])
+    assert np.array_equal(P[:2], np.zeros((2, 4)))
 
     ts = traj.times()
     rows = [rotation_matrix(1, 1.0, t)[2, 2:] for t in ts]  # H0 on the free block
@@ -201,8 +203,8 @@ def test_training_accepts_a_singular_prior():
         np.zeros(2), np.eye(2), rows, np.cos(ts) - 0.5, np.full(len(ts), 1e-10)
     )
     rot = rotation_matrix(1, 1.0, ts[-1])[2:, 2:]
-    assert np.linalg.norm(trained.mean[2:] - rot @ m1) <= 1e-9 * np.linalg.norm(m1)
-    assert np.linalg.norm(trained.cov[2:, 2:] - rot @ P1 @ rot.T) <= 1e-9 * np.linalg.norm(P1)
+    assert np.linalg.norm(M[0, 2:] - rot @ m1) <= 1e-9 * np.linalg.norm(m1)
+    assert np.linalg.norm(P[2:, 2:] - rot @ P1 @ rot.T) <= 1e-9 * np.linalg.norm(P1)
 
 
 def test_taylor_variance_rejects_a_zero_variance_row():
@@ -210,82 +212,45 @@ def test_taylor_variance_rejects_a_zero_variance_row():
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 20, var=1e-6)
     traj.segments[0].covs[7] = 0.0
     with pytest.raises(ContractViolation, match=r"t=0\.7"):
-        train_fourier(fourier_init(params), traj, 0, params, noise=TrainNoise("taylor_variance"))
+        _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise("taylor_variance"))
     # a row the policy does not select is never whitened
     policy = TrainPolicy("values_stride", stride=2)
-    train_fourier(fourier_init(params), traj, 0, params, policy, TrainNoise("taylor_variance"))
-
-
-@pytest.mark.parametrize("coordinate", [-1, 2, 5])
-def test_train_fourier_rejects_a_coordinate_outside_the_trajectory(coordinate):
-    # a negative index used to read the last coordinate from the end, and
-    # d or more used to fail with a bare IndexError
-    params = FourierParams(1, 1.0, 3.0, 1.0)
-    taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), replace(vdp(), T=1.0), 0.1, 0.0)
-    with pytest.raises(ContractViolation, match="coordinate"):
-        train_fourier(fourier_init(params), taylor, coordinate, params)
-    assert train_fourier(fourier_init(params), taylor, 1, params).dim == params.dim
-
-
-def test_train_fourier_rejects_a_prior_of_another_dimension():
-    params = FourierParams(1, 1.0, 3.0, 1.0)
-    taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), replace(vdp(), T=1.0), 0.1, 0.0)
-    prior = fourier_init(FourierParams(2, 1.0, 3.0, 1.0))
-    with pytest.raises(ContractViolation, match="prior dimension 6 != Fourier dimension 4"):
-        train_fourier(prior, taylor, 0, params)
-
-
-def test_predict_forward_rejects_a_belief_of_another_dimension():
-    params = FourierParams(1, 1.0, 3.0, 1.0)
-    belief = fourier_init(FourierParams(2, 1.0, 3.0, 1.0))
-    with pytest.raises(ContractViolation, match="belief dimension 6 != Fourier dimension 4"):
-        predict_forward(belief, params, 0.1, 0.0, 1.0)
+    _train(*prior_arrays(params), traj, params, policy, TrainNoise("taylor_variance"))
 
 
 def test_predict_forward_zero_mean_stays_zero():
     params = FourierParams(2, 1.0, 3.0, 1.0)
-    segment = predict_forward(fourier_init(params), params, 0.1, 1.0, 2.0)
-    assert len(segment) == 10
-    for _, belief in segment:
-        assert np.array_equal(belief.mean, np.zeros(params.dim))
+    m0, P0 = prior_arrays(params)
+    segment = _extrapolate(m0[None], P0, params, 0.1, 1.0, 2.0)
+    assert len(segment.t) == 10
+    for means in segment.means:
+        assert np.array_equal(means[0], np.zeros(params.dim))
 
 
 def test_predict_forward_emits_cosine():
     params = FourierParams(1, 1.0, 3.0, 1.0)
     t_p = 4.0
-    # belief at t_p encoding the oscillator state of cos(t) trained from t=0
+    # the mean at t_p encoding the oscillator state of cos(t) trained from t=0
     mean = rotation_matrix(1, 1.0, t_p) @ np.array([0.0, 0.0, 1.0, 0.0])
-    belief = GaussianBelief(mean, np.zeros((4, 4)))
+    segment = _extrapolate(mean[None], np.zeros((4, 4)), params, 0.25, t_p, 8.0)
     H0 = fourier_projections(params).H0
-    for t, predicted in predict_forward(belief, params, 0.25, t_p, 8.0):
-        assert abs(float(H0 @ predicted.mean) - math.cos(t)) <= 1e-9
-
-
-def test_predict_forward_matches_repeated_predict():
-    # the direct rotation by m*h against m steps of the public predict
-    params = FourierParams(3, 0.7, 3.0, 1.0)
-    rng = np.random.default_rng(11)
-    belief = GaussianBelief(rng.normal(size=params.dim), random_spd(rng, params.dim))
-    trans = fourier_transition(0.05, params)
-    stepped = belief
-    for _, direct in predict_forward(belief, params, 0.05, 1.0, 11.0):
-        stepped = predict(stepped, trans)
-        assert np.linalg.norm(direct.mean - stepped.mean) <= 1e-12 * np.linalg.norm(stepped.mean)
-        assert np.linalg.norm(direct.cov - stepped.cov) <= 1e-12 * np.linalg.norm(stepped.cov)
+    for t, means in zip(segment.t, segment.means):
+        assert abs(float(H0 @ means[0]) - math.cos(t)) <= 1e-9
 
 
 def test_predict_forward_grid():
     params = FourierParams(1, 1.0, 3.0, 1.0)
-    segment = predict_forward(fourier_init(params), params, 0.25, 1.0, 3.5)
-    assert len(segment) == 10
-    assert segment[0][0] == pytest.approx(1.25)
-    assert segment[-1][0] == pytest.approx(3.5)
+    m0, P0 = prior_arrays(params)
+    segment = _extrapolate(m0[None], P0, params, 0.25, 1.0, 3.5)
+    assert len(segment.t) == 10
+    assert segment.t[0] == pytest.approx(1.25)
+    assert segment.t[-1] == pytest.approx(3.5)
     with pytest.raises(ContractViolation):
-        predict_forward(fourier_init(params), params, 0.25, 1.0, 1.0)
+        _extrapolate(m0[None], P0, params, 0.25, 1.0, 1.0)
     with pytest.raises(ContractViolation):
-        predict_forward(fourier_init(params), params, 0.25, 1.0, 1.1)
+        _extrapolate(m0[None], P0, params, 0.25, 1.0, 1.1)
     with pytest.raises(ContractViolation):
-        predict_forward(fourier_init(params), params, 0.0, 1.0, 2.0)
+        _extrapolate(m0[None], P0, params, 0.0, 1.0, 2.0)
 
 
 def test_hybrid_structure_and_budget():
@@ -317,57 +282,6 @@ def test_an_angle_beyond_float_range_fails_before_any_field_evaluation(T_p):
     with pytest.raises(ContractViolation, match=match):
         hybrid_solve(config, replace(vdp(), field=counting))
     assert counting.calls == 0
-
-
-def test_hybrid_boundary_belief_is_trained_belief():
-    config = HybridConfig(T_p=2.5, h=0.05, R=0.0, **PARAMS_51)
-    ivp = cosine(T=5.0)
-    traj = hybrid_solve(config, ivp)
-
-    taylor_part, fourier_part = traj.segments
-    sub = Trajectory((taylor_part,))
-    trained = train_fourier(
-        fourier_init(config.fourier), sub, 0, config.fourier, config.train_policy, config.train_noise
-    )
-    expected = predict(trained, fourier_transition(config.h, config.fourier))
-    assert np.array_equal(fourier_part.means[0, 0], expected.mean)
-    assert np.array_equal(fourier_part.covs[0], expected.cov)
-
-
-@pytest.mark.parametrize(
-    "policy,noise",
-    TRAIN_OPTIONS,
-    ids=["defaults", "values_stride", "values_and_derivatives", "taylor_variance"],
-)
-def test_hybrid_values_equal_the_public_pieces_bitwise(policy, noise):
-    # hybrid_solve must equal its composition from the public pieces, bit
-    # for bit, with the Fourier values projected per grid point and
-    # coordinate from the beliefs predict_forward returns, under every
-    # training option
-    config = HybridConfig(
-        T_p=3.75, h=0.01, R=0.0, train_policy=policy, train_noise=noise, **PARAMS_51
-    )
-    ivp = replace(vdp(), T=5.0)
-    traj = hybrid_solve(config, ivp)
-
-    taylor = solve(taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p)
-    prior = fourier_init(config.fourier)
-    trained = [
-        train_fourier(prior, taylor, i, config.fourier, config.train_policy, config.train_noise)
-        for i in range(ivp.dim)
-    ]
-    late = [
-        [b for _, b in predict_forward(b0, config.fourier, config.h, config.T_p, ivp.T)]
-        for b0 in trained
-    ]
-    H0 = fourier_projections(config.fourier).H0
-    steps = range(len(late[0]))
-    late_means = np.array([[float(H0 @ col[m].mean) for col in late] for m in steps])
-    late_stds = np.array(
-        [[np.sqrt(max(float(H0 @ col[m].cov @ H0), 0.0)) for col in late] for m in steps]
-    )
-    assert np.array_equal(traj.value_means(), np.vstack((taylor.value_means(), late_means)))
-    assert np.array_equal(traj.value_stds(), np.vstack((taylor.value_stds(), late_stds)))
 
 
 def test_hybrid_covariance_trace_constant_in_prediction_phase():

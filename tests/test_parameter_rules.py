@@ -12,7 +12,6 @@ from odefilter import (
     FourierParams,
     HybridConfig,
     IVProblem,
-    MeasurementModel,
     TaylorParams,
     TrainNoise,
     TrainPolicy,
@@ -21,30 +20,23 @@ from odefilter import (
     constant,
     cosine,
     fhn,
-    fourier_init,
     fourier_transition,
     hybrid_solve,
     ibm_transition,
     linear,
-    predict_forward,
     rk4_reference,
     solve,
-    taylor_init,
     taylor_projections,
     taylor_state_space,
-    train_fourier,
     vdp,
 )
 from odefilter.cli import run_converge
-
-from conftest import synthetic_taylor_trajectory
 
 NAN, INF = math.nan, math.inf
 TAYLOR = TaylorParams(1, 1.0)
 FOURIER = FourierParams(1, 1.0, 3.0, 1.0)
 LINEAR = linear(T=1.0)
 SSM = taylor_state_space(TAYLOR)
-TRAJ = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 10)
 
 
 # The sites that check the integer rule themselves.
@@ -52,7 +44,6 @@ INTEGER_RULE_SITES = {
     "TaylorParams.q": lambda v: TaylorParams(v, 1.0),
     "FourierParams.J": lambda v: FourierParams(v, 1.0, 3.0, 1.0),
     "taylor_projections.q": taylor_projections,
-    "taylor_init.q": lambda v: taylor_init(1.0, 0.0, v),
     "bessel_i.j": lambda v: bessel_i(v, 1.0),
 }
 # Every public constructor or entry point taking an integer parameter, as a
@@ -60,7 +51,6 @@ INTEGER_RULE_SITES = {
 INTEGER_PARAMETERS = {
     **INTEGER_RULE_SITES,
     "TrainPolicy.stride": lambda v: TrainPolicy("values_stride", v),
-    "train_fourier.coordinate": lambda v: train_fourier(fourier_init(FOURIER), TRAJ, v, FOURIER),
     "run_converge.q": lambda v: run_converge("linear", v, [0.1, 0.05, 0.025], 1.0, 1.0),
 }
 
@@ -91,7 +81,6 @@ def test_integral_floats_are_stored_as_ints():
     assert type(TrainPolicy("values_stride", 2.0).stride) is int
     assert bessel_i(2.0, 1.0) == bessel_i(2, 1.0)
     assert np.array_equal(taylor_projections(2.0).H, taylor_projections(2).H)
-    assert np.array_equal(taylor_init(1.0, 0.5, 2.0).mean, taylor_init(1.0, 0.5, 2).mean)
 
 
 def test_an_integral_float_stride_trains():
@@ -120,9 +109,6 @@ FINITE_PARAMETERS = {
     "HybridConfig.R": lambda v: HybridConfig(TAYLOR, FOURIER, T_p=0.5, h=0.1, R=v),
     "IVProblem.T": lambda v: IVProblem(lambda x, t: -x, np.ones(1), v, "p"),
     "IVProblem.x0": lambda v: IVProblem(lambda x, t: -x, np.array([v]), 1.0, "p"),
-    "taylor_init.x0": lambda v: taylor_init(v, 0.0, 2),
-    "taylor_init.dx0": lambda v: taylor_init(1.0, v, 2),
-    "MeasurementModel.R": lambda v: MeasurementModel(np.ones(2), v),
     "solve.h": lambda v: solve(SSM, LINEAR, v, 0.0),
     "solve.R": lambda v: solve(SSM, LINEAR, 0.1, v),
     "solve.t_end": lambda v: solve(SSM, LINEAR, 0.1, 0.0, t_end=v),
@@ -131,9 +117,6 @@ FINITE_PARAMETERS = {
     "bessel_i.z": lambda v: bessel_i(0, v),
     "rk4_reference.h_ref": lambda v: rk4_reference(LINEAR, v),
     "rk4_reference.h_out": lambda v: rk4_reference(LINEAR, 0.1, h_out=v),
-    "predict_forward.h": lambda v: predict_forward(fourier_init(FOURIER), FOURIER, v, 0.0, 1.0),
-    "predict_forward.t_p": lambda v: predict_forward(fourier_init(FOURIER), FOURIER, 0.1, v, 1.0),
-    "predict_forward.t_end": lambda v: predict_forward(fourier_init(FOURIER), FOURIER, 0.1, 0.0, v),
     "vdp.mu": lambda v: vdp(mu=v),
     "fhn.I": lambda v: fhn(I=v),
     "fhn.tau": lambda v: fhn(tau=v),

@@ -14,30 +14,24 @@ from odefilter import (
     ContractViolation,
     DivergedSolveError,
     FourierParams,
-    GaussianBelief,
     HybridConfig,
     IVProblem,
-    MeasurementModel,
     SingularUpdateError,
     TaylorParams,
     TrainNoise,
     constant,
     cosine,
     fhn,
-    fourier_init,
     fourier_projections,
     fourier_state_space,
     fourier_transition,
     hybrid_solve,
     ibm_transition,
     linear,
-    predict,
     rk4_reference,
     solve,
-    taylor_init,
     taylor_projections,
     taylor_state_space,
-    update,
     vdp,
 )
 from odefilter import solver
@@ -97,13 +91,13 @@ class RecordingField:
 
 def _second_evaluation(field, x0, h=0.1):
     """Solve one step; return the trajectory, the state the field saw at t=h,
-    and that state rebuilt from the public predict on the initial beliefs."""
+    and that state rebuilt as ``H0 A m`` from each initial mean m."""
     recorder = RecordingField(field)
     traj = solve(TAYLOR_Q1, IVProblem(recorder, np.array(x0), h, "probe"), h, 0.0)
-    dx0 = field(np.array(x0), 0.0)
-    trans = ibm_transition(h, TaylorParams(1, 1.0))
+    M, _ = TAYLOR_Q1.init(IVProblem(field, np.array(x0), h, "probe"))
+    A = ibm_transition(h, TaylorParams(1, 1.0)).A
     H0 = taylor_projections(1).H0
-    expected = [float(H0 @ predict(taylor_init(x, dx, 1), trans).mean) for x, dx in zip(x0, dx0)]
+    expected = [float(H0 @ (A @ m)) for m in M]
     assert [t for t, _ in recorder.calls] == [0.0, h]
     return traj, recorder.calls[1][1], np.array(expected)
 
@@ -259,7 +253,6 @@ FOURIER = FourierParams(3, 1.0, 3.0, 1.0)
         lambda: HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=1.0, h=NAN),
         lambda: HybridConfig(TaylorParams(1, 1.0), FOURIER, T_p=1.0, h=0.01, R=NAN),
         lambda: TrainNoise(jitter=INF),
-        lambda: MeasurementModel(np.ones(2), NAN),
         lambda: ibm_transition(NAN, TaylorParams(1, 1.0)),
         lambda: fourier_transition(INF, FOURIER),
         lambda: rk4_reference(linear(), NAN),
@@ -290,34 +283,6 @@ def test_field_evaluations_per_prior(ssm, first):
     field = RecordingField(cosine().field)
     solve(ssm, replace(cosine(), field=field, T=n * h), h, 1e-6)
     assert [t for t, _ in field.calls] == [k * h for k in range(first, n + 1)]
-
-
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_taylor_init_is_one_row_of_the_batched_init(q):
-    ivp = IVProblem(vdp().field, np.array([1.0 / 3.0, -2.0 / 7.0]), 1.0, "vdp")
-    M, P = taylor_state_space(TaylorParams(q, 1.0)).init(ivp)
-    dx0 = vdp().field(ivp.x0, 0.0)
-    for i in range(2):
-        belief = taylor_init(ivp.x0[i], dx0[i], q)
-        assert np.array_equal(belief.mean, M[i])
-        assert np.array_equal(belief.cov, P)
-
-
-@pytest.mark.parametrize("J", [0, 3, 5])
-def test_fourier_init_conditioned_on_x0_is_each_row_of_the_batched_init(J):
-    # the zero-mean prior conditioned, with no noise, on the value H0 m = x0
-    params = FourierParams(J, 1.0, 3.0, 1.0)
-    ivp = vdp()
-    M, P = fourier_state_space(params).init(ivp)
-    exact = MeasurementModel(fourier_projections(params).H0, 0.0)
-    assert M.shape == (2, params.dim)
-    for i in range(2):
-        belief = update(fourier_init(params), exact, ivp.x0[i])
-        assert np.array_equal(belief.mean, M[i])
-        assert np.array_equal(belief.cov, P)
-    assert M @ exact.H == pytest.approx(ivp.x0, rel=1e-15)  # to rounding
-    # every solve shares P, so it is read-only
-    assert not P.flags.writeable
 
 
 def test_a_fourier_prior_solve_of_a_constant_stays_at_x0():
@@ -444,25 +409,6 @@ def test_time_dependent_field_is_supported():
     assert abs(traj.value_means()[-1, 0] - math.cos(1.0)) <= 1e-3
 
 
-def reference_solve(ssm, ivp, h, R):
-    """Per-coordinate loop of the public predict/update over [0, T].
-
-    Returns per-record lists of per-coordinate beliefs.
-    """
-    trans = ssm.transition_builder(h)
-    meas = MeasurementModel(ssm.projections.H, R)
-    H0 = ssm.projections.H0
-    M, P = ssm.init(ivp)
-    beliefs = [GaussianBelief(m, P) for m in M]
-    records = [beliefs]
-    for k in range(1, round(ivp.T / h) + 1):
-        predicted = [predict(b, trans) for b in beliefs]
-        z = ivp.field(np.array([float(H0 @ b.mean) for b in predicted]), k * h)
-        beliefs = [update(b, meas, z[i]) for i, b in enumerate(predicted)]
-        records.append(beliefs)
-    return records
-
-
 def coupled_linear(T=2.0):
     """3-dim linear system with coupled, damped rotation."""
     B = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.5], [0.0, -0.5, -0.2]])
@@ -477,54 +423,29 @@ def schedule(ssm, h, R, n):
     return solver._covariance_schedule(P0, trans.A, trans.Q, proj.H, R, n)
 
 
+_FREEZES = {}
+
+
 def settled_step(ssm, h, R, n):
-    """The step at which an n-step solve freezes its gain, or n when it never does."""
-    return len(schedule(ssm, h, R, n)[1])
+    """The step at which an n-step solve freezes its gain, or n when it never does.
 
-
-@pytest.mark.parametrize(
-    "ivp,q,h,bitwise",
-    [
-        (linear(T=1.0), 1, 0.01, True),
-        (linear(T=1.0), 3, 0.01, True),
-        (cosine(T=2.0), 2, 0.02, True),
-        (replace(vdp(), T=2.0), 1, 0.01, False),
-        (coupled_linear(), 2, 0.01, False),
-    ],
-    ids=["linear-q1", "linear-q3", "cosine-q2", "vdp-q1", "coupled3-q2"],
-)
-def test_shared_covariance_loop_matches_per_coordinate_reference(ivp, q, h, bitwise):
-    ssm = taylor_state_space(TaylorParams(q, 1.0))
-    (seg,) = solve(ssm, ivp, h, 0.0).segments
-    settled = settled_step(ssm, h, 0.0, len(seg.t) - 1)
-    ref = reference_solve(ssm, ivp, h, 0.0)
-    ref_means = np.array([[b.mean for b in rec] for rec in ref])
-    assert seg.means.shape == ref_means.shape
-    # Up to the gain freeze each step is the reference's; past it the frozen
-    # gain and the affine scan sum in another order, except that the q=1
-    # gain is bitwise constant, so its means stay bitwise.
-    if bitwise:
-        assert np.array_equal(seg.means[: settled + 1], ref_means[: settled + 1])
-        if q == 1:
-            assert np.array_equal(seg.means, ref_means)
-    scale = np.max(np.abs(ref_means), axis=(0, 2), keepdims=True)
-    assert np.max(np.abs(seg.means - ref_means) / scale) <= 1e-12
-    for k, (cov, rec) in enumerate(zip(seg.covs, ref)):
-        for b in rec:
-            if bitwise and k <= settled:
-                assert np.array_equal(cov, b.cov)
-            else:
-                assert np.max(np.abs(cov - b.cov)) <= 1e-12 * np.max(np.abs(b.cov))
+    The freeze step s depends on the prior, h and R alone, never on the data
+    or on n, so it is cached per prior (A, Q, H and P0 at h) and R, next to
+    the length of the schedule that found it. A schedule that ended at its
+    last step may not have frozen, so a longer n runs the schedule again.
+    """
+    trans, proj = ssm.transition_builder(h), ssm.projections
+    _, P0 = ssm.init(constant(c=0.0))
+    key = tuple(a.tobytes() for a in (trans.A, trans.Q, proj.H, P0)) + (R,)
+    s, ran = _FREEZES.get(key, (0, 0))
+    if n > ran and s == ran:
+        s, ran = _FREEZES[key] = len(schedule(ssm, h, R, n)[1]), n
+    return min(s, n)
 
 
 def full_recursion(ssm, ivp, h, R):
     """Predict and Joseph update of means and covariance on every step, never
-    freezing the gain: the reference of the solve tests.
-
-    Its means and covariances are ``reference_solve``'s, the per-belief loop
-    of the public predict/update, bit for bit in every coordinate, which
-    ``test_reference_solve_is_the_full_recursion_bit_for_bit`` pins.
-    """
+    freezing the gain: the reference of the solve tests."""
     trans, proj = ssm.transition_builder(h), ssm.projections
     M, P = ssm.init(ivp)
     means, covs = [M], [P]
@@ -582,40 +503,6 @@ def passthrough_chain():
     return ssm, IVProblem(field, np.zeros(1), 5.0, "forced"), h
 
 
-# The solve tests' shapes at h=0.01: the freeze matrix but the chain at q=3
-# and vdp at q=4, which diverges at R=0 (t=0.56), where full_recursion raises
-# and the per-belief loop, which checks no field output, runs on through the
-# overflow; the J=3 Fourier prior on cosine; and the passthrough chain.
-EQUIVALENCE_CASES = {
-    f"{p}-q{q}": (taylor_state_space(TaylorParams(q, 1.0)), FREEZE_PROBLEMS[p], 0.01)
-    for p, q in FREEZE_CASES
-    if (p, q) not in {("vdp", 4), ("chain32", 3)}
-}
-EQUIVALENCE_CASES["cosine-J3"] = (fourier_state_space(FOURIER), cosine(T=10.0), 0.01)
-EQUIVALENCE_CASES["passthrough"] = passthrough_chain()
-
-
-@pytest.mark.parametrize("R", [0.0, 1e-6])
-@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
-def test_reference_solve_is_the_full_recursion_bit_for_bit(case, R):
-    # the premise of the solve tests, which judge solve by full_recursion alone
-    ssm, ivp, h = EQUIVALENCE_CASES[case]
-    if (case, R) == ("cosine-J3", 0.0):
-        # zero diffusion and no measurement noise: both stop at the same
-        # singular update, and only the solver's message names its step
-        with pytest.raises(SingularUpdateError) as ref_err:
-            reference_solve(ssm, ivp, h, R)
-        with pytest.raises(SingularUpdateError) as full_err:
-            full_recursion(ssm, ivp, h, R)
-        assert str(full_err.value) == f"{ref_err.value} at step 7 (t=0.07)"
-        return
-    means, covs = full_recursion(ssm, ivp, h, R)
-    ref = reference_solve(ssm, ivp, h, R)
-    assert np.array_equal(means, np.array([[b.mean for b in rec] for rec in ref]))
-    ref_covs = np.array([[b.cov for b in rec] for rec in ref])
-    assert np.array_equal(np.broadcast_to(covs[:, None], ref_covs.shape), ref_covs)
-
-
 @pytest.mark.parametrize("h", [0.01, 0.001])
 @pytest.mark.parametrize("R", [0.0, 1e-6])
 @pytest.mark.parametrize("problem,q", FREEZE_CASES)
@@ -627,7 +514,7 @@ def test_settled_gain_matches_the_full_recursion(problem, q, R, h):
         full_means, full_covs = full_recursion(ssm, ivp, h, R)
     except DivergedSolveError as err:
         # vdp at q=4, h=0.01 overflows at t=0.56, three steps past the freeze
-        # (the zero-pinned higher derivatives of taylor_init); solve must stop
+        # (the zero-pinned higher derivatives of the Taylor init); solve must stop
         # at the same time
         with pytest.raises(DivergedSolveError) as exc:
             solve(ssm, ivp, h, R)
@@ -644,10 +531,8 @@ def test_settled_gain_matches_the_full_recursion(problem, q, R, h):
     for cov, full_cov in zip(seg.covs, full_covs):
         assert np.array_equal(cov, cov.T)
         assert np.max(np.abs(cov - full_cov)) <= 1e-12 * np.max(np.abs(full_cov))
-    # Means: within 1e-12 of each coordinate's scale of full_recursion (the
-    # per-belief loop's bits, see
-    # test_reference_solve_is_the_full_recursion_bit_for_bit), plus twice its
-    # float64 rounding error in the component, measured against the same
+    # Means: within 1e-12 of each coordinate's scale of full_recursion, plus
+    # twice its float64 rounding error in the component, measured against the same
     # filter run in extended precision: two float64 runs, each that close to
     # the exact filter, may sit on either side of it. The rounding term is
     # ~1e-15 on the value and derivative but ~1e-9 relative on the top

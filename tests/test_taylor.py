@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from odefilter import (
     ContractViolation,
+    IVProblem,
     TaylorParams,
     ibm_transition,
-    predict,
-    taylor_init,
     taylor_projections,
+    taylor_state_space,
+    vdp,
 )
 
 from conftest import loop_ibm_transition
@@ -98,18 +99,24 @@ def test_projection_selector_semantics(a, b):
     assert float(pair.H @ state) == b
 
 
-def test_init_belief():
-    belief = taylor_init(1.0, -1.0, 1)
-    assert np.array_equal(belief.mean, np.array([1.0, -1.0]))
-    assert np.array_equal(belief.cov, 1e-12 * np.eye(2))
+def taylor_init_arrays(x0, dx0, q):
+    """The init means (1, q+1) and covariance of a one-coordinate Taylor solve
+    from x(0) = x0 whose field gives x'(0) = dx0."""
+    ivp = IVProblem(lambda x, t: np.array([dx0]), np.array([x0]), 1.0, "init")
+    return taylor_state_space(TaylorParams(q, 1.0)).init(ivp)
 
-    belief = taylor_init(0.0, 0.0, 2)
-    assert np.array_equal(belief.mean, np.zeros(3))
+
+def test_init_belief():
+    M, P = taylor_init_arrays(1.0, -1.0, 1)
+    assert np.array_equal(M[0], np.array([1.0, -1.0]))
+    assert np.array_equal(P, 1e-12 * np.eye(2))
+
+    M, _ = taylor_init_arrays(0.0, 0.0, 2)
+    assert np.array_equal(M[0], np.zeros(3))
 
     # first coordinate of the Van der Pol field at x(0) = [1, -1], mu = 5
-    dx0 = 5.0 * (1.0 - 1.0 / 3.0 + 1.0)
-    belief = taylor_init(1.0, dx0, 1)
-    assert belief.mean[1] == pytest.approx(25.0 / 3.0, rel=1e-15)
+    M, _ = taylor_state_space(TaylorParams(1, 1.0)).init(vdp(mu=5.0))
+    assert M[0, 1] == pytest.approx(25.0 / 3.0, rel=1e-15)
 
 
 @given(
@@ -144,7 +151,7 @@ def test_variance_scale_is_exactly_linear(c, h, q):
 
 @given(x=st.floats(-1e3, 1e3), v=st.floats(-1e3, 1e3), h=st.floats(1e-3, 1.0))
 def test_mean_prediction_is_taylor_expansion(x, v, h):
-    belief = taylor_init(x, v, 1)
-    out = predict(belief, ibm_transition(h, TaylorParams(1, 1.0)))
-    assert out.mean[0] == x + h * v
-    assert out.mean[1] == v
+    M, _ = taylor_init_arrays(x, v, 1)
+    mean = ibm_transition(h, TaylorParams(1, 1.0)).A @ M[0]
+    assert mean[0] == x + h * v
+    assert mean[1] == v
