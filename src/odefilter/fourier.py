@@ -115,6 +115,22 @@ def _rotation(params: FourierParams, t) -> np.ndarray:
     return A
 
 
+def _rotated_row(params: FourierParams, g: np.ndarray, t) -> np.ndarray:
+    """The row g A(t) of a projection row g at each of the times t; shape t.shape + (D,).
+
+    Block j is (g_x cos theta_j + g_y sin theta_j, g_y cos theta_j - g_x sin theta_j),
+    theta_j = j*w0*t, taken from the block angles without building the D x D
+    matrices of ``_rotation``. For a row with at most one nonzero per block, as
+    H0 and H have, each column of g @ A(t) has one nonzero product, so the two
+    agree bit for bit. Raises ContractViolation as ``_rotation`` does.
+    """
+    _check_angles(params, float(np.max(np.abs(t), initial=0.0)))
+    theta = np.multiply.outer(t, params.w0 * np.arange(params.J + 1))
+    c, s = np.cos(theta), np.sin(theta)
+    gx, gy = g[0::2], g[1::2]
+    return np.stack((gx * c + gy * s, gy * c - gx * s), axis=-1).reshape(*np.shape(t), params.dim)
+
+
 def fourier_transition(h: float, params: FourierParams) -> TransitionModel:
     """Block-diagonal rotation over step h: block j turns by w0*j*h. Zero diffusion."""
     A = _rotation(params, _finite_positive(h, "step size h"))

@@ -22,7 +22,9 @@ from .errors import (
     ContractViolation, _finite_nonnegative, _finite_positive, _integer_at_least, _is_finite
 )
 from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
-from .fourier import FourierParams, _check_angles, _rotation, fourier_init, fourier_projections
+from .fourier import (
+    FourierParams, _check_angles, _rotated_row, _rotation, fourier_init, fourier_projections
+)
 from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve
 from .taylor import TaylorParams, taylor_state_space
 
@@ -118,12 +120,12 @@ def _train(m0, P0, traj, params, policy, noise):
     t = traj.times()
     stride = policy.stride if policy.kind == "values_stride" else None
     steps = slice(stride, None, stride)  # values_stride: stride, 2*stride, ...
-    A = _rotation(params, t[steps] - t[0])
+    tau = t[steps] - t[0]
     proj = fourier_projections(params)
     rows, z, var = [], [], []
     for kind in ("H0", "H") if policy.kind == "values_and_derivatives" else ("H0",):
         seg_rows = [(s, getattr(s.projections, kind)) for s in traj.segments]
-        rows.append(getattr(proj, kind) @ A)
+        rows.append(_rotated_row(params, getattr(proj, kind), tau))
         z.append(np.concatenate([_dot(s.means, row) for s, row in seg_rows])[steps])
         if noise.kind == "taylor_variance":
             var.append(np.concatenate([s.covs @ row @ row for s, row in seg_rows])[steps])
@@ -131,7 +133,7 @@ def _train(m0, P0, traj, params, policy, noise):
     var = np.concatenate(var) if var else np.full(len(rows), noise.jitter)
     if np.any(var <= 0.0):  # a fixed jitter is > 0
         bad = np.flatnonzero(var <= 0.0)[0]
-        t_bad = t[steps][bad % len(A)]
+        t_bad = t[steps][bad % len(tau)]
         raise ContractViolation(f"taylor_variance: variance {var[bad]:g} at t={t_bad:g} is not > 0")
 
     D = params.dim

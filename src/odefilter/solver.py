@@ -215,8 +215,8 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
         z = np.asarray(z, dtype=float).reshape(-1)
     values = z.tolist()
-    if z.size != m.size or not all(map(math.isfinite, values)):
-        _checked(values, m.size, t)  # raises, and says which check failed
+    if z.size != m.size or not math.isfinite(sum(values)):
+        _checked(values, m.size, t)  # raises unless only the sum overflowed
     return values if floats else z
 
 
@@ -226,7 +226,8 @@ def _checked(values: list, size: int, t: float) -> list:
         raise ContractViolation(
             f"vector field returned {len(values)} components for a {size}-dimensional state"
         )
-    if not all(map(math.isfinite, values)):
+    # a float sum is finite only if every term is; one that overflows gets the exact check
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     return values
 

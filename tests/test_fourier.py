@@ -19,6 +19,7 @@ from odefilter import (
 )
 
 from odefilter.filtering import _cov_map
+from odefilter.fourier import _rotated_row, _rotation
 
 from conftest import batch_gaussian_posterior, joseph_update, random_spd, rotation_matrix
 
@@ -282,6 +283,23 @@ def test_an_angular_velocity_beyond_float_range_is_rejected():
     with pytest.raises(ContractViolation, match=r"^J\*w0 leaves float range at w0=1e\+308, J=3$"):
         FourierParams(3, 1e308, 3.0, 1.0)
     assert FourierParams(1, 1e308, 3.0, 1.0).w0 == 1e308
+
+
+@pytest.mark.parametrize("J", [0, 1, 3, 20])
+@pytest.mark.parametrize("row", ["H0", "H"])
+def test_rotated_rows_are_the_rotation_matrix_rows_bit_for_bit(J, row):
+    # H0 and H have one nonzero per block, so g @ A(t) has one nonzero product
+    # per column; tobytes() tells the signed zeros apart
+    params = FourierParams(J, 0.7, 3.0, 1.0)
+    g = getattr(fourier_projections(params), row)
+    t = np.concatenate(
+        [[0.0, -0.0, 5e-324], np.linspace(0.0, 50.0, 501), -np.geomspace(1e-3, 1e3, 7)]
+    )
+    rows = _rotated_row(params, g, t)
+    assert rows.shape == (t.size, params.dim)
+    assert rows.tobytes() == (g @ _rotation(params, t)).tobytes()
+    assert _rotated_row(params, g, 2.5).tobytes() == (g @ _rotation(params, 2.5)).tobytes()
+    assert _rotated_row(params, g, t[:0]).shape == (0, params.dim)
 
 
 @pytest.mark.filterwarnings("error")

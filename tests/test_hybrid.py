@@ -1,6 +1,7 @@
 """Hybrid Taylor-Fourier solver: training, prediction, budget, batch equivalence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from odefilter import (
     vdp,
 )
 
+from odefilter import hybrid
+from odefilter.fourier import _rotation
 from odefilter.hybrid import _extrapolate, _train
 
 from conftest import (
@@ -185,6 +188,66 @@ def test_training_exact_on_benchmark_runs(problem):
         # the norm above; the value variance is what the CSV std reports
         value_var = float(H0 @ ref_cov @ H0)
         assert abs(float(H0 @ P @ H0) - value_var) <= 1e-9 * value_var
+
+
+@pytest.mark.parametrize("noise", ["fixed_jitter", "taylor_variance"])
+@pytest.mark.parametrize(
+    "policy",
+    [TrainPolicy(), TrainPolicy("values_stride", stride=7), TrainPolicy("values_and_derivatives")],
+    ids=lambda policy: policy.kind,
+)
+@pytest.mark.parametrize("J", [0, 3, 8])
+def test_training_is_the_rotation_matrix_regression_bit_for_bit(monkeypatch, J, policy, noise):
+    # the reference reads its rows off the stack of rotation matrices; HybridConfig
+    # forbids R = 0 for derivative rows with Taylor variances, so that pair runs at 1e-6
+    R = 1e-6 if (policy.kind, noise) == ("values_and_derivatives", "taylor_variance") else 0.0
+    config = HybridConfig(
+        TaylorParams(1, 1.0), FourierParams(J, 1.0, 3.0, 1.0), T_p=5.0, h=0.01, R=R,
+        train_policy=policy, train_noise=TrainNoise(noise),
+    )
+    taylor = solve(taylor_state_space(config.taylor), vdp(), config.h, R, t_end=config.T_p)
+    args = (*prior_arrays(config.fourier), taylor, config.fourier, policy, config.train_noise)
+    M, P = _train(*args)
+    reference_calls = []
+
+    def matrix_rows(params, g, t):
+        reference_calls.append(g)
+        return g @ _rotation(params, t)
+
+    monkeypatch.setattr(hybrid, "_rotated_row", matrix_rows)
+    M_ref, P_ref = _train(*args)
+    assert len(reference_calls) == (2 if policy.kind == "values_and_derivatives" else 1)
+    assert M.tobytes() == M_ref.tobytes()
+    assert P.tobytes() == P_ref.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("policy", [TrainPolicy(), TrainPolicy("values_and_derivatives")])
+def test_training_rejects_an_angle_beyond_float_range_before_any_trig(policy):
+    # 3 * 1e307 * 45 overflows over the trajectory's 45-unit span; _train checks
+    # it itself, and no RuntimeWarning of cos or sin comes first
+    params = FourierParams(3, 1e307, 3.0, 1.0)
+    traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.5, 90)
+    match = r"^Fourier angle j\*w0\*t leaves float range at w0=1e\+307, J=3, t=45$"
+    with pytest.raises(ContractViolation, match=match):
+        _train(*prior_arrays(params), traj, params, policy, TrainNoise())
+
+
+def test_training_at_j20_stays_within_its_memory_bound():
+    # vdp's Taylor phase, 3751 records, at J=20 and l=0.5: the traced peak of
+    # _train measured 5.2 MiB with rows built per 2x2 block, and 55.7 MiB when
+    # the rows were read off the (3751, 42, 42) stack of rotation matrices
+    params = FourierParams(20, 1.0, 0.5, 1.0)
+    taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), vdp(), 0.01, 0.0, t_end=37.5)
+    prior = prior_arrays(params)
+    tracemalloc.start()
+    try:
+        _train(*prior, taylor, params, TrainPolicy(), TrainNoise())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(taylor) == 3751
+    assert peak < 16 * 2**20
 
 
 def test_training_accepts_a_singular_prior():

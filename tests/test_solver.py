@@ -865,6 +865,24 @@ def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t(monkeypatch):
             assert outcome == expected, (which, key)
 
 
+@pytest.mark.parametrize(
+    "late",
+    [(1e308, 1e308), (-1e308, -1e308), (math.nan, 1.0), (1e308, math.inf), (-math.inf, 1.0)],
+    ids=["sum-overflows", "sum-overflows-negative", "nan", "inf", "-inf"],
+)
+def test_finite_outputs_whose_sum_overflows_pass_and_non_finite_ones_diverge(monkeypatch, late):
+    # the finiteness check sums the outputs first: a float sum is finite only
+    # if every term is, and one that overflows gets the exact check
+    field = _array_field(lambda t, x1, x2: late if t > 0.5 else (-x1, -x2))
+    outcomes = outcomes_of_every_kernel(monkeypatch, field, [1.0, 2.0], "late")
+    message = "vector field returned non-finite value at t=0.51"
+    for key, outcome in outcomes.items():
+        if all(map(math.isfinite, late)):
+            assert isinstance(outcome, bytes), key
+        else:
+            assert outcome == (DivergedSolveError, message, None, 51 * 0.01), key
+
+
 # Outputs other than a 1-D float64 array, each with the outcome _field_at
 # gives it: it converts them to one, and checks the size and finiteness.
 OUTPUT_FORMS = {
