@@ -37,9 +37,11 @@ any other field; ``_field_at`` checks every output.
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel runs it, for states of three or more
 slots, as one product ``W = M B`` per step, whose columns hold the predicted
-means, the field input ``H0 A m`` and ``H A m``, and an update in innovation
-form. Up to the freeze, and for two-slot states throughout, it runs the
-step form, so those means are the full recursion's bit for bit.
+means ``A m``, ``H A m`` and the field input ``H0 A m``; the innovation
+overwrites ``H A m`` in place, and one more product writes the update, in
+innovation form, straight into the step's row of the output. Up to the
+freeze, and for two-slot states throughout, it runs the step form, so those
+means are the full recursion's bit for bit.
 """
 
 from __future__ import annotations
@@ -203,6 +205,11 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
     """The field's output at (m, t) as a float64 vector, or with ``floats`` as
     the list of its floats, once it has as many components as m and all are finite.
 
+    An array field's output that holds anything but bool, int or float values,
+    the rule of ``IVProblem``'s x0, is a ContractViolation that names t: None,
+    a string, a complex number, an int beyond float64's range or a ragged
+    sequence.
+
     Without m, the same checked call ``(x, t)`` of the field's float form
     ``field.rhs(t, *x)`` on a sequence of floats, or None for a field without
     one; the pair kernel looks it up once per solve and hands any other field a
@@ -213,7 +220,13 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
         return None if rhs is None else lambda x, t: _checked(rhs(t, *x), len(x), t)
     z = field(m, t)
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
-        z = np.asarray(z, dtype=float).reshape(-1)
+        try:
+            real = np.asarray(z)
+        except ValueError:  # a ragged sequence
+            real = np.asarray(None)
+        if real.dtype.kind not in "biuf":
+            raise ContractViolation(f"vector field returned no real numbers at t={t:g}: {z!r:.60}")
+        z = real.astype(float, copy=False).reshape(-1)
     values = z.tolist()
     if z.size != m.size or not math.isfinite(sum(values)):
         _checked(values, m.size, t)  # raises unless only the sum overflowed
@@ -314,26 +327,35 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
 
     Past the freeze, where a step's ``(K, S)`` is the previous step's object,
     a state of three or more slots takes the step as one product ``W = M B``
-    with ``B = [A^T | (H0 A)^T | (H A)^T]``: its columns are the predicted
-    means, the field input and ``H A m``. The update stays in innovation
-    form, ``A m + (z - H A m) K``: the composed map ``(I - K H) A m + K z``
-    adds two large terms whose sum carries the small innovation, and loses
-    too many of its bits on the top derivatives. These means sum in another
-    order than the step form's, so they differ from it by rounding alone.
-    Steps up to the freeze, and every step of a two-slot state, keep the
-    step form, so those means are the full recursion's bit for bit, and on
-    two coordinates ``_pair_mean_loop``'s. Each step's field input is a fresh
-    array or a column of one, so the field may keep or overwrite it.
+    with ``B = [A^T | (H A)^T | (H0 A)^T]``: its columns are the predicted
+    means ``A m``, ``H A m`` and, last, the field input ``x = H0 A m``. The
+    innovation ``z - H A m`` is written over column D in place, and
+    ``W[:, :D+1] E`` with ``E = [I_D; K]``, built once from the frozen gain,
+    writes the update ``A m + (z - H A m) K`` straight into the step's row
+    of the means. The update stays in innovation form: the
+    composed map ``(I - K H) A m + K z`` adds two large terms whose sum
+    carries the small innovation, and loses too many of its bits on the top
+    derivatives. Column x stays out of that product, since the field may
+    overwrite its input. These means sum in another order than the step
+    form's, so they differ from it by rounding alone. Steps up to the freeze,
+    and every step of a two-slot state, keep the step form, so those means
+    are the full recursion's bit for bit, and on two coordinates
+    ``_pair_mean_loop``'s. Each step's field input is a fresh array or a
+    column of one that no later step writes, so the field may keep or
+    overwrite it.
     """
-    B = np.column_stack([A.T, H0 @ A, H @ A]) if len(A) > 2 else None
+    D, (K, _) = len(A), steps[-1]  # the frozen (K, S), if the gain froze
+    if D > 2 and K is not None:
+        B, E = np.column_stack([A.T, H @ A, H0 @ A]), np.vstack([np.eye(D), K])
     means = np.empty((len(steps) + 1,) + M.shape)
     means[0], last = M, None
     for k, step in enumerate(steps, 1):
         t, (K, S) = k * h, step
-        if step is last and B is not None:  # past the freeze: one product per step
+        if step is last and D > 2:  # past the freeze: one product per step
             W = M @ B
-            z = _field_at(field, W[:, -2], t)
-            M = means[k] = W[:, :-2] + (z - W[:, -1])[:, None] * K
+            z = _field_at(field, W[:, -1], t)
+            np.subtract(z, W[:, D], out=W[:, D])
+            M = np.matmul(W[:, :-1], E, out=means[k])
             continue
         M = (A @ M[..., None])[..., 0]  # the mean half of _predict
         z = _field_at(field, _dot(M, H0), t)

@@ -508,7 +508,20 @@ def passthrough_chain():
 @pytest.mark.parametrize("problem,q", FREEZE_CASES)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_settled_gain_matches_the_full_recursion(problem, q, R, h):
-    ivp = FREEZE_PROBLEMS[problem]
+    assert_settled_gain_matches_the_full_recursion(FREEZE_PROBLEMS[problem], q, R, h)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_coarse_two_coordinate_runs_match_the_full_recursion(q):
+    # ROADMAP item 17's coarse runs of two coordinates: the gain freezes by
+    # step 37 of 750, and every later step takes the array kernel's one product
+    assert_settled_gain_matches_the_full_recursion(replace(fhn(), T=37.5), q, 0.0, 0.05)
+
+
+def assert_settled_gain_matches_the_full_recursion(ivp, q, R, h):
+    """solve's means and covariances under the q-th Taylor prior: bit for bit
+    those of full_recursion up to the freeze (and throughout at q=1), and past
+    it within the bounds below."""
     ssm = taylor_state_space(TaylorParams(q, 1.0))
     try:
         full_means, full_covs = full_recursion(ssm, ivp, h, R)
@@ -916,6 +929,50 @@ def test_every_field_output_form_keeps_its_outcome_in_every_kernel(monkeypatch, 
             problem = replace(ivp, field=field)
             outcome = kernel_outcome(monkeypatch, kernel, TAYLOR_Q1, problem, 0.01, 0.0)
             assert outcome == expected, (kernel, field.__name__)
+
+
+# Outputs that do not convert to float64, from a field of -x: none of them
+# holds real numbers, so each is a ContractViolation that names its t.
+NOT_REAL_OUTPUTS = {
+    "None": lambda z: None,
+    "string": lambda z: ["a"] * len(z),
+    "complex": lambda z: [1j] * len(z),
+    "huge int": lambda z: [10**400] * len(z),
+    "complex array": lambda z: z * (1.0 + 1.0j),
+    "ragged": lambda z: [list(z), []],
+}
+NOT_REAL = "vector field returned no real numbers at t=0.51"
+
+
+def late_output(form, d):
+    """A d-coordinate IVProblem whose field returns -x up to t = 0.5 (the Taylor
+    init's t = 0 evaluation passes) and the output form of it from then on."""
+
+    def field(x, t):
+        return NOT_REAL_OUTPUTS[form](-x) if t > 0.5 else -x
+
+    return IVProblem(field, np.linspace(1.0, 2.0, d), 1.0, form)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("form", list(NOT_REAL_OUTPUTS))
+def test_a_field_output_of_no_real_numbers_is_a_contract_violation(monkeypatch, form, d):
+    # at q=1 every kernel that can run d coordinates; at q=2 the array kernel,
+    # whose gain froze before t = 0.51
+    ivp = late_output(form, d)
+    runs = [(TAYLOR_Q1, kernel) for kernel in kernels_for(ivp)]
+    runs.append((taylor_state_space(TaylorParams(2, 1.0)), "array"))
+    for ssm, kernel in runs:
+        outcome = kernel_outcome(monkeypatch, kernel, ssm, ivp, 0.01, 0.0)
+        assert outcome[0] is ContractViolation and outcome[1].startswith(NOT_REAL), kernel
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("form", list(NOT_REAL_OUTPUTS))
+def test_rk4_reference_holds_an_array_field_to_real_numbers(form, d):
+    # the first stage past t = 0.5 is the midpoint stage of the step from t = 0.5
+    with pytest.raises(ContractViolation, match="no real numbers at t=0.505: "):
+        rk4_reference(late_output(form, d), 0.01)
 
 
 def test_the_pair_kernel_calls_the_float_form_once_per_step():
