@@ -1,23 +1,25 @@
 """Linear-Gaussian predict and update primitives.
 
-The maths lives once, in array kernels. ``_predict`` takes means with a
-leading coordinate axis, ``(d, D)``, next to one covariance ``(D, D)``
-shared by all coordinates, and also accepts a single mean ``(D,)``. The
-update is split in two: ``_joseph`` conditions the covariance alone and
-yields the gain, which never depends on the data; ``_gain_update`` moves the
-means with that gain. Each coordinate's mean is multiplied on its own, as a
-lone vector would be, so batching changes no bits. Each covariance step is
-one map, ``_cov_map``: predict with ``(A, Q)``, update with ``_gain_map``.
+The maths lives once, in array kernels, on means with a leading coordinate
+axis, ``(d, D)``, next to one covariance ``(D, D)`` shared by all
+coordinates. Each covariance step is one map, ``_cov_map``: predict with
+``(A, Q)``, update with ``_gain_map``. The update is split in two:
+``_joseph`` conditions the covariance alone and yields the gain, which never
+depends on the data; ``_gain_update`` moves the means with that gain. Each
+coordinate's mean is multiplied on its own, as a lone vector would be, so
+batching changes no bits.
 
 ``solve`` runs these kernels, not the wrappers below: its
 ``_covariance_schedule`` steps the shared covariance through ``_cov_map``
-and ``_joseph``, and its mean kernels move the means with the gains that
-yields. ``predict`` and ``update`` are the per-belief API on one
-``GaussianBelief``, kept for ``benchmark/tracing.py`` and for their own
-tests in ``tests/test_per_belief_api.py``: ``predict`` pushes a belief
-through a linear transition with additive noise, ``update`` conditions it
-on a scalar measurement. Both are pure functions; beliefs are never
-mutated in place.
+and ``_joseph``, and its mean kernels predict ``A m`` and move the means
+with the gains that yields. ``predict`` and ``update`` are the per-belief
+API on one ``GaussianBelief``, kept for ``benchmark/tracing.py`` and for
+their own tests in ``tests/test_per_belief_api.py``, together with
+``MeasurementModel``, ``taylor_init``, the belief form ``fourier_init`` of
+the Fourier prior, ``train_fourier`` and ``predict_forward``: eight names.
+``predict`` pushes a belief through a linear transition with additive noise,
+``update`` conditions it on a scalar measurement. Both are pure functions;
+beliefs are never mutated in place.
 """
 
 from __future__ import annotations
@@ -51,14 +53,6 @@ def _gain_map(K: np.ndarray, h: np.ndarray, R: float):
     """``(I - K h, R K K^T)``: the Joseph update with gain K as a ``_cov_map``."""
     col = K[:, None]  # col * row is np.outer's product, without its call overhead
     return np.eye(len(K)) - col * h, R * (col * K)
-
-
-def _predict(M: np.ndarray, P: np.ndarray, A: np.ndarray, Q: np.ndarray):
-    """Means ``A m`` per coordinate and the shared covariance ``A P A^T + Q``.
-
-    A may also be a stack of transitions, giving one result per transition.
-    """
-    return (A @ M[..., None])[..., 0], _cov_map(P, A, Q)
 
 
 def _gain_update(M: np.ndarray, h: np.ndarray, z, K: np.ndarray) -> np.ndarray:
@@ -183,7 +177,8 @@ def predict(belief: GaussianBelief, trans: TransitionModel) -> GaussianBelief:
         raise ContractViolation(
             f"transition dimension {trans.dim} does not match belief dimension {belief.dim}"
         )
-    return GaussianBelief(*_predict(belief.mean, belief.cov, trans.A, trans.Q))
+    mean = (trans.A @ belief.mean[..., None])[..., 0]
+    return GaussianBelief(mean, _cov_map(belief.cov, trans.A, trans.Q))
 
 
 def update(belief: GaussianBelief, meas: MeasurementModel, z: float) -> GaussianBelief:

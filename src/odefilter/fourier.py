@@ -5,8 +5,9 @@ at angular velocity j*w0, with zero diffusion: Fourier coefficients of a
 periodic signal do not drift. Prior block variances q_j^2 are the
 Bessel-function weights of the canonical periodic covariance kernel, so that
 the implied process is (a finite-rank approximation of) a periodic GP.
-``fourier_state_space`` bundles the transition, the projections and the
-init for ``solve``: the zero-mean prior conditioned on the initial value.
+``_fourier_prior`` gives that prior as arrays and ``fourier_init`` as a
+belief. ``fourier_state_space`` bundles the transition, the projections and
+the init for ``solve``: the zero-mean prior conditioned on the initial value.
 """
 
 from __future__ import annotations
@@ -150,11 +151,14 @@ def fourier_projections(params: FourierParams) -> ProjectionPair:
     return ProjectionPair(H0, H)
 
 
+def _fourier_prior(params: FourierParams):
+    """The zero-mean prior ``(m0, P0)``, P0 isotropic per block: q_j^2 I."""
+    return np.zeros(params.dim), np.diag(np.repeat(fourier_weights(params), 2))
+
+
 def fourier_init(params: FourierParams) -> GaussianBelief:
-    """Zero-mean prior with isotropic per-block covariance q_j^2 I."""
-    weights = fourier_weights(params)
-    cov = np.diag(np.repeat(weights, 2))
-    return GaussianBelief(np.zeros(params.dim), cov)
+    """The zero-mean prior of ``_fourier_prior`` as a ``GaussianBelief`` (per-belief API)."""
+    return GaussianBelief(*_fourier_prior(params))
 
 
 def fourier_state_space(params: FourierParams) -> StateSpaceModel:
@@ -165,7 +169,7 @@ def fourier_state_space(params: FourierParams) -> StateSpaceModel:
     covariance and the gain do not depend on x0, so every solve shares them.
     """
     proj = fourier_projections(params)
-    P, K, _ = _joseph(fourier_init(params).cov, proj.H0, 0.0)
+    P, K, _ = _joseph(_fourier_prior(params)[1], proj.H0, 0.0)
     P.flags.writeable = False
     return StateSpaceModel(
         transition_builder=lambda h: fourier_transition(h, params),

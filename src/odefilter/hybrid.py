@@ -23,7 +23,7 @@ from .errors import (
 )
 from .filtering import GaussianBelief, _cov_map, _dot, _symmetrize
 from .fourier import (
-    FourierParams, _check_angles, _rotated_row, _rotation, fourier_init, fourier_projections
+    FourierParams, _check_angles, _fourier_prior, _rotated_row, _rotation, fourier_projections
 )
 from .solver import IVProblem, PhaseSegment, Trajectory, _n_steps, solve
 from .taylor import TaylorParams, taylor_state_space
@@ -225,9 +225,7 @@ def hybrid_solve(config: HybridConfig, ivp: IVProblem) -> Trajectory:
     taylor_traj = solve(
         taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p
     )
-    prior = fourier_init(config.fourier)
-    M, P = _train(
-        prior.mean, prior.cov, taylor_traj, config.fourier, config.train_policy, config.train_noise
-    )
+    m0, P0 = _fourier_prior(config.fourier)
+    M, P = _train(m0, P0, taylor_traj, config.fourier, config.train_policy, config.train_noise)
     tail = _extrapolate(M, P, config.fourier, config.h, config.T_p, ivp.T)
     return Trajectory(taylor_traj.segments + (tail,))

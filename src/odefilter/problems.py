@@ -162,7 +162,10 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     same float operations in the same order, so they give the same means bit
     for bit. Each record is checked for finiteness here, then it and its
     derivative (one more field call) go to flat buffers of doubles that
-    become the means.
+    become the means. A float form that returns no real numbers (a str,
+    None, a complex number or an int beyond float64's range) fails the
+    arithmetic or the checks that follow it; that TypeError or OverflowError
+    becomes a ContractViolation that names the record whose substeps met it.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -174,17 +177,23 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     rhs = getattr(ivp.field, "rhs", None)
     f = rhs or (lambda t, *x: _field_at(ivp.field, np.array(x), t, floats=True))
     kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
+    times = np.arange(n_out + 1) * h_out
     values = array("d", ivp.x0)
     derivatives = array("d", _field_at(ivp.field, ivp.x0.copy(), 0.0, floats=True))
-    for k, x in enumerate(islice(kernel(f, list(values), substeps, h_ref), n_out), 1):
-        t = k * h_out
-        if not all(map(math.isfinite, x)):
-            raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-        values.extend(x)
-        derivatives.extend(f(t, *x))
+    try:
+        for k, x in enumerate(islice(kernel(f, list(values), substeps, h_ref), n_out), 1):
+            t = k * h_out
+            if not all(map(math.isfinite, x)):
+                raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
+            values.extend(x)
+            derivatives.extend(f(t, *x))
+    # A float form's str, None, complex or huge int fails the arithmetic or checks that follow
+    # it; an array field's outputs are checked in _field_at, so its own errors pass unchanged.
+    except (TypeError, OverflowError) if rhs else () as err:
+        t = times[len(derivatives) // ivp.dim]  # the record whose substeps met it
+        raise ContractViolation(f"vector field returned no real numbers by t={t:g}") from err
     flat = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
 
-    times = np.arange(n_out + 1) * h_out
     means, covs = flat.reshape(n_out + 1, ivp.dim, 2), np.zeros((n_out + 1, 2, 2))
     projections = ProjectionPair([1.0, 0.0], [0.0, 1.0])
     return Trajectory((PhaseSegment(REFERENCE_PHASE, projections, times, means, covs),))

@@ -234,14 +234,17 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
 
 
 def _checked(values: list, size: int, t: float) -> list:
-    """values, once they are size field components and all finite."""
-    if len(values) != size:
-        raise ContractViolation(
-            f"vector field returned {len(values)} components for a {size}-dimensional state"
-        )
-    # a float sum is finite only if every term is; one that overflows gets the exact check
-    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
-        raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
+    """values, once they are size field components and all finite real numbers."""
+    try:
+        if len(values) != size:
+            raise ContractViolation(
+                f"vector field returned {len(values)} components for a {size}-dimensional state"
+            )
+        # a float sum is finite only if every term is; one that overflows gets the exact check
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+            raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
+    except (TypeError, OverflowError):  # no sequence, or a str, None, complex or huge int in it
+        raise ContractViolation(f"vector field returned no real numbers at t={t:g}") from None
     return values
 
 
@@ -357,7 +360,7 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
             np.subtract(z, W[:, D], out=W[:, D])
             M = np.matmul(W[:, :-1], E, out=means[k])
             continue
-        M = (A @ M[..., None])[..., 0]  # the mean half of _predict
+        M = (A @ M[..., None])[..., 0]  # predict: A m per coordinate
         z = _field_at(field, _dot(M, H0), t)
         if K is None:
             _passthrough(M, H, z, S, step=k, t=t)

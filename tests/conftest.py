@@ -7,14 +7,14 @@ path with the filtering implementation they judge. The ``numpy_*`` and
 the RK4 reference, the benchmark fields and the CSV/SVG text, which the
 faster package code must reproduce bit for bit; ``line_loop_parse_csv`` is a
 frozen copy of the CSV parser that converts and checks one line at a time,
-whose arrays and errors the one-pass parser must reproduce; ``two_loop_affine_scan`` is a
-frozen copy of the covariance scan written as a doubling loop and a block
-loop, which with one block as long as the stack is the plain doubling the
+whose arrays and errors the one-pass parser must reproduce; ``doubling_affine_scan`` is a
+frozen copy of the covariance scan written as a plain doubling loop, which the
 scan must reproduce bit for bit, and
 ``loop_ibm_transition`` a frozen copy of the IBM transition written as two
 double loops, which the closed form must reproduce bit for bit.
 ``joseph_update`` is no oracle: it strings the update kernels together, so
 that a test can condition one mean and covariance on one measurement.
+``CountingField`` wraps a vector field and counts its calls.
 """
 
 import math
@@ -47,6 +47,20 @@ def assert_trajectory_hygiene(traj: Trajectory) -> int:
             assert_covariance_hygiene(cov)
         checked += len(seg.covs)
     return checked
+
+
+class CountingField:
+    """A vector field that counts its calls and keeps the largest t it was called at."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+        self.max_t = -math.inf
+
+    def __call__(self, x, t):
+        self.calls += 1
+        self.max_t = max(self.max_t, t)
+        return self.field(x, t)
 
 
 def joseph_update(m, P, h, R, z):
@@ -286,19 +300,16 @@ def loop_ibm_transition(h: float, q: int, sigma2: float):
     return A, Q
 
 
-def two_loop_affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray, block: int = 256):
-    """Fill covs[1:] with ``P[j+1] = F P[j] F^T + G``: doubling up to ``block``, then blocks."""
+def doubling_affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray):
+    """Fill covs[1:] with ``P[j+1] = F P[j] F^T + G`` by doubling the map's span."""
 
     def sym(m):
         return 0.5 * (m + m.swapaxes(-1, -2))
 
     n = len(covs)
     L, FL, CL = 1, F, G
-    while L < min(n, block):
+    while L < n:
         covs[L : 2 * L] = sym(FL @ covs[: min(L, n - L)] @ FL.T + CL)
         CL = sym(FL @ CL @ FL.T + CL)
         FL = FL @ FL
         L *= 2
-    for j in range(L, n, L):
-        m = min(L, n - j)
-        covs[j : j + m] = sym(FL @ covs[j - L : j - L + m] @ FL.T + CL)

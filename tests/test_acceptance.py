@@ -21,7 +21,6 @@ from odefilter import (
     TrainNoise,
     TrainPolicy,
     bessel_i,
-    fourier_init,
     fourier_transition,
     fourier_weights,
     hybrid_solve,
@@ -32,9 +31,11 @@ from odefilter import (
 from odefilter import problems
 from odefilter.cli import trajectory_csv
 from odefilter.filtering import _cov_map
+from odefilter.fourier import _fourier_prior
 from odefilter.hybrid import _train
 
 from conftest import (
+    CountingField,
     assert_covariance_hygiene,
     assert_trajectory_hygiene,
     batch_gaussian_posterior,
@@ -59,18 +60,6 @@ def _report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
-class CountingField:
-    def __init__(self, field):
-        self.field = field
-        self.calls = 0
-        self.max_t = -math.inf
-
-    def __call__(self, x, t):
-        self.calls += 1
-        self.max_t = max(self.max_t, t)
-        return self.field(x, t)
-
-
 @pytest.fixture(scope="module")
 def linear_solves():
     ivp = problems.by_name("linear", T=2.0)
@@ -87,15 +76,15 @@ def batch_filter_run():
     zs = rng.normal(size=n)
 
     trans = fourier_transition(h, params)
-    prior = fourier_init(params)
-    beliefs = [(prior.mean, prior.cov)]  # (mean, covariance) after each step
+    prior = _fourier_prior(params)
+    beliefs = [prior]  # (mean, covariance) after each step
     for k in range(n):
         m, P = beliefs[-1]
         predicted = trans.A @ m, _cov_map(P, trans.A, trans.Q)
         beliefs.append(joseph_update(*predicted, rows[k], R, zs[k]))
 
     batch_rows = [rows[k] @ rotation_matrix(params.J, params.w0, (k + 1) * h) for k in range(n)]
-    m0, P0 = batch_gaussian_posterior(prior.mean, prior.cov, batch_rows, zs, [R] * n)
+    m0, P0 = batch_gaussian_posterior(*prior, batch_rows, zs, [R] * n)
     A_end = rotation_matrix(params.J, params.w0, n * h)
     return {
         "beliefs": beliefs,
@@ -107,8 +96,7 @@ def batch_filter_run():
 @pytest.fixture(scope="module")
 def cosine_training():
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 125)
-    prior = fourier_init(FOURIER_51)
-    M, P = _train(prior.mean, prior.cov, traj, FOURIER_51, TrainPolicy(), TrainNoise())
+    M, P = _train(*_fourier_prior(FOURIER_51), traj, FOURIER_51, TrainPolicy(), TrainNoise())
     return {"traj": traj, "trained": (M[0], P)}
 
 

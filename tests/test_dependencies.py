@@ -67,6 +67,7 @@ PER_BELIEF_WRAPPERS = {
     "predict",
     "update",
     "taylor_init",
+    "fourier_init",
     "train_fourier",
     "predict_forward",
 }
@@ -86,13 +87,13 @@ def test_the_solve_paths_name_no_per_belief_wrapper():
     for module in ("solver.py", "cli.py"):
         tree = ast.parse((PACKAGE / module).read_text())
         assert not set(names_in(tree)) & PER_BELIEF_WRAPPERS, module
-    tree = ast.parse((PACKAGE / "hybrid.py").read_text())
-    (hybrid_solve,) = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "hybrid_solve"
-    ]
-    assert not set(names_in(hybrid_solve)) & {"train_fourier", "predict_forward"}
+    # nor do the hybrid solve and the Fourier state-space model in their modules
+    for module, name in (("hybrid.py", "hybrid_solve"), ("fourier.py", "fourier_state_space")):
+        tree = ast.parse((PACKAGE / module).read_text())
+        (function,) = [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert not set(names_in(function)) & PER_BELIEF_WRAPPERS, name
     # the rule sees a name by import, by attribute and by reference
     use = "from .filtering import update as u\nfiltering.predict(b)\nGaussianBelief(m, P)"
     assert set(names_in(ast.parse(use))) >= {"update", "predict", "GaussianBelief"}
@@ -247,7 +248,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1125
+CODE_LINE_BUDGET = 1129
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 
@@ -274,5 +275,6 @@ def code_lines(source):
 
 def test_the_package_stays_within_its_code_line_budget():
     assert code_lines('"""doc"""\n# note\n\nx = 1  # set\ny = """a\nb"""\n') == 3
-    count = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
-    assert count <= CODE_LINE_BUDGET
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum(counts.values())
+    assert total <= CODE_LINE_BUDGET, f"{total} code lines, budget {CODE_LINE_BUDGET}: {counts}"

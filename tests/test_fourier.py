@@ -12,14 +12,13 @@ from odefilter import (
     ContractViolation,
     FourierParams,
     bessel_i,
-    fourier_init,
     fourier_projections,
     fourier_transition,
     fourier_weights,
 )
 
 from odefilter.filtering import _cov_map
-from odefilter.fourier import _rotated_row, _rotation
+from odefilter.fourier import _fourier_prior, _rotated_row, _rotation
 
 from conftest import batch_gaussian_posterior, joseph_update, random_spd, rotation_matrix
 
@@ -143,21 +142,21 @@ def test_projections_match_series_layout():
 
 def test_init_prior():
     params = FourierParams(1, 1.0, 3.0, 1.0)
-    belief = fourier_init(params)
+    mean, cov = _fourier_prior(params)
     w = fourier_weights(params)
-    assert np.array_equal(belief.mean, np.zeros(4))
-    assert np.array_equal(belief.cov, np.diag([w[0], w[0], w[1], w[1]]))
-    assert belief.cov[2, 2] == pytest.approx(Q1SQ_L3, rel=1e-12)
+    assert np.array_equal(mean, np.zeros(4))
+    assert np.array_equal(cov, np.diag([w[0], w[0], w[1], w[1]]))
+    assert cov[2, 2] == pytest.approx(Q1SQ_L3, rel=1e-12)
 
-    belief0 = fourier_init(FourierParams(0, 1.0, 3.0, 1.0))
-    assert np.array_equal(belief0.cov, w[0] * np.eye(2))
+    _, cov0 = _fourier_prior(FourierParams(0, 1.0, 3.0, 1.0))
+    assert np.array_equal(cov0, w[0] * np.eye(2))
 
 
 def test_prior_value_variance_is_weight_sum():
     params = FourierParams(3, 1.0, 3.0, 1.0)
-    belief = fourier_init(params)
+    _, cov = _fourier_prior(params)
     H0 = fourier_projections(params).H0
-    assert float(H0 @ belief.cov @ H0) == pytest.approx(
+    assert float(H0 @ cov @ H0) == pytest.approx(
         float(np.sum(fourier_weights(params))), rel=1e-15
     )
 
@@ -186,7 +185,7 @@ def test_rotation_orthogonality(h, J, w0):
 
 def test_predict_preserves_isotropic_value_variance():
     params = FourierParams(3, 1.3, 2.0, 1.0)
-    cov = fourier_init(params).cov
+    _, cov = _fourier_prior(params)
     H0 = fourier_projections(params).H0
     before = float(H0 @ cov @ H0)
     for h in (0.1, 0.7, 2.3):
@@ -244,19 +243,19 @@ def test_filtering_equals_batch_regression():
     n = 50
     R = 0.4
 
-    prior = fourier_init(params)
+    prior = _fourier_prior(params)
     trans = fourier_transition(h, params)
     rows = rng.normal(size=(n, D))
     zs = rng.normal(size=n)
 
-    mean, cov = prior.mean, prior.cov
+    mean, cov = prior
     for k in range(n):
         mean, cov = trans.A @ mean, _cov_map(cov, trans.A, trans.Q)
         mean, cov = joseph_update(mean, cov, rows[k], R, zs[k])
 
     t_end = n * h
     batch_rows = [rows[k] @ rotation_matrix(params.J, params.w0, (k + 1) * h) for k in range(n)]
-    m0, P0 = batch_gaussian_posterior(prior.mean, prior.cov, batch_rows, zs, [R] * n)
+    m0, P0 = batch_gaussian_posterior(*prior, batch_rows, zs, [R] * n)
     A_end = rotation_matrix(params.J, params.w0, t_end)
     ref_mean = A_end @ m0
     ref_cov = A_end @ P0 @ A_end.T

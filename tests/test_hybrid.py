@@ -16,7 +16,6 @@ from odefilter import (
     TrainPolicy,
     cosine,
     fhn,
-    fourier_init,
     fourier_projections,
     hybrid_solve,
     solve,
@@ -25,10 +24,11 @@ from odefilter import (
 )
 
 from odefilter import hybrid
-from odefilter.fourier import _rotation
+from odefilter.fourier import _fourier_prior, _rotation
 from odefilter.hybrid import _extrapolate, _train
 
 from conftest import (
+    CountingField,
     assert_trajectory_hygiene,
     batch_gaussian_posterior,
     random_spd,
@@ -42,29 +42,11 @@ PARAMS_51 = dict(
 )
 
 
-class CountingField:
-    def __init__(self, field):
-        self.field = field
-        self.calls = 0
-        self.max_t = -math.inf
-
-    def __call__(self, x, t):
-        self.calls += 1
-        self.max_t = max(self.max_t, t)
-        return self.field(x, t)
-
-
-def prior_arrays(params):
-    """The mean and covariance of ``fourier_init``'s prior."""
-    prior = fourier_init(params)
-    return prior.mean, prior.cov
-
-
 def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coordinate=0):
     """Independent oracle: dense batch regression over X(0), rotated to T_p."""
     policy = policy or TrainPolicy()
     noise = noise or TrainNoise()
-    m0, P0 = prior or prior_arrays(params)
+    m0, P0 = prior or _fourier_prior(params)
     (seg,) = traj.segments
     proj_tay = seg.projections
     proj_four = fourier_projections(params)
@@ -103,7 +85,7 @@ def batch_trained_belief(params, traj, policy=None, noise=None, prior=None, coor
 def test_train_on_constant_signal_single_observation():
     params = FourierParams(0, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(lambda t: 2.5, lambda t: 0.0, 0.1, 0)
-    M, P = _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise())
+    M, P = _train(*_fourier_prior(params), traj, params, TrainPolicy(), TrainNoise())
     assert M[0, 0] == pytest.approx(2.5, rel=1e-9)
     assert P[0, 0] <= 2e-10
 
@@ -111,7 +93,7 @@ def test_train_on_constant_signal_single_observation():
 def test_empty_selection_returns_rotated_prior():
     params = FourierParams(2, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 10)
-    m0, P0 = prior_arrays(params)
+    m0, P0 = _fourier_prior(params)
     M, P = _train(m0, P0, traj, params, TrainPolicy("values_stride", stride=50), TrainNoise())
     assert np.array_equal(M[0], np.zeros(params.dim))
     # isotropic blocks are invariant under the rotation
@@ -122,7 +104,7 @@ def test_cosine_training_recovers_fourier_coefficients():
     # exact coefficients of cos(t): a_1 = 1, everything else 0
     params = FourierParams(3, 1.0, 3.0, 1.0)
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 125)
-    M, _ = _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise())
+    M, _ = _train(*_fourier_prior(params), traj, params, TrainPolicy(), TrainNoise())
     coeffs = rotation_matrix(params.J, params.w0, traj.times()[-1]).T @ M[0]
     assert abs(coeffs[2] - 1.0) <= 5e-2
     assert abs(coeffs[3]) <= 5e-2
@@ -131,7 +113,7 @@ def test_cosine_training_recovers_fourier_coefficients():
 
 
 def random_prior(params):
-    # a full, rotation-sensitive prior: unlike fourier_init's isotropic
+    # a full, rotation-sensitive prior: unlike the Fourier prior's isotropic
     # blocks it tells a prior placed at t_0 from one placed at T_p
     rng = np.random.default_rng(7)
     return rng.normal(size=params.dim), random_spd(rng, params.dim)
@@ -149,7 +131,7 @@ TRAIN_OPTIONS = [
     "policy,noise,make_prior",
     [
         pytest.param(policy, noise, make_prior, id=f"policy{i}-noise{i}{suffix}")
-        for make_prior, suffix in ((prior_arrays, ""), (random_prior, "-random_prior"))
+        for make_prior, suffix in ((_fourier_prior, ""), (random_prior, "-random_prior"))
         for i, (policy, noise) in enumerate(TRAIN_OPTIONS)
     ],
 )
@@ -177,7 +159,7 @@ def test_training_exact_on_benchmark_runs(problem):
     config = HybridConfig(T_p=37.5, h=0.01, R=0.0, **PARAMS_51)
     ivp = problem()
     taylor = solve(taylor_state_space(config.taylor), ivp, config.h, config.R, t_end=config.T_p)
-    prior = prior_arrays(config.fourier)
+    prior = _fourier_prior(config.fourier)
     M, P = _train(*prior, taylor, config.fourier, TrainPolicy(), TrainNoise())
     H0 = fourier_projections(config.fourier).H0
     for i in range(ivp.dim):
@@ -206,7 +188,7 @@ def test_training_is_the_rotation_matrix_regression_bit_for_bit(monkeypatch, J, 
         train_policy=policy, train_noise=TrainNoise(noise),
     )
     taylor = solve(taylor_state_space(config.taylor), vdp(), config.h, R, t_end=config.T_p)
-    args = (*prior_arrays(config.fourier), taylor, config.fourier, policy, config.train_noise)
+    args = (*_fourier_prior(config.fourier), taylor, config.fourier, policy, config.train_noise)
     M, P = _train(*args)
     reference_calls = []
 
@@ -230,7 +212,7 @@ def test_training_rejects_an_angle_beyond_float_range_before_any_trig(policy):
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.5, 90)
     match = r"^Fourier angle j\*w0\*t leaves float range at w0=1e\+307, J=3, t=45$"
     with pytest.raises(ContractViolation, match=match):
-        _train(*prior_arrays(params), traj, params, policy, TrainNoise())
+        _train(*_fourier_prior(params), traj, params, policy, TrainNoise())
 
 
 def test_training_at_j20_stays_within_its_memory_bound():
@@ -239,7 +221,7 @@ def test_training_at_j20_stays_within_its_memory_bound():
     # the rows were read off the (3751, 42, 42) stack of rotation matrices
     params = FourierParams(20, 1.0, 0.5, 1.0)
     taylor = solve(taylor_state_space(TaylorParams(1, 1.0)), vdp(), 0.01, 0.0, t_end=37.5)
-    prior = prior_arrays(params)
+    prior = _fourier_prior(params)
     tracemalloc.start()
     try:
         _train(*prior, taylor, params, TrainPolicy(), TrainNoise())
@@ -275,15 +257,15 @@ def test_taylor_variance_rejects_a_zero_variance_row():
     traj = synthetic_taylor_trajectory(math.cos, lambda t: -math.sin(t), 0.1, 20, var=1e-6)
     traj.segments[0].covs[7] = 0.0
     with pytest.raises(ContractViolation, match=r"t=0\.7"):
-        _train(*prior_arrays(params), traj, params, TrainPolicy(), TrainNoise("taylor_variance"))
+        _train(*_fourier_prior(params), traj, params, TrainPolicy(), TrainNoise("taylor_variance"))
     # a row the policy does not select is never whitened
     policy = TrainPolicy("values_stride", stride=2)
-    _train(*prior_arrays(params), traj, params, policy, TrainNoise("taylor_variance"))
+    _train(*_fourier_prior(params), traj, params, policy, TrainNoise("taylor_variance"))
 
 
 def test_predict_forward_zero_mean_stays_zero():
     params = FourierParams(2, 1.0, 3.0, 1.0)
-    m0, P0 = prior_arrays(params)
+    m0, P0 = _fourier_prior(params)
     segment = _extrapolate(m0[None], P0, params, 0.1, 1.0, 2.0)
     assert len(segment.t) == 10
     for means in segment.means:
@@ -303,7 +285,7 @@ def test_predict_forward_emits_cosine():
 
 def test_predict_forward_grid():
     params = FourierParams(1, 1.0, 3.0, 1.0)
-    m0, P0 = prior_arrays(params)
+    m0, P0 = _fourier_prior(params)
     segment = _extrapolate(m0[None], P0, params, 0.25, 1.0, 3.5)
     assert len(segment.t) == 10
     assert segment.t[0] == pytest.approx(1.25)

@@ -1,12 +1,14 @@
 """The per-belief API: ``GaussianBelief``, ``MeasurementModel``, ``predict``,
-``update``, ``taylor_init``, ``train_fourier`` and ``predict_forward``.
+``update``, ``taylor_init``, ``fourier_init``, ``train_fourier`` and
+``predict_forward``.
 
-These seven wrappers run one belief through the array kernels that ``solve``,
+These eight wrappers run one belief through the array kernels that ``solve``,
 ``hybrid_solve`` and the CLI call directly; ``benchmark/tracing.py`` replays a
 solve through them. This is the one test module that names them. Its tests
-check the wrappers' own argument rules, and that the wrappers agree with the
-kernels and with ``hybrid_solve``, bit for bit where the replay needs it.
-Every other module tests the maths on the kernels themselves.
+check the wrappers' own argument rules, that the wrappers agree with the
+kernels and with ``hybrid_solve``, bit for bit where the replay needs it,
+and that no solve path builds a belief. Every other module tests the maths
+on the kernels themselves.
 """
 
 import math
@@ -29,6 +31,7 @@ from odefilter import (
     TransitionModel,
     Trajectory,
     cosine,
+    fhn,
     fourier_init,
     fourier_projections,
     fourier_state_space,
@@ -37,6 +40,7 @@ from odefilter import (
     linear,
     predict,
     predict_forward,
+    rk4_reference,
     solve,
     taylor_init,
     taylor_state_space,
@@ -44,7 +48,9 @@ from odefilter import (
     update,
     vdp,
 )
+from odefilter.cli import main
 from odefilter.filtering import _gain_update, _joseph
+from odefilter.fourier import _fourier_prior
 
 from conftest import random_spd, synthetic_taylor_trajectory
 from test_hybrid import PARAMS_51, TRAIN_OPTIONS
@@ -198,6 +204,14 @@ def test_taylor_init_is_one_row_of_the_batched_init(q):
         belief = taylor_init(ivp.x0[i], dx0[i], q)
         assert np.array_equal(belief.mean, M[i])
         assert np.array_equal(belief.cov, P)
+
+
+@pytest.mark.parametrize("J", [0, 3, 5])
+def test_fourier_init_is_the_array_prior_as_a_belief(J):
+    params = FourierParams(J, 1.0, 3.0, 1.0)
+    belief, (m0, P0) = fourier_init(params), _fourier_prior(params)
+    assert np.array_equal(belief.mean, m0) and belief.mean.dtype == m0.dtype
+    assert np.array_equal(belief.cov, P0) and belief.cov.dtype == P0.dtype
 
 
 @pytest.mark.parametrize("J", [0, 3, 5])
@@ -396,3 +410,24 @@ def test_hybrid_values_equal_the_public_pieces_bitwise(policy, noise):
     )
     assert np.array_equal(traj.value_means(), np.vstack((taylor.value_means(), late_means)))
     assert np.array_equal(traj.value_stds(), np.vstack((taylor.value_stds(), late_stds)))
+
+
+def test_no_solve_path_builds_a_belief(monkeypatch, tmp_path):
+    # solve, hybrid_solve, the oracle and the CLI run on the array kernels alone
+    def refuse(belief):
+        raise AssertionError("a solve path built a GaussianBelief")
+
+    monkeypatch.setattr(GaussianBelief, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built a GaussianBelief"):
+        fourier_init(FOURIER)
+    config = HybridConfig(T_p=3.0, h=0.01, **PARAMS_51)
+    for ivp in (vdp(), fhn()):
+        hybrid_solve(config, replace(ivp, T=4.0))
+    solve(taylor_state_space(TaylorParams(2, 1.0)), replace(vdp(), T=1.0), 0.01, 0.0)
+    solve(fourier_state_space(FOURIER), cosine(T=1.0), 0.01, 1e-6)
+    rk4_reference(replace(fhn(), T=1.0), 0.001)
+    monkeypatch.chdir(tmp_path)
+    solve_argv = ["solve", "--problem", "vdp", "--method", "hybrid", "--reference", "--T", "2"]
+    assert main(solve_argv + ["-o", "vdp.csv"]) == 0
+    assert main(["plot", "vdp.csv", "-o", "vdp.svg"]) == 0
+    assert main(["converge", "--problem", "linear", "--h", "0.1", "0.05", "0.025"]) == 0

@@ -43,13 +43,12 @@ from odefilter.filtering import (
     _gain_update,
     _joseph,
     _passthrough,
-    _predict,
 )
 from odefilter.problems import _array_field
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
-from conftest import extended_precision_ibm_filter, float_cube, random_spd, two_loop_affine_scan
+from conftest import doubling_affine_scan, extended_precision_ibm_filter, float_cube, random_spd
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -450,7 +449,7 @@ def full_recursion(ssm, ivp, h, R):
     M, P = ssm.init(ivp)
     means, covs = [M], [P]
     for k in range(1, round(ivp.T / h) + 1):
-        M, P = _predict(M, P, trans.A, trans.Q)
+        M, P = (trans.A @ M[..., None])[..., 0], _cov_map(P, trans.A, trans.Q)
         z = solver._field_at(ivp.field, _dot(M, proj.H0), k * h)
         P, K, S = _joseph(P, proj.H, R)
         if K is None:
@@ -642,7 +641,7 @@ def test_affine_scan_equals_the_two_loop_scan_at_every_doubling_edge(q, R):
         got[0] = P0
         expected = got.copy()
         solver._affine_scan(got, F, G)
-        two_loop_affine_scan(expected, F, G, block=n)
+        doubling_affine_scan(expected, F, G)
         assert np.array_equal(got, expected), n
     # and the scan is the map applied step by step, up to summation order
     P = P0
@@ -973,6 +972,57 @@ def test_rk4_reference_holds_an_array_field_to_real_numbers(form, d):
     # the first stage past t = 0.5 is the midpoint stage of the step from t = 0.5
     with pytest.raises(ContractViolation, match="no real numbers at t=0.505: "):
         rk4_reference(late_output(form, d), 0.01)
+
+
+# Float forms that return no real numbers: a string, a complex number, an int
+# beyond float64's range and None in every component or the first, or None alone.
+NOT_REAL_FLOATS = {
+    "string": lambda d: ["a"] * d,
+    "complex": lambda d: [1j] * d,
+    "huge int": lambda d: [10**400] + [0.0] * (d - 1),
+    "None": lambda d: [None] * d,
+    "None alone": lambda d: None,
+}
+
+
+def late_float_form(form, d):
+    """``late_output`` of a registered-style field, whose float form ``rhs``
+    returns the output form from t = 0.5 on."""
+
+    def rhs(t, *x):
+        return NOT_REAL_FLOATS[form](d) if t > 0.5 else [-v for v in x]
+
+    return IVProblem(_array_field(rhs, d), np.linspace(1.0, 2.0, d), 1.0, form)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("form", list(NOT_REAL_FLOATS))
+def test_a_float_form_of_no_real_numbers_is_a_contract_violation(monkeypatch, form, d):
+    # the pair kernel calls the float form, the array kernel the array field;
+    # RK4 runs _rk4_pairs at d = 2 and _rk4_lists at d = 3
+    ivp = late_float_form(form, d)
+    runs = [(TAYLOR_Q1, kernel) for kernel in kernels_for(ivp)]
+    runs.append((taylor_state_space(TaylorParams(2, 1.0)), "array"))
+    for ssm, kernel in runs:
+        outcome = kernel_outcome(monkeypatch, kernel, ssm, ivp, 0.01, 0.0)
+        assert outcome[0] is ContractViolation and outcome[1].startswith(NOT_REAL), kernel
+    # RK4's first stage past t = 0.5, at t = 0.505, is a substep of the record
+    # at t = 0.51, or at t = 0.55 when it records every fifth substep
+    for h_out, record in ((0.01, "0.51"), (0.05, "0.55")):
+        with pytest.raises(ContractViolation, match=f"no real numbers by t={record}$"):
+            rk4_reference(ivp, 0.01, h_out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rk4_reference_passes_an_array_fields_own_error_unchanged(d):
+    # _field_at checks an array field's outputs, so its TypeError is its own
+    def field(x, t):
+        if t > 0.5:
+            raise TypeError("the field's own error")
+        return -x
+
+    with pytest.raises(TypeError, match="the field's own error"):
+        rk4_reference(IVProblem(field, np.linspace(1.0, 2.0, d), 1.0, "own error"), 0.01)
 
 
 def test_the_pair_kernel_calls_the_float_form_once_per_step():
