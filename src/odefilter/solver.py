@@ -35,13 +35,17 @@ to a registered problem's float form ``field.rhs(t, x1, x2)``, which
 any other field; ``_field_at`` checks every output.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
-one field call. The array kernel runs it, for states of three or more
-slots, as one product ``W = M B`` per step, whose columns hold the predicted
-means ``A m``, ``H A m`` and the field input ``H0 A m``; the innovation
-overwrites ``H A m`` in place, and one more product writes the update, in
-innovation form, straight into the step's row of the output. Up to the
-freeze, and for two-slot states throughout, it runs the step form, so those
-means are the full recursion's bit for bit.
+one field call. The array kernel keeps its means slot-major, in one buffer
+of shape (n+1, D, d) whose block S at a step holds one coordinate's state
+per column, and returns them as its transposed view (n+1, d, D), not a
+copy. For states of three or more slots it runs each step past the freeze
+as one product ``W = B S``, whose rows hold the predicted means ``A m``,
+``H A m`` and, as a contiguous row, the field input ``H0 A m``; the
+innovation overwrites ``H A m`` in place, and one more product writes the
+update, in innovation form, straight into the step's block of the buffer.
+Up to the freeze, and for two-slot states throughout, it runs the step form
+through the transposed view, so those means are the full recursion's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -76,6 +80,17 @@ FLOAT64 = np.dtype(float)
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 
 
+def _reals(a) -> np.ndarray | None:
+    """a as a flat float64 array if numpy reads it as bool, int or float
+    values, else None: a float conversion would read the string "0.5" as a
+    number, and a ragged sequence, None or a complex number are no reals."""
+    try:
+        real = np.asarray(a)
+    except ValueError:  # a ragged sequence
+        return None
+    return real.astype(float, copy=False).reshape(-1) if real.dtype.kind in "biuf" else None
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Pluggable prior: transition builder, projections and initial belief.
@@ -106,11 +121,10 @@ class IVProblem:
     name: str
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0)
-        # bool, int or float: a float conversion would read the string "0.5" as a number
-        if x0.dtype.kind not in "biuf":
+        x0 = _reals(self.x0)
+        if x0 is None:
             raise ContractViolation(f"initial value x0 must hold real numbers, got {self.x0!r}")
-        object.__setattr__(self, "x0", np.asarray(x0, dtype=float).reshape(-1))
+        object.__setattr__(self, "x0", x0)
         if not (self.x0.size and np.isfinite(self.x0).all()):
             raise ContractViolation(f"initial value x0 must be non-empty and finite, got {self.x0}")
         dim = getattr(self.field, "dim", None)
@@ -220,13 +234,9 @@ def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
         return None if rhs is None else lambda x, t: _checked(rhs(t, *x), len(x), t)
     z = field(m, t)
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
-        try:
-            real = np.asarray(z)
-        except ValueError:  # a ragged sequence
-            real = np.asarray(None)
-        if real.dtype.kind not in "biuf":
+        if (real := _reals(z)) is None:
             raise ContractViolation(f"vector field returned no real numbers at t={t:g}: {z!r:.60}")
-        z = real.astype(float, copy=False).reshape(-1)
+        z = real
     values = z.tolist()
     if z.size != m.size or not math.isfinite(sum(values)):
         _checked(values, m.size, t)  # raises unless only the sum overflowed
@@ -240,8 +250,9 @@ def _checked(values: list, size: int, t: float) -> list:
             raise ContractViolation(
                 f"vector field returned {len(values)} components for a {size}-dimensional state"
             )
-        # a float sum is finite only if every term is; one that overflows gets the exact check
-        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        # a float sum from 0.0 is finite only if every term converts to a float and is finite,
+        # huge ints that cancel included; one that overflows gets the exact check
+        if not (math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))):
             raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     except (TypeError, OverflowError):  # no sequence, or a str, None, complex or huge int in it
         raise ContractViolation(f"vector field returned no real numbers at t={t:g}") from None
@@ -328,37 +339,41 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
     ``m <- m + (z - H m) K`` with the k-th ``(K, S)`` of steps, one per step;
     a None K is a passthrough, which hands its S to ``_passthrough``.
 
-    Past the freeze, where a step's ``(K, S)`` is the previous step's object,
-    a state of three or more slots takes the step as one product ``W = M B``
-    with ``B = [A^T | (H A)^T | (H0 A)^T]``: its columns are the predicted
-    means ``A m``, ``H A m`` and, last, the field input ``x = H0 A m``. The
-    innovation ``z - H A m`` is written over column D in place, and
-    ``W[:, :D+1] E`` with ``E = [I_D; K]``, built once from the frozen gain,
-    writes the update ``A m + (z - H A m) K`` straight into the step's row
-    of the means. The update stays in innovation form: the
+    The means live in one slot-major buffer ``slots`` (n+1, D, d), whose
+    column j at step k is coordinate j's state; the returned means are its
+    transposed view, not a copy. Past the freeze, where a step's ``(K, S)``
+    is the previous step's object, a state of three or more slots takes the
+    step as one product ``W = B S`` of the previous step's block S with
+    ``B = [A; H A; H0 A]`` ((D+2, D)): its rows are the predicted means
+    ``A m``, ``H A m`` and, last, the field input ``x = H0 A m``, a
+    contiguous row. The innovation ``z - H A m`` is written over row D in
+    place, and ``E W[:D+1]`` with ``E = [I_D | K]``, built once from the
+    frozen gain, writes the update ``A m + (z - H A m) K`` straight into the
+    step's block of ``slots``. The update stays in innovation form: the
     composed map ``(I - K H) A m + K z`` adds two large terms whose sum
     carries the small innovation, and loses too many of its bits on the top
-    derivatives. Column x stays out of that product, since the field may
+    derivatives. Row x stays out of that product, since the field may
     overwrite its input. These means sum in another order than the step
     form's, so they differ from it by rounding alone. Steps up to the freeze,
-    and every step of a two-slot state, keep the step form, so those means
-    are the full recursion's bit for bit, and on two coordinates
-    ``_pair_mean_loop``'s. Each step's field input is a fresh array or a
-    column of one that no later step writes, so the field may keep or
-    overwrite it.
+    and every step of a two-slot state, keep the step form, written through
+    the transposed view, so those means are the full recursion's bit for
+    bit, and on two coordinates ``_pair_mean_loop``'s. Each step's field
+    input is a fresh array or a row of one that no later step writes, so the
+    field may keep or overwrite it.
     """
     D, (K, _) = len(A), steps[-1]  # the frozen (K, S), if the gain froze
     if D > 2 and K is not None:
-        B, E = np.column_stack([A.T, H @ A, H0 @ A]), np.vstack([np.eye(D), K])
-    means = np.empty((len(steps) + 1,) + M.shape)
+        B, E = np.vstack([A, H @ A, H0 @ A]), np.column_stack([np.eye(D), K])
+    slots = np.empty((len(steps) + 1, D, len(M)))
+    means = slots.transpose(0, 2, 1)
     means[0], last = M, None
     for k, step in enumerate(steps, 1):
         t, (K, S) = k * h, step
         if step is last and D > 2:  # past the freeze: one product per step
-            W = M @ B
-            z = _field_at(field, W[:, -1], t)
-            np.subtract(z, W[:, D], out=W[:, D])
-            M = np.matmul(W[:, :-1], E, out=means[k])
+            W = B @ slots[k - 1]
+            z = _field_at(field, W[-1], t)
+            np.subtract(z, W[D], out=W[D])
+            np.matmul(E, W[:-1], out=slots[k])
             continue
         M = (A @ M[..., None])[..., 0]  # predict: A m per coordinate
         z = _field_at(field, _dot(M, H0), t)

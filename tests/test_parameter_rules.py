@@ -163,5 +163,7 @@ def test_an_initial_value_must_hold_numbers_bools_included():
         IVProblem(field, ["1", "2"], 1.0, "p")
     with pytest.raises(ContractViolation, match="real numbers"):
         IVProblem(field, np.array([1.0 + 0j]), 1.0, "p")
+    with pytest.raises(ContractViolation, match="real numbers"):  # ragged
+        IVProblem(field, [[1.0], []], 1.0, "p")
     assert np.array_equal(IVProblem(field, [True, 2], 1.0, "p").x0, [1.0, 2.0])
     assert IVProblem(field, np.arange(2, dtype=np.uint8), 1.0, "p").x0.dtype == float

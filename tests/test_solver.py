@@ -19,6 +19,7 @@ from odefilter import (
     SingularUpdateError,
     TaylorParams,
     TrainNoise,
+    TrainPolicy,
     constant,
     cosine,
     fhn,
@@ -35,6 +36,7 @@ from odefilter import (
     vdp,
 )
 from odefilter import solver
+from odefilter.cli import trajectory_csv
 from odefilter.filtering import (
     TransitionModel,
     _cov_map,
@@ -44,6 +46,8 @@ from odefilter.filtering import (
     _joseph,
     _passthrough,
 )
+from odefilter.fourier import _fourier_prior
+from odefilter.hybrid import _train
 from odefilter.problems import _array_field
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
@@ -975,11 +979,13 @@ def test_rk4_reference_holds_an_array_field_to_real_numbers(form, d):
 
 
 # Float forms that return no real numbers: a string, a complex number, an int
-# beyond float64's range and None in every component or the first, or None alone.
+# beyond float64's range (alone, or two that cancel in an exact sum) and None
+# in every component or the first, or None alone.
 NOT_REAL_FLOATS = {
     "string": lambda d: ["a"] * d,
     "complex": lambda d: [1j] * d,
     "huge int": lambda d: [10**400] + [0.0] * (d - 1),
+    "cancelling huge ints": lambda d: [10**400, -10**400] + [0.0] * (d - 2),
     "None": lambda d: [None] * d,
     "None alone": lambda d: None,
 }
@@ -1132,6 +1138,51 @@ def test_the_array_mean_loop_holds_no_per_step_array_beyond_the_means():
         tracemalloc.stop()
     assert seg.means.shape == (n + 1, d, 3)
     assert peak - (seg.means.nbytes + seg.covs.nbytes + seg.t.nbytes) < n * d * 8 / 2
+
+
+# Past the freeze the array kernel writes a slot-major buffer and returns its
+# transposed view: the benchmark's shape and a small one, at two orders.
+LAYOUT_PROBLEMS = {
+    "chain32": coupled_chain(32, T=1.0),
+    "linear5": linear(x0=np.linspace(1.0, 2.0, 5), T=1.0),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("problem", list(LAYOUT_PROBLEMS))
+def test_the_means_view_and_its_contiguous_copy_give_the_same_outputs(problem, q):
+    # H0 and H are unit rows of the Taylor prior, so every dot sums exactly
+    ssm = taylor_state_space(TaylorParams(q, 1.0))
+    (seg,) = solve(ssm, LAYOUT_PROBLEMS[problem], 0.01, 0.0).segments
+    dense = replace(seg, means=np.ascontiguousarray(seg.means))
+    assert not seg.means.flags.c_contiguous and dense.means.flags.c_contiguous
+    view, copy = Trajectory((seg,)), Trajectory((dense,))
+    assert view.value_means().tobytes() == copy.value_means().tobytes()
+    assert view.value_stds().tobytes() == copy.value_stds().tobytes()
+    assert trajectory_csv(view) == trajectory_csv(copy)
+    params = FourierParams(3, 1.0, 3.0, 1.0)
+    for policy in (TrainPolicy(), TrainPolicy("values_and_derivatives")):
+        (M, P), (M_copy, P_copy) = (
+            _train(*_fourier_prior(params), traj, params, policy, TrainNoise())
+            for traj in (view, copy)
+        )
+        assert M.tobytes() == M_copy.tobytes() and P.tobytes() == P_copy.tobytes(), policy.kind
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("problem", list(LAYOUT_PROBLEMS))
+def test_every_past_freeze_field_input_is_a_contiguous_vector(problem, q):
+    ssm, ivp, n = taylor_state_space(TaylorParams(q, 1.0)), LAYOUT_PROBLEMS[problem], 100
+    inputs = []
+
+    def spy(x, t):
+        inputs.append((x.dtype, x.shape, x.flags.c_contiguous))
+        return ivp.field(x, t)
+
+    solve(ssm, replace(ivp, field=spy), 1.0 / n, 0.0)
+    settled = settled_step(ssm, 1.0 / n, 0.0, n)
+    assert len(inputs) == n + 1 and settled < n  # the init's call at t = 0, then one per step
+    assert set(inputs[settled + 1 :]) == {(np.dtype(float), (ivp.dim,), True)}
 
 
 def _per_covariance_stds(seg):
