@@ -11,8 +11,8 @@ per coordinate; ``_array_field`` turns it into the array ``field`` of its
 ``IVProblem``, which carries the float form as ``field.rhs`` and the number
 of coordinates it takes as ``field.dim`` (None for any). ``solve``'s array
 kernel and the Taylor init call the array field; ``solve``'s pair kernel
-calls ``rhs`` through ``solver._field_at``, checked at every step, and
-``rk4_reference`` calls ``rhs`` directly.
+calls ``rhs`` and checks every output with ``solver._checked``, and
+``rk4_reference`` calls ``rhs`` directly, checking each record's output.
 
 ``rk4_reference`` runs its substeps in one of two kernels, picked from the
 problem's coordinate count: ``_rk4_pairs`` holds a two-coordinate state (both
@@ -27,13 +27,13 @@ import inspect
 import math
 from array import array
 from dataclasses import replace
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
 from .errors import ContractViolation, DivergedSolveError, _finite_positive, _is_finite
 from .filtering import ProjectionPair
-from .solver import IVProblem, PhaseSegment, Trajectory, VectorField, _field_at, _n_steps
+from .solver import IVProblem, PhaseSegment, Trajectory, VectorField, _checked, _field_at, _n_steps
 
 REFERENCE_PHASE = "reference"
 
@@ -148,24 +148,28 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     h_ref), which keeps long high-resolution references affordable. Callers
     judging a filter run at step h should use h_ref <= h/10. Records carry
     [value, derivative] means with zero covariance under the phase tag
-    ``reference``. The field's outputs follow ``solve``'s contract through
-    ``_field_at``: the t = 0 evaluation always, and every stage of an array
-    field, so a wrong component count raises ContractViolation as in
-    ``solve``. A registered problem's float form ``rhs(t, *x)`` runs
-    unchecked past t = 0; an array field is called through a wrapper of the
-    same signature.
+    ``reference``. The field's outputs follow ``solve``'s contract: every
+    record, t = 0 included, makes one derivative call and passes
+    ``solver._checked``, and every stage of an array field passes
+    ``_field_at``, so a wrong component count raises ContractViolation as in
+    ``solve``. A registered problem's float form ``rhs(t, *x)`` runs its
+    stages unchecked; an array field is called through a wrapper of the same
+    signature.
 
     The substeps run in ``_rk4_pairs`` when the problem has d == 2
     coordinates and in ``_rk4_lists`` otherwise, one generator over the
-    whole grid that yields the state at each record time. Both make four
-    field calls per substep, each ``f(t, *x)`` on the state's floats, and the
-    same float operations in the same order, so they give the same means bit
-    for bit. Each record is checked for finiteness here, then it and its
-    derivative (one more field call) go to flat buffers of doubles that
-    become the means. A float form that returns no real numbers (a str,
-    None, a complex number or an int beyond float64's range) fails the
-    arithmetic or the checks that follow it; that TypeError or OverflowError
-    becomes a ContractViolation that names the record whose substeps met it.
+    whole grid that yields the state at each record time after t = 0. Both
+    make four field calls per substep, each ``f(t, *x)`` on the state's
+    floats, and the same float operations in the same order, so they give
+    the same means bit for bit. Each record is checked for finiteness here,
+    then it and its checked derivative go to flat buffers of doubles that
+    become the means. A float form's stage that returns no real numbers (a
+    str, None, a complex number or an int beyond float64's range) fails the
+    arithmetic or the finiteness check that follow it, and one of the wrong
+    component count fails ``_rk4_pairs``' unpack or the next record's
+    derivative check; a stage's TypeError, OverflowError or ValueError
+    becomes a ContractViolation that names the record whose substeps met it,
+    the ValueError with its own message.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -176,22 +180,24 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     # a fresh float64 array and holds every stage to its contract through _field_at.
     rhs = getattr(ivp.field, "rhs", None)
     f = rhs or (lambda t, *x: _field_at(ivp.field, np.array(x), t, floats=True))
-    kernel = _rk4_pairs if ivp.dim == 2 else _rk4_lists
     times = np.arange(n_out + 1) * h_out
-    values = array("d", ivp.x0)
-    derivatives = array("d", _field_at(ivp.field, ivp.x0.copy(), 0.0, floats=True))
-    try:
-        for k, x in enumerate(islice(kernel(f, list(values), substeps, h_ref), n_out), 1):
-            t = k * h_out
+    x0, values, derivatives = list(array("d", ivp.x0)), array("d"), array("d")
+    # the state at t = 0, then after the substeps of each later record
+    records = chain([x0], (_rk4_pairs if ivp.dim == 2 else _rk4_lists)(f, x0, substeps, h_ref))
+    for t in map(float, times):
+        try:
+            x = next(records)
             if not all(map(math.isfinite, x)):
                 raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-            values.extend(x)
-            derivatives.extend(f(t, *x))
-    # A float form's str, None, complex or huge int fails the arithmetic or checks that follow
-    # it; an array field's outputs are checked in _field_at, so its own errors pass unchanged.
-    except (TypeError, OverflowError) if rhs else () as err:
-        t = times[len(derivatives) // ivp.dim]  # the record whose substeps met it
-        raise ContractViolation(f"vector field returned no real numbers by t={t:g}") from err
+        # A float form's stage that returns a str, None, a complex number or a huge int fails
+        # the arithmetic or the finiteness check that follow it, and one of the wrong length
+        # fails _rk4_pairs' unpack; an array field's stages are checked in _field_at, so its
+        # own errors pass unchanged.
+        except (TypeError, OverflowError, ValueError) if rhs else () as err:
+            what = err if isinstance(err, ValueError) else "no real numbers"
+            raise ContractViolation(f"vector field returned {what} by t={t:g}") from err
+        values.extend(x)
+        derivatives.extend(_checked(f(t, *x), ivp.dim, t))
     flat = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
 
     means, covs = flat.reshape(n_out + 1, ivp.dim, 2), np.zeros((n_out + 1, 2, 2))

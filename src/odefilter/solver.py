@@ -20,19 +20,20 @@ twice the covariance stack's bytes. It hands on one ``(K, S)`` per step up
 to the freeze, the gain and innovation variance of ``filtering._joseph`` (K
 is None on a passthrough), and the frozen entry holds for every later step.
 Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
-``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, only
-through ``_field_at``, and sees no covariance: a passthrough's S comes with
-its step.
+``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and
+sees no covariance: a passthrough's S comes with its step. Every field
+output it reads is checked where it is called: an array field's by
+``_field_at``, a float form's by ``_checked``.
 
 The mean recursion has two kernels, which take the same steps. A two-slot
 state (the q=1 Taylor prior, the J=0 Fourier prior) of two coordinates, as
 the paper's oscillators have, runs ``_pair_mean_loop`` on four local
 floats, which skips numpy's per-call cost on 2x2 arrays; every other shape
 runs ``_array_mean_loop`` on numpy arrays. On the package's two-slot priors
-both give the same means bit for bit. The pair kernel hands its two floats
-to a registered problem's float form ``field.rhs(t, x1, x2)``, which
-``_field_at`` looks up once per solve, and a fresh float64 array of them to
-any other field; ``_field_at`` checks every output.
+both give the same means bit for bit. The pair kernel reads a registered
+problem's float form ``field.rhs`` once per solve and hands it its two
+floats, ``_checked(rhs(t, x1, x2), 2, t)`` at every step; any other field
+gets a fresh float64 array of them through ``_field_at``.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel keeps its means slot-major, in one buffer
@@ -215,23 +216,16 @@ class Trajectory:
         return np.concatenate([s.value_stds() for s in self.segments])
 
 
-def _field_at(field: VectorField, m=None, t=None, floats: bool = False):
-    """The field's output at (m, t) as a float64 vector, or with ``floats`` as
-    the list of its floats, once it has as many components as m and all are finite.
+def _field_at(field: VectorField, m: np.ndarray, t: float, floats: bool = False):
+    """The array field's output at (m, t) as a float64 vector, or with ``floats``
+    as the list of its floats, once it has as many components as m and all are finite.
 
-    An array field's output that holds anything but bool, int or float values,
-    the rule of ``IVProblem``'s x0, is a ContractViolation that names t: None,
-    a string, a complex number, an int beyond float64's range or a ragged
-    sequence.
-
-    Without m, the same checked call ``(x, t)`` of the field's float form
-    ``field.rhs(t, *x)`` on a sequence of floats, or None for a field without
-    one; the pair kernel looks it up once per solve and hands any other field a
-    fresh float64 array.
+    An output that holds anything but bool, int or float values, the rule of
+    ``IVProblem``'s x0, is a ContractViolation that names t: None, a string, a
+    complex number, an int beyond float64's range or a ragged sequence. A
+    registered problem's float form is checked where it is called, by
+    ``_checked``.
     """
-    if m is None:
-        rhs = getattr(field, "rhs", None)
-        return None if rhs is None else lambda x, t: _checked(rhs(t, *x), len(x), t)
     z = field(m, t)
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
         if (real := _reals(z)) is None:
@@ -397,13 +391,14 @@ def _pair_mean_loop(field, M, A, H0, H, h, steps):
     sum, which Python floats cannot; in both built-in two-slot priors that
     product is exact (A is [[1, h], [0, 1]] or the identity), so the means
     are the array kernel's bit for bit. The two floats go to a registered
-    problem's float form, or to any other field as a fresh float64 array,
-    both through ``_field_at``. The means of every step go to one flat
-    buffer of doubles, which becomes the output array without a copy.
+    problem's float form ``field.rhs``, read once, whose every output passes
+    ``_checked``, or to any other field as a fresh float64 array through
+    ``_field_at``. The means of every step go to one flat buffer of doubles,
+    which becomes the output array without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
-    f, last = _field_at(field), None  # the float form, or None for an array field
+    rhs, last = getattr(field, "rhs", None), None  # the float form, or None for an array field
     (p0, p1), (q0, q1) = M.tolist()
     flat = array("d", (p0, p1, q0, q1))
     for k, (K, S) in enumerate(steps, 1):
@@ -411,7 +406,10 @@ def _pair_mean_loop(field, M, A, H0, H, h, steps):
         p0, p1 = a00 * p0 + a01 * p1, a10 * p0 + a11 * p1
         q0, q1 = a00 * q0 + a01 * q1, a10 * q0 + a11 * q1
         x1, x2 = 0.0 + p0 * c0 + p1 * c1, 0.0 + q0 * c0 + q1 * c1
-        z1, z2 = f((x1, x2), t) if f else _field_at(field, np.array((x1, x2)), t, floats=True)
+        if rhs:
+            z1, z2 = _checked(rhs(t, x1, x2), 2, t)
+        else:
+            z1, z2 = _field_at(field, np.array((x1, x2)), t, floats=True)
         if K is None:
             _passthrough(np.array(((p0, p1), (q0, q1))), H, [z1, z2], S, step=k, t=t)
         else:

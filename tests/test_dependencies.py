@@ -2,8 +2,9 @@
 covariance arithmetic stays behind ``filtering``'s covariance map, each
 prior builds its own state-space model, step counts are rounded in one
 place, one function reads the grid tolerance, the registered vector fields
-are float code, the solver calls a field in one place, its mean recursion
-sees no covariance, the solve, the hybrid solve, the CLI and every test
+are float code, the solver calls an array field in one place and checks
+every call of a float form where it is made, its mean recursion sees no
+covariance, the solve, the hybrid solve, the CLI and every test
 module but one run without the per-belief wrappers, every CLI usage error
 after parsing comes from the library, and the package stays within its
 code-line budget."""
@@ -205,15 +206,51 @@ def float_form_readers(node, owner="<module>"):
         yield from float_form_readers(child, getattr(child, "name", "<lambda>") if named else owner)
 
 
+def float_form_calls(tree):
+    """Each call of the float form under tree, as (line, checked): a call of an
+    attribute ``rhs`` or of a name bound to a read of the float form, checked
+    when it is the first argument of a ``_checked`` call."""
+    names, checked = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                paired = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                pairs = zip(target.elts, node.value.elts) if paired else [(target, node.value)]
+                for bound, value in pairs:
+                    if any(float_form_readers(ast.Expression(value))):
+                        names |= {name.id for name in ast.walk(bound) if isinstance(name, ast.Name)}
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked":
+            checked.add(id(node.args[0]))
+    return [
+        (node.lineno, id(node) in checked)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "rhs" or getattr(node.func, "id", None) in names)
+    ]
+
+
 def test_the_solver_calls_the_field_only_through_field_at():
-    # every mean kernel reaches the field through _field_at, which checks what
-    # it returns; only _field_at reads a registered problem's float form ``rhs``
+    # every mean kernel reaches an array field through _field_at, which checks
+    # what it returns; only the pair kernel reads a registered problem's float
+    # form ``rhs``, and _checked checks every output of it where it is called
     tree = ast.parse((PACKAGE / "solver.py").read_text())
     assert set(field_callers(tree)) == {"_field_at"}
-    assert set(float_form_readers(tree)) == {"_field_at"}
+    assert set(float_form_readers(tree)) == {"_pair_mean_loop"}
+    calls = float_form_calls(tree)
+    assert calls and all(checked for _, checked in calls), calls
     # the rule sees a read by name as well as by attribute
     for read in ('getattr(field, "rhs", None)', 'hasattr(field, "rhs")', "field.rhs"):
         assert set(float_form_readers(ast.parse(f"def loop(field):\n    {read}"))) == {"loop"}
+    # and an unchecked call, of the bound name or of the attribute
+    bind = 'def loop(field):\n    rhs, last = getattr(field, "rhs", None), None\n    '
+    for call, checked in (
+        ("z1, z2 = _checked(rhs(t, x1, x2), 2, t)", True),
+        ("z1, z2 = rhs(t, x1, x2)", False),
+        ("z1, z2 = _checked(field.rhs(t, x1, x2), 2, t)", True),
+        ("z1, z2 = field.rhs(t, x1, x2)", False),
+        ("z1, z2 = _checked(t, rhs(t, x1, x2), 2)", False),
+    ):
+        assert [seen for _, seen in float_form_calls(ast.parse(bind + call))] == [checked], call
 
 
 def test_the_mean_recursion_sees_no_covariance():
@@ -248,7 +285,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1132
+CODE_LINE_BUDGET = 1131
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 
