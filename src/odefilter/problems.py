@@ -12,7 +12,9 @@ per coordinate; ``_array_field`` turns it into the array ``field`` of its
 of coordinates it takes as ``field.dim`` (None for any). ``solve``'s array
 kernel and the Taylor init call the array field; ``solve``'s pair kernel
 calls ``rhs`` and checks every output with ``solver._checked``, and
-``rk4_reference`` calls ``rhs`` directly, checking each record's output.
+``rk4_reference`` calls ``rhs`` directly, checking each record's state and
+derivative. The README's field-contract table gives the outcome of each kind
+of output at each of these call sites.
 
 ``rk4_reference`` runs its substeps in one of two kernels, picked from the
 problem's coordinate count: ``_rk4_pairs`` holds a two-coordinate state (both
@@ -31,7 +33,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .errors import ContractViolation, DivergedSolveError, _finite_positive, _is_finite
+from .errors import ContractViolation, _finite_positive, _is_finite
 from .filtering import ProjectionPair
 from .solver import IVProblem, PhaseSegment, Trajectory, VectorField, _checked, _field_at, _n_steps
 
@@ -148,28 +150,24 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     h_ref), which keeps long high-resolution references affordable. Callers
     judging a filter run at step h should use h_ref <= h/10. Records carry
     [value, derivative] means with zero covariance under the phase tag
-    ``reference``. The field's outputs follow ``solve``'s contract: every
-    record, t = 0 included, makes one derivative call and passes
-    ``solver._checked``, and every stage of an array field passes
-    ``_field_at``, so a wrong component count raises ContractViolation as in
-    ``solve``. A registered problem's float form ``rhs(t, *x)`` runs its
-    stages unchecked; an array field is called through a wrapper of the same
-    signature.
+    ``reference``.
+
+    The field's outputs follow ``solve``'s contract, the README's field-contract
+    table: each record's state and its one derivative call, t = 0 included,
+    pass ``solver._checked``, and each stage of an array field, called through
+    a wrapper of the float form's signature, passes ``_field_at``. A
+    registered problem's float form ``rhs(t, *x)`` runs its stages, about 97 %
+    of the calls, unchecked: a stage output that breaks the contract fails
+    the arithmetic or unpack after it, a ContractViolation that names the
+    record whose substeps met it, or else that record's own check.
 
     The substeps run in ``_rk4_pairs`` when the problem has d == 2
     coordinates and in ``_rk4_lists`` otherwise, one generator over the
     whole grid that yields the state at each record time after t = 0. Both
     make four field calls per substep, each ``f(t, *x)`` on the state's
     floats, and the same float operations in the same order, so they give
-    the same means bit for bit. Each record is checked for finiteness here,
-    then it and its checked derivative go to flat buffers of doubles that
-    become the means. A float form's stage that returns no real numbers (a
-    str, None, a complex number or an int beyond float64's range) fails the
-    arithmetic or the finiteness check that follow it, and one of the wrong
-    component count fails ``_rk4_pairs``' unpack or the next record's
-    derivative check; a stage's TypeError, OverflowError or ValueError
-    becomes a ContractViolation that names the record whose substeps met it,
-    the ValueError with its own message.
+    the same means bit for bit. Each record's checked state and derivative
+    go to flat buffers of doubles that become the means.
     """
     _finite_positive(h_ref, "h_ref")
     h_out = h_ref if h_out is None else _finite_positive(h_out, "h_out")
@@ -187,16 +185,13 @@ def rk4_reference(ivp: IVProblem, h_ref: float, h_out: float | None = None) -> T
     for t in map(float, times):
         try:
             x = next(records)
-            if not all(map(math.isfinite, x)):
-                raise DivergedSolveError(f"reference state non-finite at t={t:g}", t=t)
-        # A float form's stage that returns a str, None, a complex number or a huge int fails
-        # the arithmetic or the finiteness check that follow it, and one of the wrong length
-        # fails _rk4_pairs' unpack; an array field's stages are checked in _field_at, so its
-        # own errors pass unchanged.
+        # A float form's stage that returns a str, None or a huge int fails the arithmetic that
+        # follows it, and one of the wrong length fails _rk4_pairs' unpack; an array field's
+        # stages are checked in _field_at, so its own errors pass unchanged.
         except (TypeError, OverflowError, ValueError) if rhs else () as err:
             what = err if isinstance(err, ValueError) else "no real numbers"
             raise ContractViolation(f"vector field returned {what} by t={t:g}") from err
-        values.extend(x)
+        values.extend(_checked(x, ivp.dim, t))
         derivatives.extend(_checked(f(t, *x), ivp.dim, t))
     flat = np.stack([np.frombuffer(values), np.frombuffer(derivatives)], axis=-1)
 

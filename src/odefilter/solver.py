@@ -22,8 +22,9 @@ is None on a passthrough), and the frozen entry holds for every later step.
 Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 ``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and
 sees no covariance: a passthrough's S comes with its step. Every field
-output it reads is checked where it is called: an array field's by
-``_field_at``, a float form's by ``_checked``.
+output it reads is checked where it is called, an array field's by
+``_field_at`` and a float form's by ``_checked``, with the outcomes of the
+README's field-contract table.
 
 The mean recursion has two kernels, which take the same steps. A two-slot
 state (the q=1 Taylor prior, the J=0 Fourier prior) of two coordinates, as
@@ -218,13 +219,12 @@ class Trajectory:
 
 def _field_at(field: VectorField, m: np.ndarray, t: float, floats: bool = False):
     """The array field's output at (m, t) as a float64 vector, or with ``floats``
-    as the list of its floats, once it has as many components as m and all are finite.
+    as the list of its floats, once it meets the field contract of the README's
+    table: as many components as m, all real numbers, all finite.
 
-    An output that holds anything but bool, int or float values, the rule of
-    ``IVProblem``'s x0, is a ContractViolation that names t: None, a string, a
-    complex number, an int beyond float64's range or a ragged sequence. A
-    registered problem's float form is checked where it is called, by
-    ``_checked``.
+    It reads the output as ``IVProblem`` reads x0, so only bool, int and float
+    values count. A registered problem's float form is checked where it is
+    called, by ``_checked``.
     """
     z = field(m, t)
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):

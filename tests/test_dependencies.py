@@ -285,7 +285,7 @@ def test_the_cli_raises_no_usage_error_of_its_own():
 
 # The most code lines the package may have, counted by ``code_lines``. Raising
 # it takes a CHANGES.md line that gives the new count and why the lines are needed.
-CODE_LINE_BUDGET = 1131
+CODE_LINE_BUDGET = 1129
 
 LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 

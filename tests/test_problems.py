@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -329,95 +328,6 @@ def test_linear_and_constant_take_an_x0_of_any_size(factory):
         ivp = replace(factory(), x0=[0.5] * d)
         (segment,) = rk4_reference(ivp, 0.01, h_out=0.1).segments
         assert segment.means.shape == (21, d, 2)
-
-
-def test_rk4_rejects_a_field_output_of_the_wrong_size_as_solve_does():
-    taylor = taylor_state_space(TaylorParams(1, 1.0))
-    one_component = IVProblem(lambda x, t: np.array([-x[0]]), np.array([1.0, 2.0]), 1.0, "short")
-    with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
-        rk4_reference(one_component, 0.01)
-    with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
-        solve(taylor, one_component, 0.1, 0.0)
-
-
-def test_rk4_accepts_the_field_outputs_solve_accepts():
-    # solve reads a field output through np.asarray, so a list or a scalar is one too
-    as_array = IVProblem(lambda x, t: np.array([x[1], -x[0]]), np.array([1.0, 0.0]), 1.0, "array")
-    (expected,) = rk4_reference(as_array, 0.01).segments
-    as_list = replace(as_array, field=lambda x, t: [x[1], -x[0]])
-    (segment,) = rk4_reference(as_list, 0.01).segments
-    assert np.array_equal(segment.means, expected.means)
-    solve(taylor_state_space(TaylorParams(1, 1.0)), as_list, 0.1, 0.0)
-    scalar = IVProblem(lambda x, t: -x[0], np.array([1.0]), 1.0, "scalar")
-    (segment,) = rk4_reference(scalar, 0.01).segments
-    (expected,) = rk4_reference(linear(T=1.0), 0.01).segments
-    assert np.array_equal(segment.means, expected.means)
-
-
-def test_rk4_holds_every_stage_of_an_array_field_to_the_contract():
-    # a field that drops a component after t = 0.5 fails at that stage, rather
-    # than have coordinate 0 broadcast over coordinate 1
-    shrink = IVProblem(lambda x, t: -x if t < 0.5 else -x[:1], [1.0, 2.0], 1.0, "shrink")
-    for run in (
-        lambda: rk4_reference(shrink, 0.01, h_out=0.1),
-        lambda: solve(taylor_state_space(TaylorParams(1, 1.0)), shrink, 0.1, 0.0),
-    ):
-        with pytest.raises(ContractViolation, match="1 components for a 2-dimensional state"):
-            run()
-
-
-# A float form's output from t = 0.5 on: one component more, or one fewer.
-COUNT_CHANGES = {
-    "grows": lambda x: [-v for v in x] + [0.0],
-    "shrinks": lambda x: [-v for v in x][1:],
-}
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("change", list(COUNT_CHANGES))
-def test_rk4_holds_a_float_form_to_its_component_count(change, d):
-    # the first stage past t = 0.5, at t = 0.505, is a substep of the record at
-    # t = 0.51: _rk4_pairs' unpack fails at that stage, while _rk4_lists runs
-    # on to the record, whose derivative check fails
-    times = []
-
-    def rhs(t, *x):
-        times.append(t)
-        return COUNT_CHANGES[change](x) if t > 0.5 else [-v for v in x]
-
-    ivp = IVProblem(_array_field(rhs, d), np.linspace(1.0, 2.0, d), 1.0, change)
-    with pytest.raises(ContractViolation) as caught:
-        rk4_reference(ivp, 0.01)
-    message = str(caught.value)
-    if d == 2:
-        unpack = r"(too many|not enough) values to unpack \(expected 2.*\)"
-        assert re.fullmatch(f"vector field returned {unpack} by t=0.51", message)
-        assert times[-1] == 50 * 0.01 + 0.5 * 0.01
-    else:
-        # zip keeps the state as long as the shortest stage, so a shrinking
-        # output has emptied it by the record
-        returned = d + 1 if change == "grows" else 0
-        assert message == f"vector field returned {returned} components for a {d}-dimensional state"
-        assert times[-1] == 51 * 0.01  # the record's derivative call
-
-
-@pytest.mark.parametrize("kind", ["float form", "array field"])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_rk4_checks_the_derivative_of_every_record(monkeypatch, kind, d):
-    # t = 0 included: every record makes one derivative call, and _checked
-    # checks its output where rk4_reference makes it
-    checked, seen = problems._checked, []
-
-    def spy(values, size, t):
-        seen.append((size, t))
-        return checked(values, size, t)
-
-    monkeypatch.setattr(problems, "_checked", spy)
-    ivp = linear(x0=[1.0] * d, T=1.0)
-    if kind == "array field":
-        ivp = replace(ivp, field=lambda x, t: -x)
-    rk4_reference(ivp, 0.01, h_out=0.05)
-    assert seen == [(d, k * 0.05) for k in range(21)]
 
 
 def cubic_blowup(x, t):

@@ -52,7 +52,7 @@ from odefilter.problems import _array_field
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
-from conftest import doubling_affine_scan, extended_precision_ibm_filter, float_cube, random_spd
+from conftest import doubling_affine_scan, extended_precision_ibm_filter, random_spd
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -842,193 +842,6 @@ def test_the_float_form_and_the_array_field_agree_bitwise(prior, problem, R, h):
     expected = solve_outcome(ssm, replace(ivp, field=without_float_form(ivp.field)), h, R)
     assert solve_outcome(ssm, ivp, h, R) == expected
     assert isinstance(expected, bytes) or (prior, R) == ("J0", 0.0)
-
-
-def outcomes_of_every_kernel(monkeypatch, field, x0, name):
-    """kernel_outcome of a q=1 solve at h=0.01 by each kernel, on field and on
-    field behind a plain array function, keyed by (kernel, field kind)."""
-    problems = {"float form": field, "array field": without_float_form(field)}
-    problems = {kind: IVProblem(f, x0, 1.0, name) for kind, f in problems.items()}
-    return {
-        (kernel, kind): kernel_outcome(monkeypatch, kernel, TAYLOR_Q1, ivp, 0.01, 0.0)
-        for kernel in KERNELS
-        for kind, ivp in problems.items()
-    }
-
-
-def test_a_float_form_of_the_wrong_size_is_a_contract_violation(monkeypatch):
-    # the Taylor init's t = 0 evaluation passes, the first step's does not
-    field = _array_field(lambda t, *x: [0.0] * (2 if t == 0 else 3))
-    outcomes = outcomes_of_every_kernel(monkeypatch, field, [1.0, 0.0], "wrong size")
-    ivp = IVProblem(field, [1.0, 0.0], 1.0, "wrong size")
-    outcomes["solve"] = solve_outcome(TAYLOR_Q1, ivp, 0.01, 0.0)
-    message = "vector field returned 3 components for a 2-dimensional state"
-    for key, outcome in outcomes.items():
-        assert outcome == (ContractViolation, message, None, None), key
-
-
-def test_a_float_form_that_goes_non_finite_diverges_at_the_same_t(monkeypatch):
-    # either component may go non-finite first
-    blowups = {
-        "first": (_array_field(lambda t, x1, x2: (float_cube(x1), x2)), [4.0, 1.0]),
-        "second": (_array_field(lambda t, x1, x2: (x1, float_cube(x2))), [1.0, 4.0]),
-    }
-    for which, (field, x0) in blowups.items():
-        outcomes = outcomes_of_every_kernel(monkeypatch, field, x0, "blowup")
-        expected = solve_outcome(TAYLOR_Q1, IVProblem(field, x0, 1.0, "blowup"), 0.01, 0.0)
-        assert expected[0] is DivergedSolveError and 0.0 < expected[3] < 1.0, which
-        for key, outcome in outcomes.items():
-            assert outcome == expected, (which, key)
-
-
-@pytest.mark.parametrize(
-    "late",
-    [(1e308, 1e308), (-1e308, -1e308), (math.nan, 1.0), (1e308, math.inf), (-math.inf, 1.0)],
-    ids=["sum-overflows", "sum-overflows-negative", "nan", "inf", "-inf"],
-)
-def test_finite_outputs_whose_sum_overflows_pass_and_non_finite_ones_diverge(monkeypatch, late):
-    # the finiteness check sums the outputs first: a float sum is finite only
-    # if every term is, and one that overflows gets the exact check
-    field = _array_field(lambda t, x1, x2: late if t > 0.5 else (-x1, -x2))
-    outcomes = outcomes_of_every_kernel(monkeypatch, field, [1.0, 2.0], "late")
-    message = "vector field returned non-finite value at t=0.51"
-    for key, outcome in outcomes.items():
-        if all(map(math.isfinite, late)):
-            assert isinstance(outcome, bytes), key
-        else:
-            assert outcome == (DivergedSolveError, message, None, 51 * 0.01), key
-
-
-# Outputs other than a 1-D float64 array, each with the outcome _field_at
-# gives it: it converts them to one, and checks the size and finiteness.
-OUTPUT_FORMS = {
-    "list": (lambda z, t: z.tolist(), bytes),
-    "tuple": (lambda z, t: tuple(z.tolist()), bytes),
-    "int array": (lambda z, t: z.astype(int), bytes),
-    "float32 array": (lambda z, t: z.astype(np.float32), bytes),
-    "big-endian array": (lambda z, t: z.astype(">f8"), bytes),
-    "column": (lambda z, t: z.reshape(2, 1), bytes),
-    "long column": (lambda z, t: np.append(z, 0.0).reshape(3, 1), ContractViolation),
-    "list going NaN": (lambda z, t: [z[0], math.nan if t > 0.5 else z[1]], DivergedSolveError),
-}
-
-
-@pytest.mark.parametrize("form", list(OUTPUT_FORMS))
-def test_every_field_output_form_keeps_its_outcome_in_every_kernel(monkeypatch, form):
-    # each form gives the outcome of the 1-D float64 array it converts to
-    shape, kind = OUTPUT_FORMS[form]
-
-    def shaped(x, t):
-        return shape(t - 3.0 * x, t)
-
-    def converted(x, t):
-        return np.asarray(shaped(x, t), dtype=float).reshape(-1)
-
-    ivp = IVProblem(converted, [1.0, -2.0], 1.0, form)
-    expected = solve_outcome(TAYLOR_Q1, ivp, 0.01, 0.0)
-    assert isinstance(expected, bytes) if kind is bytes else expected[0] is kind
-    for field in (converted, shaped):
-        for kernel in KERNELS:
-            problem = replace(ivp, field=field)
-            outcome = kernel_outcome(monkeypatch, kernel, TAYLOR_Q1, problem, 0.01, 0.0)
-            assert outcome == expected, (kernel, field.__name__)
-
-
-# Outputs that do not convert to float64, from a field of -x: none of them
-# holds real numbers, so each is a ContractViolation that names its t.
-NOT_REAL_OUTPUTS = {
-    "None": lambda z: None,
-    "string": lambda z: ["a"] * len(z),
-    "complex": lambda z: [1j] * len(z),
-    "huge int": lambda z: [10**400] * len(z),
-    "complex array": lambda z: z * (1.0 + 1.0j),
-    "ragged": lambda z: [list(z), []],
-}
-NOT_REAL = "vector field returned no real numbers at t=0.51"
-
-
-def late_output(form, d):
-    """A d-coordinate IVProblem whose field returns -x up to t = 0.5 (the Taylor
-    init's t = 0 evaluation passes) and the output form of it from then on."""
-
-    def field(x, t):
-        return NOT_REAL_OUTPUTS[form](-x) if t > 0.5 else -x
-
-    return IVProblem(field, np.linspace(1.0, 2.0, d), 1.0, form)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("form", list(NOT_REAL_OUTPUTS))
-def test_a_field_output_of_no_real_numbers_is_a_contract_violation(monkeypatch, form, d):
-    # at q=1 every kernel that can run d coordinates; at q=2 the array kernel,
-    # whose gain froze before t = 0.51
-    ivp = late_output(form, d)
-    runs = [(TAYLOR_Q1, kernel) for kernel in kernels_for(ivp)]
-    runs.append((taylor_state_space(TaylorParams(2, 1.0)), "array"))
-    for ssm, kernel in runs:
-        outcome = kernel_outcome(monkeypatch, kernel, ssm, ivp, 0.01, 0.0)
-        assert outcome[0] is ContractViolation and outcome[1].startswith(NOT_REAL), kernel
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("form", list(NOT_REAL_OUTPUTS))
-def test_rk4_reference_holds_an_array_field_to_real_numbers(form, d):
-    # the first stage past t = 0.5 is the midpoint stage of the step from t = 0.5
-    with pytest.raises(ContractViolation, match="no real numbers at t=0.505: "):
-        rk4_reference(late_output(form, d), 0.01)
-
-
-# Float forms that return no real numbers: a string, a complex number, an int
-# beyond float64's range (alone, or two that cancel in an exact sum) and None
-# in every component or the first, or None alone.
-NOT_REAL_FLOATS = {
-    "string": lambda d: ["a"] * d,
-    "complex": lambda d: [1j] * d,
-    "huge int": lambda d: [10**400] + [0.0] * (d - 1),
-    "cancelling huge ints": lambda d: [10**400, -10**400] + [0.0] * (d - 2),
-    "None": lambda d: [None] * d,
-    "None alone": lambda d: None,
-}
-
-
-def late_float_form(form, d):
-    """``late_output`` of a registered-style field, whose float form ``rhs``
-    returns the output form from t = 0.5 on."""
-
-    def rhs(t, *x):
-        return NOT_REAL_FLOATS[form](d) if t > 0.5 else [-v for v in x]
-
-    return IVProblem(_array_field(rhs, d), np.linspace(1.0, 2.0, d), 1.0, form)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("form", list(NOT_REAL_FLOATS))
-def test_a_float_form_of_no_real_numbers_is_a_contract_violation(monkeypatch, form, d):
-    # the pair kernel calls the float form, the array kernel the array field;
-    # RK4 runs _rk4_pairs at d = 2 and _rk4_lists at d = 3
-    ivp = late_float_form(form, d)
-    runs = [(TAYLOR_Q1, kernel) for kernel in kernels_for(ivp)]
-    runs.append((taylor_state_space(TaylorParams(2, 1.0)), "array"))
-    for ssm, kernel in runs:
-        outcome = kernel_outcome(monkeypatch, kernel, ssm, ivp, 0.01, 0.0)
-        assert outcome[0] is ContractViolation and outcome[1].startswith(NOT_REAL), kernel
-    # RK4's first stage past t = 0.5, at t = 0.505, is a substep of the record
-    # at t = 0.51, or at t = 0.55 when it records every fifth substep
-    for h_out, record in ((0.01, "0.51"), (0.05, "0.55")):
-        with pytest.raises(ContractViolation, match=f"no real numbers by t={record}$"):
-            rk4_reference(ivp, 0.01, h_out)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_rk4_reference_passes_an_array_fields_own_error_unchanged(d):
-    # _field_at checks an array field's outputs, so its TypeError is its own
-    def field(x, t):
-        if t > 0.5:
-            raise TypeError("the field's own error")
-        return -x
-
-    with pytest.raises(TypeError, match="the field's own error"):
-        rk4_reference(IVProblem(field, np.linspace(1.0, 2.0, d), 1.0, "own error"), 0.01)
 
 
 def test_the_pair_kernel_calls_the_float_form_once_per_step():
