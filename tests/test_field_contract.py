@@ -1,9 +1,6 @@
-"""The field contract: every kind of vector-field output at every call site that reads one.
-
-The README's field-contract table gives the outcome of each output kind (a row) at each
-call site (a column). The matrix runs every member of every row through every column and
-checks what it observes against the README's cell, so the table cannot drift from the code.
-"""
+"""The field contract: the README's table gives the outcome of each kind of vector-field output
+(a row) at each call site (a column), and the matrix here checks every cell against a run, so
+the table cannot drift from the code."""
 
 import functools
 import math
@@ -70,15 +67,13 @@ ROWS = {
     },
     "numpy complex array": {"complex array": lambda z: z * (1.0 + 1.0j)},
 }
-# Rows whose members convert to float64 values: where _field_at reads them, a run gives
-# those values' means.
+# Rows whose members convert to float64 values, which give their means where _field_at reads them
 CONVERSIONS = list(ROWS)[:5]
 
 
 def problem(form, d, odd, calls, floats):
-    """d coordinates of dx/dt = -x whose field returns form(-x) at the calls where odd(t)
-    holds: an array field, or with floats a float form, which pads a state that shrank
-    back to d coordinates. calls collects the time of every call."""
+    """d coordinates of dx/dt = -x whose field returns form(-x) where odd(t): an array field or,
+    with floats, a float form that pads a state that shrank; calls collects the call times."""
 
     def rhs(t, *x):
         calls.append(t)
@@ -117,10 +112,8 @@ def solves(floats, *cases):
 
 
 def through_field_at(monkeypatch, form, d):
-    """The solves that read the field through _field_at: q=1 (the pair kernel at d = 2, else
-    the array kernel's step form), q=2 before (step 5) and past (step 51) its gain freeze at
-    step 19, and the Taylor init; on an array field, and on a float form through its adapter
-    at all but the pair kernel's, which calls the float form itself."""
+    """Solves at q=1, at q=2 before (step 5) and past (step 51) its gain freeze at step 19, and
+    the Taylor init, of an array field and of a float form, save at the pair kernel's q=1."""
     cases = [(1, LATE), (2, 5 * H), (2, LATE), (1, 0.0)]
     array_field, float_form = solves(False, *cases), solves(True, *cases[d == 2 :])
     return array_field(monkeypatch, form, d) + float_form(monkeypatch, form, d)
@@ -160,8 +153,7 @@ def record_derivative(monkeypatch, form, d):
 
 
 # The columns of the table: the coordinate counts each runs, whether it reads the outputs
-# through _field_at, which converts them, and its runs of a member. RK4 runs _rk4_pairs at
-# d = 2 and _rk4_lists otherwise.
+# through _field_at, and its runs of a member. RK4 runs _rk4_pairs at d = 2, else _rk4_lists.
 COLUMNS = {
     "pair kernel, float form": ((2,), False, solves(True, (1, LATE))),
     "solve, via `_field_at`": ((1, 2, 3), True, through_field_at),
@@ -172,8 +164,7 @@ COLUMNS = {
     "RK4 record state": ((2, 3), False, record_state),
     "RK4 record derivative": ((2, 3), False, record_derivative),
 }
-# A cell's mark of a known defect: the outcome shown is the contract's, and the code's
-# differs, so its cases fail, strictly expected to, until the defect is mended.
+# The mark of a known defect: the cell gives the contract's outcome, and its cases strictly xfail
 DEFECT = " ✗"
 
 
@@ -184,7 +175,7 @@ def code(outcome, t, record, calls, form, d, field_at):
         return "accepted"
     kind, message, t_err = outcome
     names = {f"{x:g}": name for name, x in (("record", record), ("t", t)) if x is not None}
-    last = names.get(f"{calls[-1]:g}")
+    last = names.get(stop := f"{calls[-1]:g}")
     if kind is DivergedSolveError:
         assert message == f"vector field returned non-finite value at t={t_err:g}"
         assert names[f"{t_err:g}"] == last
@@ -198,13 +189,10 @@ def code(outcome, t, record, calls, form, d, field_at):
     zipped = r"(?P<zip>zip\(\) argument \d is (longer|shorter) than arguments? 1(-\d)?)"
     what = rf"(?P<what>no real numbers|{unpack}|{zipped})"
     pattern = rf"vector field returned {what} (?P<when>at|by) t=(?P<t>[^:]+)(?P<repr>: .+)?"
-    m = re.fullmatch(pattern, message, re.S)
-    assert m, message
+    assert (m := re.fullmatch(pattern, message, re.S)), message
     assert bool(m["repr"]) == field_at, message  # _field_at's message ends in the output's repr
-    if m["when"] == "at":
-        assert last == names[m["t"]]
-    else:  # a stage's own error stops RK4 at that stage, the update zip at its substep's end
-        assert f"{calls[-1]:g}" == f"{t + (0.5 * H if m['zip'] else 0.0):g}"
+    # a stage's own error stops RK4 at that stage, the update zip at its substep's end
+    assert stop == (m["t"] if m["when"] == "at" else f"{t + (0.5 * H if m['zip'] else 0):g}")
     return f"{'real' if m['what'] == 'no real numbers' else 'length'} {m['when']} {names[m['t']]}"
 
 
@@ -231,20 +219,17 @@ def cell(row, member, column):
     return dict(part.split(": ") for part in others).get(member, default)
 
 
+CELLS = [(row, member, column) for row in ROWS for member in ROWS[row] for column in COLUMNS]
+
+
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
-@pytest.mark.parametrize(
-    "row, member, column",
-    [(row, member, column) for row in ROWS for member in ROWS[row] for column in COLUMNS],
-)
-def test_every_output_kind_meets_its_readme_cell_at_every_call_site(
-    monkeypatch, request, row, member, column
-):
+@pytest.mark.parametrize("row, member, column", CELLS)
+def test_every_output_meets_its_readme_cell(monkeypatch, request, row, member, column):
     expected = cell(row, member, column)
     if expected.endswith(DEFECT):
         request.applymarker(pytest.mark.xfail(strict=True, reason="a known defect"))
         expected = expected.removesuffix(DEFECT)
-    dims, field_at, runs = COLUMNS[column]
-    form = ROWS[row][member]
+    (dims, field_at, runs), form = COLUMNS[column], ROWS[row][member]
     ds = [d for d in dims if member != "scalar" or d == 1]
     assert bool(ds) == (expected != "—")
     for d in ds:
@@ -261,53 +246,32 @@ def test_a_field_that_overflows_diverges_at_the_same_t_at_every_solve_call_site(
     # x³ of coordinate i, from 4 there, leaves float64's range before t = 1: each kernel on
     # the float form and on an array field of it stops with the same error at the same t
     cube = _array_field(lambda t, *x: [float_cube(v) if j == i else v for j, v in enumerate(x)])
-    x0, outcomes = np.where(np.arange(2) == i, 4.0, 1.0), set()
+    x0, seen = np.where(np.arange(2) == i, 4.0, 1.0), set()
     for kernel in (solver._pair_mean_loop, solver._array_mean_loop):
         monkeypatch.setattr(solver, "_pair_mean_loop", kernel)
         for field in (cube, lambda x, t: cube(x, t)):
-            make = lambda c: solve(Q[1], IVProblem(field, x0, 1.0, "x³"), H, 0.0)
-            outcomes.add(run(make, None)[0])
-    ((kind, message, t),) = outcomes
+            seen.add(run(lambda c: solve(Q[1], IVProblem(field, x0, 1.0, "x³"), H, 0.0), None)[0])
+    ((kind, message, t),) = seen
     assert kind is DivergedSolveError and 0.0 < t < 1.0
-
-
-def spy_checked(monkeypatch):
-    """Every (count, size, t) that problems._checked is handed from now on."""
-    checked, seen = problems._checked, []
-    spy = lambda values, size, t: seen.append((len(values), size, t)) or checked(values, size, t)
-    monkeypatch.setattr(problems, "_checked", spy)
-    return seen
-
-
-@pytest.mark.parametrize("change", ["shorter", "longer"])
-def test_a_midpoint_stage_of_the_wrong_length_fails_in_its_substep(monkeypatch, change):
-    # d = 3, two or four components at the midpoint stages and three on the grid: the update's
-    # strict zip fails at the end of the substep, before zip could cut the state and its
-    # record's checks pass
-    seen, calls = spy_checked(monkeypatch), []
-    form = (lambda z: z[:2]) if change == "shorter" else (lambda z: np.append(z, 0.0))
-    message = f"vector field returned zip() argument 3 is {change} than arguments 1-2 by t=0.55"
-    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
-        rk4_reference(problem(form, 3, midpoint, calls, True), H, 0.05)
-    assert seen[-1] == (3, 3, 0.5) and calls[-2:] == [MID, 50 * H + H]
 
 
 @pytest.mark.parametrize("floats", [True, False], ids=["float form", "array field"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rk4_checks_the_state_and_the_derivative_of_every_record(monkeypatch, floats, d):
     # t = 0 included: _checked sees each record's state, then its derivative
-    seen = spy_checked(monkeypatch)
+    checked, seen = problems._checked, []
+    spy = lambda values, size, t: seen.append((len(values), size, t)) or checked(values, size, t)
+    monkeypatch.setattr(problems, "_checked", spy)
     rk4_reference(problem(lambda z: z, d, lambda s: False, [], floats), H, 0.05)
     assert seen == [(d, d, k * 0.05) for k in range(21) for _ in "xf"]
+
+
+def own_error(z):
+    raise TypeError("the field's own error")
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_rk4_reference_passes_an_array_fields_own_error_unchanged(d):
     # _field_at checks an array field's outputs, so its TypeError is its own
-    def field(x, t):
-        if t > 0.5:
-            raise TypeError("the field's own error")
-        return -x
-
     with pytest.raises(TypeError, match="the field's own error"):
-        rk4_reference(IVProblem(field, np.linspace(1.0, 2.0, d), 1.0, "own error"), H)
+        rk4_reference(problem(own_error, d, lambda s: s > 0.5, [], False), H)
