@@ -23,8 +23,8 @@ Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 ``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and
 sees no covariance: a passthrough's S comes with its step. Every field
 output it reads is checked where it is called, an array field's by
-``_field_at`` and a float form's by ``_checked``, with the outcomes of the
-README's field-contract table.
+``_read_output`` and a float form's by ``_checked``, with the outcomes of
+the README's field-contract table.
 
 The mean recursion has two kernels, which take the same steps. A two-slot
 state (the q=1 Taylor prior, the J=0 Fourier prior) of two coordinates, as
@@ -34,7 +34,9 @@ runs ``_array_mean_loop`` on numpy arrays. On the package's two-slot priors
 both give the same means bit for bit. The pair kernel reads a registered
 problem's float form ``field.rhs`` once per solve and hands it its two
 floats, ``_checked(rhs(t, x1, x2), 2, t)`` at every step; any other field
-gets a fresh float64 array of them through ``_field_at``.
+gets them in the step's row of one float64 buffer, and the kernel reads a
+finite float64 pair back itself and any other output through
+``_read_output``, which the array kernel reaches through ``_field_at``.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel keeps its means slot-major, in one buffer
@@ -76,7 +78,7 @@ GRID_TOL = 1e-9
 # Two consecutive gains that agree entry by entry to this relative tolerance
 # (about 45 float64 ulps) count as settled: the gain is frozen from then on.
 GAIN_SETTLED_RTOL = 1e-14
-# numpy has one float64 dtype object, so ``_field_at`` tests it with ``is``.
+# numpy has one float64 dtype object, so the field output readers test it with ``is``.
 FLOAT64 = np.dtype(float)
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
@@ -218,22 +220,26 @@ class Trajectory:
 
 
 def _field_at(field: VectorField, m: np.ndarray, t: float, floats: bool = False):
-    """The array field's output at (m, t) as a float64 vector, or with ``floats``
+    """The array field's output at (m, t), read by ``_read_output``."""
+    return _read_output(field(m, t), m.size, t, floats)
+
+
+def _read_output(z, size: int, t: float, floats: bool = False):
+    """An array field's output z at t as a float64 vector, or with ``floats``
     as the list of its floats, once it meets the field contract of the README's
-    table: as many components as m, all real numbers, all finite.
+    table: size components, all real numbers, all finite.
 
     It reads the output as ``IVProblem`` reads x0, so only bool, int and float
     values count. A registered problem's float form is checked where it is
     called, by ``_checked``.
     """
-    z = field(m, t)
     if not (type(z) is np.ndarray and z.dtype is FLOAT64 and z.ndim == 1):
         if (real := _reals(z)) is None:
             raise ContractViolation(f"vector field returned no real numbers at t={t:g}: {z!r:.60}")
         z = real
     values = z.tolist()
-    if z.size != m.size or not math.isfinite(sum(values)):
-        _checked(values, m.size, t)  # raises unless only the sum overflowed
+    if z.size != size or not math.isfinite(sum(values)):
+        _checked(values, size, t)  # raises unless only the sum overflowed
     return values if floats else z
 
 
@@ -245,8 +251,11 @@ def _checked(values: list, size: int, t: float) -> list:
                 f"vector field returned {len(values)} components for a {size}-dimensional state"
             )
         # a float sum from 0.0 is finite only if every term converts to a float and is finite,
-        # huge ints that cancel included; one that overflows gets the exact check
-        if not (math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))):
+        # huge ints that cancel included; one that overflows gets the exact check. A numpy
+        # complex term makes the sum one, which math.isfinite would cut to its real part
+        if type(total := sum(values, 0.0)) is not float and isinstance(total, np.complexfloating):
+            raise TypeError
+        if not (math.isfinite(total) or all(map(math.isfinite, values))):
             raise DivergedSolveError(f"vector field returned non-finite value at t={t:g}", t=t)
     except (TypeError, OverflowError):  # no sequence, or a str, None, complex or huge int in it
         raise ContractViolation(f"vector field returned no real numbers at t={t:g}") from None
@@ -392,13 +401,20 @@ def _pair_mean_loop(field, M, A, H0, H, h, steps):
     product is exact (A is [[1, h], [0, 1]] or the identity), so the means
     are the array kernel's bit for bit. The two floats go to a registered
     problem's float form ``field.rhs``, read once, whose every output passes
-    ``_checked``, or to any other field as a fresh float64 array through
-    ``_field_at``. The means of every step go to one flat buffer of doubles,
-    which becomes the output array without a copy.
+    ``_checked``. Any other field gets them in row k-1 of one (n, 2) float64
+    buffer at step k: no later step writes that row, so the field may keep or
+    overwrite it. An output that is a float64 array of shape (2,) is read
+    inline, with one test that its sum is finite; any other output goes to
+    ``_read_output`` first, as ``_field_at``'s does, and a non-finite sum
+    after the read, so every outcome is ``_field_at``'s. The means of every
+    step go to one flat buffer of doubles, which becomes the output array
+    without a copy.
     """
     (a00, a01), (a10, a11) = A.tolist()
     (c0, c1), (e0, e1) = H0.tolist(), H.tolist()
     rhs, last = getattr(field, "rhs", None), None  # the float form, or None for an array field
+    inputs = None if rhs else np.empty((len(steps), 2))  # row k-1 is step k's field input
+    ndarray, isfinite = np.ndarray, math.isfinite  # looked up once, not at every step
     (p0, p1), (q0, q1) = M.tolist()
     flat = array("d", (p0, p1, q0, q1))
     for k, (K, S) in enumerate(steps, 1):
@@ -409,7 +425,14 @@ def _pair_mean_loop(field, M, A, H0, H, h, steps):
         if rhs:
             z1, z2 = _checked(rhs(t, x1, x2), 2, t)
         else:
-            z1, z2 = _field_at(field, np.array((x1, x2)), t, floats=True)
+            x = inputs[k - 1]
+            x[0], x[1] = x1, x2
+            z = field(x, t)
+            if not (type(z) is ndarray and z.dtype is FLOAT64 and z.shape == (2,)):
+                z = _read_output(z, 2, t)
+            z1, z2 = z.tolist()
+            if not isfinite(z1 + z2):  # a non-finite value, or a finite sum that overflows
+                _read_output(z, 2, t)
         if K is None:
             _passthrough(np.array(((p0, p1), (q0, q1))), H, [z1, z2], S, step=k, t=t)
         else:

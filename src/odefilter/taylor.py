@@ -92,7 +92,7 @@ def taylor_state_space(params: TaylorParams) -> StateSpaceModel:
 
     Its init pins x(0) = x0 and x'(0) = f(x0, 0): the solve's one field
     evaluation before the filter loop. The field gets a copy of x0, as it
-    gets a fresh array at every step.
+    gets at every step an array that no later step writes.
     """
     return StateSpaceModel(
         transition_builder=lambda h: ibm_transition(h, params),

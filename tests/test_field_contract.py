@@ -67,7 +67,7 @@ ROWS = {
     },
     "numpy complex array": {"complex array": lambda z: z * (1.0 + 1.0j)},
 }
-# Rows whose members convert to float64 values, which give their means where _field_at reads them
+# Rows whose members convert to float64 values, which give their means where _read_output reads them
 CONVERSIONS = list(ROWS)[:5]
 
 
@@ -111,9 +111,10 @@ def solves(floats, *cases):
     return runs
 
 
-def through_field_at(monkeypatch, form, d):
+def array_field_solves(monkeypatch, form, d):
     """Solves at q=1, at q=2 before (step 5) and past (step 51) its gain freeze at step 19, and
-    the Taylor init, of an array field and of a float form, save at the pair kernel's q=1."""
+    the Taylor init, of an array field and of a float form, save at the pair kernel's q=1: at
+    d = 2 and q=1 the array field runs the pair kernel's inline read and its fallback."""
     cases = [(1, LATE), (2, 5 * H), (2, LATE), (1, 0.0)]
     array_field, float_form = solves(False, *cases), solves(True, *cases[d == 2 :])
     return array_field(monkeypatch, form, d) + float_form(monkeypatch, form, d)
@@ -153,10 +154,10 @@ def record_derivative(monkeypatch, form, d):
 
 
 # The columns of the table: the coordinate counts each runs, whether it reads the outputs
-# through _field_at, and its runs of a member. RK4 runs _rk4_pairs at d = 2, else _rk4_lists.
+# through _read_output, and its runs of a member. RK4 runs _rk4_pairs at d = 2, else _rk4_lists.
 COLUMNS = {
     "pair kernel, float form": ((2,), False, solves(True, (1, LATE))),
-    "solve, via `_field_at`": ((1, 2, 3), True, through_field_at),
+    "solve, array field": ((1, 2, 3), True, array_field_solves),
     "RK4 stage, float form": ((1, 2, 3), False, stages(True, (H, LATE), (0.05, RECORD))),
     # an array field's stages are checked, so a state that overflows fails the next
     # check, which is the record's only where RK4 records every substep
@@ -164,11 +165,9 @@ COLUMNS = {
     "RK4 record state": ((2, 3), False, record_state),
     "RK4 record derivative": ((2, 3), False, record_derivative),
 }
-# The mark of a known defect: the cell gives the contract's outcome, and its cases strictly xfail
-DEFECT = " ✗"
 
 
-def code(outcome, t, record, calls, form, d, field_at):
+def code(outcome, t, record, calls, form, d, read):
     """The table's code of a run's outcome: accepted, or what was raised and when, at t or
     at the record, as the message names it or, for a count, as the last call was made."""
     if isinstance(outcome, bytes):
@@ -190,7 +189,7 @@ def code(outcome, t, record, calls, form, d, field_at):
     what = rf"(?P<what>no real numbers|{unpack}|{zipped})"
     pattern = rf"vector field returned {what} (?P<when>at|by) t=(?P<t>[^:]+)(?P<repr>: .+)?"
     assert (m := re.fullmatch(pattern, message, re.S)), message
-    assert bool(m["repr"]) == field_at, message  # _field_at's message ends in the output's repr
+    assert bool(m["repr"]) == read, message  # _read_output's message ends in the output's repr
     # a stage's own error stops RK4 at that stage, the update zip at its substep's end
     assert stop == (m["t"] if m["when"] == "at" else f"{t + (0.5 * H if m['zip'] else 0):g}")
     return f"{'real' if m['what'] == 'no real numbers' else 'length'} {m['when']} {names[m['t']]}"
@@ -222,21 +221,19 @@ def cell(row, member, column):
 CELLS = [(row, member, column) for row in ROWS for member in ROWS[row] for column in COLUMNS]
 
 
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+# no call site reads a complex output as its real part, which numpy would do with this warning
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 @pytest.mark.parametrize("row, member, column", CELLS)
-def test_every_output_meets_its_readme_cell(monkeypatch, request, row, member, column):
+def test_every_output_meets_its_readme_cell(monkeypatch, row, member, column):
     expected = cell(row, member, column)
-    if expected.endswith(DEFECT):
-        request.applymarker(pytest.mark.xfail(strict=True, reason="a known defect"))
-        expected = expected.removesuffix(DEFECT)
-    (dims, field_at, runs), form = COLUMNS[column], ROWS[row][member]
+    (dims, read, runs), form = COLUMNS[column], ROWS[row][member]
     ds = [d for d in dims if member != "scalar" or d == 1]
     assert bool(ds) == (expected != "—")
     for d in ds:
         observed = runs(monkeypatch, form, d)
         for outcome in observed:
-            assert code(*outcome, form, d, field_at) == expected, d
-        if field_at and row in CONVERSIONS:  # the outcome of the float64 array it converts to
+            assert code(*outcome, form, d, read) == expected, d
+        if read and row in CONVERSIONS:  # the outcome of the float64 array it converts to
             converted = lambda z: np.asarray(form(z), dtype=float).reshape(-1)
             assert [o[0] for o in observed] == [o[0] for o in runs(monkeypatch, converted, d)]
 
@@ -272,6 +269,6 @@ def own_error(z):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_rk4_reference_passes_an_array_fields_own_error_unchanged(d):
-    # _field_at checks an array field's outputs, so its TypeError is its own
+    # _read_output checks an array field's outputs, so its TypeError is its own
     with pytest.raises(TypeError, match="the field's own error"):
         rk4_reference(problem(own_error, d, lambda s: s > 0.5, [], False), H)

@@ -178,9 +178,12 @@ def test_huge_finite_field_outputs_of_any_form_pass(d):
     assert np.array_equal(means["column"], means["array"])
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_a_field_may_keep_and_overwrite_its_inputs(q):
-    ssm, ivp = taylor_state_space(TaylorParams(q, 1.0)), coupled_linear(T=1.0)
+@pytest.mark.parametrize("q, d", [(1, 3), (2, 3), (3, 3), (1, 2)], ids=["1", "2", "3", "1-pair"])
+def test_a_field_may_keep_and_overwrite_its_inputs(monkeypatch, q, d):
+    if d == 2:  # two coordinates at q=1 run the pair kernel alone
+        monkeypatch.setattr(solver, "_array_mean_loop", None)
+    ivp = coupled_linear(T=1.0) if d == 3 else replace(vdp(), T=1.0)
+    ssm = taylor_state_space(TaylorParams(q, 1.0))
     pure = solve(ssm, ivp, 0.01, 0.0).segments[0].means
     kept, called_with = [], []
 
@@ -861,6 +864,24 @@ def test_the_pair_kernel_calls_the_float_form_once_per_step():
     solve(TAYLOR_Q1, IVProblem(field, [1.0, 2.0], 1.0, "spy"), 0.1, 0.0)
     assert array_times == [0.0]  # the Taylor init's evaluation; no step calls the array field
     assert rhs_times == [0.0] + [k * 0.1 for k in range(1, 11)]
+
+
+def test_the_pair_kernel_calls_an_array_field_once_per_step():
+    calls = []
+
+    def field(x, t):
+        calls.append((t, x.copy()))  # a copy keeps the dtype and the shape
+        return -x
+
+    (seg,) = solve(TAYLOR_Q1, IVProblem(field, [1.0, 2.0], 1.0, "spy"), 0.1, 0.0).segments
+    assert [t for t, _ in calls] == [0.0] + [k * 0.1 for k in range(1, 11)]
+    assert all(x.dtype == np.float64 and x.shape == (2,) for _, x in calls)
+    assert calls[0][1].tolist() == [1.0, 2.0]  # the Taylor init's evaluation at x0
+    # step k gets (x1, x2), the predicted values a00 p0 + a01 p1 of step k-1's means
+    # (H0 = [1, 0]), in the pair kernel's float order
+    (a00, a01), _ = TAYLOR_Q1.transition_builder(0.1).A.tolist()
+    for (_, x), (p, q) in zip(calls[1:], seg.means[:-1].tolist()):
+        assert x.tolist() == [a00 * p[0] + a01 * p[1], a00 * q[0] + a01 * q[1]]
 
 
 def test_malformed_init_is_rejected():
