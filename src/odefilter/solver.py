@@ -15,10 +15,11 @@ field: it applies the predict map and each step's gain map (see
 ``filtering._cov_map``) to the covariance alone until the gain settles,
 which under the Taylor prior takes a few dozen steps; ``_affine_scan``
 fills the rest with powers of the frozen map, the two composed, by plain
-doubling: one batched product per doubling, whose temporaries peak below
-twice the covariance stack's bytes. It hands on one ``(K, S)`` per step up
-to the freeze, the gain and innovation variance of ``filtering._joseph`` (K
-is None on a passthrough), and the frozen entry holds for every later step.
+doubling: one 2-D and one batched product per doubling, whose
+temporaries peak below twice the covariance stack's bytes. It hands on one
+``(K, S)`` per step up to the freeze, the gain and innovation variance of
+``filtering._joseph`` (K is None on a passthrough), and the frozen entry
+holds for every later step.
 Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 ``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and
 sees no covariance: a passthrough's S comes with its step. Every field
@@ -36,20 +37,23 @@ problem's float form ``field.rhs`` once per solve and hands it its two
 floats, ``_checked(rhs(t, x1, x2), 2, t)`` at every step; any other field
 gets them in the step's row of one float64 buffer, and the kernel reads a
 finite float64 pair back itself and any other output through
-``_read_output``, which the array kernel reaches through ``_field_at``.
+``_read_output``.
 
 Past the freeze each step of the mean recursion is one fixed linear map and
 one field call. The array kernel keeps its means slot-major, in one buffer
 of shape (n+1, D, d) whose block S at a step holds one coordinate's state
 per column, and returns them as its transposed view (n+1, d, D), not a
-copy. For states of three or more slots it runs each step past the freeze
-as one product ``W = B S``, whose rows hold the predicted means ``A m``,
-``H A m`` and, as a contiguous row, the field input ``H0 A m``; the
-innovation overwrites ``H A m`` in place, and one more product writes the
-update, in innovation form, straight into the step's block of the buffer.
-Up to the freeze, and for two-slot states throughout, it runs the step form
-through the transposed view, so those means are the full recursion's bit
-for bit.
+copy. Up to the freeze, and for two-slot states throughout, it runs the
+step form through the transposed view, with every field output read by
+``_field_at``, so those means are the full recursion's bit for bit. For
+states of three or more slots it then leaves that loop for a second one
+over the frozen steps alone, which takes each step as one product
+``W = B S``, whose rows hold the predicted means ``A m``, ``H A m`` and, as
+a contiguous row, the field input ``H0 A m``. It calls the field itself and
+reads a finite float64 vector of d values inline, as the pair kernel reads
+its pair, and any other output through ``_read_output``; the innovation
+overwrites ``H A m`` in place, and one more product writes the update, in
+innovation form, straight into the step's block of the buffer.
 """
 
 from __future__ import annotations
@@ -344,40 +348,40 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
 
     The means live in one slot-major buffer ``slots`` (n+1, D, d), whose
     column j at step k is coordinate j's state; the returned means are its
-    transposed view, not a copy. Past the freeze, where a step's ``(K, S)``
-    is the previous step's object, a state of three or more slots takes the
-    step as one product ``W = B S`` of the previous step's block S with
+    transposed view, not a copy. Steps up to the freeze, and every step of a
+    two-slot state, take the step form, written through the transposed view,
+    so those means are the full recursion's bit for bit, and on two
+    coordinates ``_pair_mean_loop``'s. Its field inputs are fresh arrays.
+
+    At the first step whose ``(K, S)`` is the previous step's object, a
+    state of three or more slots leaves that loop for the frozen loop, which
+    walks the remaining blocks of ``slots`` and takes each step as one
+    product ``W = B S`` of the previous step's block S with
     ``B = [A; H A; H0 A]`` ((D+2, D)): its rows are the predicted means
     ``A m``, ``H A m`` and, last, the field input ``x = H0 A m``, a
-    contiguous row. The innovation ``z - H A m`` is written over row D in
-    place, and ``E W[:D+1]`` with ``E = [I_D | K]``, built once from the
-    frozen gain, writes the update ``A m + (z - H A m) K`` straight into the
-    step's block of ``slots``. The update stays in innovation form: the
-    composed map ``(I - K H) A m + K z`` adds two large terms whose sum
-    carries the small innovation, and loses too many of its bits on the top
-    derivatives. Row x stays out of that product, since the field may
-    overwrite its input. These means sum in another order than the step
-    form's, so they differ from it by rounding alone. Steps up to the freeze,
-    and every step of a two-slot state, keep the step form, written through
-    the transposed view, so those means are the full recursion's bit for
-    bit, and on two coordinates ``_pair_mean_loop``'s. Each step's field
-    input is a fresh array or a row of one that no later step writes, so the
-    field may keep or overwrite it.
+    contiguous row of a fresh W that no later step writes, so the field may
+    keep or overwrite it. The loop calls the field itself: an output that is
+    a float64 array of shape (d,) is read inline, with one test that its sum
+    is finite, and any other output, and a non-finite sum, goes to
+    ``_read_output``, so every outcome is ``_field_at``'s. The innovation
+    ``z - H A m`` is written over row D in place, and ``E W[:D+1]`` with
+    ``E = [I_D | K]``, built once from the frozen gain, writes the update
+    ``A m + (z - H A m) K`` straight into the step's block of ``slots``. The
+    update stays in innovation form: the composed map ``(I - K H) A m + K z``
+    adds two large terms whose sum carries the small innovation, and loses
+    too many of its bits on the top derivatives. Row x stays out of that
+    product, since the field may overwrite its input. These means sum in
+    another order than the step form's, so they differ from it by rounding
+    alone.
     """
-    D, (K, _) = len(A), steps[-1]  # the frozen (K, S), if the gain froze
-    if D > 2 and K is not None:
-        B, E = np.vstack([A, H @ A, H0 @ A]), np.column_stack([np.eye(D), K])
+    D = len(A)
     slots = np.empty((len(steps) + 1, D, len(M)))
     means = slots.transpose(0, 2, 1)
     means[0], last = M, None
     for k, step in enumerate(steps, 1):
+        if step is last and D > 2:  # past the freeze: the frozen loop below takes the rest
+            break
         t, (K, S) = k * h, step
-        if step is last and D > 2:  # past the freeze: one product per step
-            W = B @ slots[k - 1]
-            z = _field_at(field, W[-1], t)
-            np.subtract(z, W[D], out=W[D])
-            np.matmul(E, W[:-1], out=slots[k])
-            continue
         M = (A @ M[..., None])[..., 0]  # predict: A m per coordinate
         z = _field_at(field, _dot(M, H0), t)
         if K is None:
@@ -385,6 +389,21 @@ def _array_mean_loop(field, M, A, H0, H, h, steps):
         else:
             M = _gain_update(M, H, z, K)
         means[k], last = M, step
+    else:
+        return means
+    # K is the frozen gain: steps k-1 and k share one (K, S)
+    B, E = np.vstack([A, H @ A, H0 @ A]), np.column_stack([np.eye(D), K])
+    d, ndarray, isfinite = len(M), np.ndarray, math.isfinite  # looked up once, not at every step
+    for k, prev, cur in zip(range(k, len(steps) + 1), slots[k - 1 :], slots[k:]):
+        W = B @ prev
+        x, nu = W[-1], W[D]
+        z = field(x, t := k * h)
+        if not (type(z) is ndarray and z.dtype is FLOAT64 and z.shape == (d,)):
+            z = _read_output(z, d, t)
+        elif not isfinite(sum(z.tolist())):  # a non-finite value, or a finite sum that overflows
+            _read_output(z, d, t)
+        np.subtract(z, nu, out=nu)
+        np.matmul(E, W[:-1], out=cur)
     return means
 
 
@@ -480,9 +499,10 @@ def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:
 
     L steps of the map are the map ``(F^L, C_L)``, and composing it with
     itself gives ``(F^2L, F^L C_L F^LT + C_L)``. Each pass maps the first L
-    entries to the next min(L, len(covs) - L) in one batched product, then
-    doubles L. A pass's temporaries scale with the stack: on a 5000-long q=2
-    stack their peak is 1.23x the stack's bytes. Past L = 256 the decaying
+    entries to the next min(L, len(covs) - L) through ``_cov_map``, whose
+    stack form is one 2-D product and one batched product, then doubles L.
+    A pass's temporaries scale with the stack: on a 5000-long q=2 stack
+    their peak is 1.23x the stack's bytes. Past L = 256 the decaying
     entries of F^L can reach the subnormal range, which slows those passes.
     """
     L, FL, CL = 1, F, G

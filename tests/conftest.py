@@ -12,6 +12,10 @@ frozen copy of the covariance scan written as a plain doubling loop, which the
 scan must reproduce bit for bit, and
 ``loop_ibm_transition`` a frozen copy of the IBM transition written as two
 double loops, which the closed form must reproduce bit for bit.
+``single_loop_array_kernel`` is a frozen copy of the array mean kernel that
+takes every step in one loop, a step past the freeze calling the field
+through ``_field_at``, whose means the kernel's frozen loop must reproduce
+bit for bit.
 ``joseph_update`` is no oracle: it strings the update kernels together, so
 that a test can condition one mean and covariance on one measurement.
 ``CountingField`` wraps a vector field and counts its calls.
@@ -24,8 +28,8 @@ import numpy as np
 from odefilter import ProjectionPair, Trajectory
 from odefilter.cli import _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, CsvData, _csv_header
 from odefilter.errors import CsvFormatError
-from odefilter.filtering import _gain_update, _joseph, _passthrough
-from odefilter.solver import PhaseSegment
+from odefilter.filtering import _dot, _gain_update, _joseph, _passthrough
+from odefilter.solver import PhaseSegment, _field_at
 
 PSD_RELATIVE_TOL = 1e-10
 
@@ -313,3 +317,36 @@ def doubling_affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray):
         CL = sym(FL @ CL @ FL.T + CL)
         FL = FL @ FL
         L *= 2
+
+
+def single_loop_array_kernel(field, M, A, H0, H, h, steps):
+    """The array mean kernel's means (n+1, d, D) from one loop over the steps.
+
+    A step whose ``(K, S)`` is the previous step's object, past the freeze,
+    takes a state of three or more slots as ``W = B S`` on the previous
+    step's slot-major block S, reads the field at ``W[-1]`` through
+    ``_field_at``, writes the innovation over ``W[D]`` and ``E W[:D+1]`` into
+    its block; every other step takes the step form.
+    """
+    D, (K, _) = len(A), steps[-1]  # the frozen (K, S), if the gain froze
+    if D > 2 and K is not None:
+        B, E = np.vstack([A, H @ A, H0 @ A]), np.column_stack([np.eye(D), K])
+    slots = np.empty((len(steps) + 1, D, len(M)))
+    means = slots.transpose(0, 2, 1)
+    means[0], last = M, None
+    for k, step in enumerate(steps, 1):
+        t, (K, S) = k * h, step
+        if step is last and D > 2:
+            W = B @ slots[k - 1]
+            z = _field_at(field, W[-1], t)
+            np.subtract(z, W[D], out=W[D])
+            np.matmul(E, W[:-1], out=slots[k])
+            continue
+        M = (A @ M[..., None])[..., 0]
+        z = _field_at(field, _dot(M, H0), t)
+        if K is None:
+            _passthrough(M, H, z, S, step=k, t=t)
+        else:
+            M = _gain_update(M, H, z, K)
+        means[k], last = M, step
+    return means

@@ -52,7 +52,12 @@ from odefilter.problems import _array_field
 from odefilter.solver import PhaseSegment, Trajectory
 from odefilter.taylor import INIT_JITTER
 
-from conftest import doubling_affine_scan, extended_precision_ibm_filter, random_spd
+from conftest import (
+    doubling_affine_scan,
+    extended_precision_ibm_filter,
+    random_spd,
+    single_loop_array_kernel,
+)
 
 EXP_MINUS_1 = 0.36787944117144233
 
@@ -1017,6 +1022,62 @@ def test_every_past_freeze_field_input_is_a_contiguous_vector(problem, q):
     settled = settled_step(ssm, 1.0 / n, 0.0, n)
     assert len(inputs) == n + 1 and settled < n  # the init's call at t = 0, then one per step
     assert set(inputs[settled + 1 :]) == {(np.dtype(float), (ivp.dim,), True)}
+
+
+# The frozen loop against conftest's single-loop kernel: the layout problems and fhn,
+# each long enough that the gain freezes at every q and R (q=4 at R=1e-6 by step 744).
+FROZEN_LOOP_PROBLEMS = {
+    name: replace(ivp, T=10.0) for name, ivp in {**LAYOUT_PROBLEMS, "fhn": fhn()}.items()
+}
+
+
+def single_loop_outcome(monkeypatch, ssm, ivp, h, R):
+    """``solve_outcome`` with conftest's single-loop kernel in place of the array kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_array_mean_loop", single_loop_array_kernel)
+        return solve_outcome(ssm, ivp, h, R)
+
+
+@pytest.mark.parametrize("R", [0.0, 1e-6])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("problem", list(FROZEN_LOOP_PROBLEMS))
+def test_the_frozen_loop_gives_the_single_loop_kernels_means(monkeypatch, problem, q, R):
+    ssm, ivp = taylor_state_space(TaylorParams(q, 1.0)), FROZEN_LOOP_PROBLEMS[problem]
+    assert settled_step(ssm, 0.01, R, 1000) < 1000
+    expected = single_loop_outcome(monkeypatch, ssm, ivp, 0.01, R)
+    assert isinstance(expected, bytes)
+    assert solve_outcome(ssm, ivp, 0.01, R) == expected
+
+
+def test_a_fourier_prior_solve_gives_the_single_loop_kernels_means(monkeypatch):
+    # the zero-diffusion gain never freezes, so every step takes the step form
+    ssm, ivp = fourier_state_space(FourierParams(3, 1.0, 3.0, 1.0)), FROZEN_LOOP_PROBLEMS["fhn"]
+    expected = single_loop_outcome(monkeypatch, ssm, ivp, 0.01, 1e-6)
+    assert isinstance(expected, bytes)
+    assert solve_outcome(ssm, ivp, 0.01, 1e-6) == expected
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_the_frozen_loop_calls_an_array_field_once_per_step(d):
+    calls = []
+
+    def field(x, t):
+        calls.append((t, x))  # the input itself, which the field may keep
+        return -x
+
+    ssm, h, n = taylor_state_space(TaylorParams(2, 1.0)), 0.01, 100
+    ivp = IVProblem(field, np.linspace(1.0, 2.0, d), n * h, "spy")
+    (seg,) = solve(ssm, ivp, h, 0.0).segments
+    settled = settled_step(ssm, h, 0.0, n)
+    assert settled == 19  # most steps run the frozen loop
+    assert [t for t, _ in calls] == [0.0] + [k * h for k in range(1, n + 1)]
+    assert all(x.dtype == np.float64 and x.shape == (d,) for _, x in calls)
+    # past the freeze step k gets the last row of B S, S step k-1's slot-major block
+    trans, proj = ssm.transition_builder(h), ssm.projections
+    B = np.vstack([trans.A, proj.H @ trans.A, proj.H0 @ trans.A])
+    for k in range(settled + 1, n + 1):
+        assert calls[k][1].tobytes() == (B @ seg.means[k - 1].T)[-1].tobytes(), k
+    assert len({x.__array_interface__["data"][0] for _, x in calls}) == n + 1
 
 
 def _per_covariance_stds(seg):
