@@ -45,15 +45,7 @@ def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cov_map(P: np.ndarray, F: np.ndarray, G) -> np.ndarray:
-    """``F P F^T + G``, exactly symmetric; P or F may be a stack, giving one result per matrix.
-
-    A stack of P under one F (``solver._affine_scan``'s passes) takes ``P F^T``
-    as one 2-D product of the stacked rows, then F times each: the transpose
-    of ``(F P) F^T`` entry for entry, as each P is exactly symmetric, so the
-    symmetrized result has the same bits as the batched form's.
-    """
-    if P.ndim == 3 and F.ndim == 2:
-        return _symmetrize(F @ (P.reshape(-1, len(F)) @ F.T).reshape(P.shape) + G)
+    """``F P F^T + G``, exactly symmetric; P or F may be a stack, giving one result per matrix."""
     return _symmetrize(F @ P @ F.swapaxes(-1, -2) + G)
 
 

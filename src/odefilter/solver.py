@@ -15,11 +15,10 @@ field: it applies the predict map and each step's gain map (see
 ``filtering._cov_map``) to the covariance alone until the gain settles,
 which under the Taylor prior takes a few dozen steps; ``_affine_scan``
 fills the rest with powers of the frozen map, the two composed, by plain
-doubling: one 2-D and one batched product per doubling, whose
-temporaries peak below twice the covariance stack's bytes. It hands on one
-``(K, S)`` per step up to the freeze, the gain and innovation variance of
-``filtering._joseph`` (K is None on a passthrough), and the frozen entry
-holds for every later step.
+doubling: one batched product per doubling, whose temporaries peak below
+twice the covariance stack's bytes. It hands on one ``(K, S)`` per step up
+to the freeze, the gain and innovation variance of ``filtering._joseph`` (K
+is None on a passthrough), and the frozen entry holds for every later step.
 Then the mean recursion runs ``m <- A m``, ``z = f(H0 m, t)`` and
 ``m <- m + (z - H m) K_k`` per step; it alone evaluates the field, and
 sees no covariance: a passthrough's S comes with its step. Every field
@@ -499,10 +498,9 @@ def _affine_scan(covs: np.ndarray, F: np.ndarray, G: np.ndarray) -> None:
 
     L steps of the map are the map ``(F^L, C_L)``, and composing it with
     itself gives ``(F^2L, F^L C_L F^LT + C_L)``. Each pass maps the first L
-    entries to the next min(L, len(covs) - L) through ``_cov_map``, whose
-    stack form is one 2-D product and one batched product, then doubles L.
-    A pass's temporaries scale with the stack: on a 5000-long q=2 stack
-    their peak is 1.23x the stack's bytes. Past L = 256 the decaying
+    entries to the next min(L, len(covs) - L) in one batched product, then
+    doubles L. A pass's temporaries scale with the stack: on a 5000-long q=2
+    stack their peak is 1.23x the stack's bytes. Past L = 256 the decaying
     entries of F^L can reach the subnormal range, which slows those passes.
     """
     L, FL, CL = 1, F, G
